@@ -18,8 +18,6 @@ from .errors import BackendMismatch, InconsistentConnection, SingularGeneratorMa
 from .scalars import Backend, Fn
 from .space import Group
 
-COCYCLE_EXHAUSTIVE_CAP = 64  # |G| above which only generators x elements are checked
-
 
 @dataclass(frozen=True)
 class KMatrix:
@@ -170,27 +168,24 @@ class Equation:
         return self.conn[g]
 
     def validate(self) -> None:
+        """Check E^e = I and the cocycle law for generators x all elements.
+
+        By induction on word length that gives the law for every pair (G is
+        finite, so positive words reach every element).  At (g, g^-1) it
+        reads g(E^{g^-1}) . E^g = I: every E^g is invertible, with the
+        inverse that law predicts.
+        """
         group, size = self.group, self.group.space.size
         ident = KMatrix.identity(self.rank, size, self.backend)
         if not self.conn[0].eq(ident):
             raise InconsistentConnection("E^e is not the identity")
-        if group.order <= COCYCLE_EXHAUSTIVE_CAP:
-            firsts = range(group.order)
-        else:
-            firsts = sorted(set(group.generators.values()))
-        for g in firsts:
+        for g in group.generator_ids:
             for gp in range(group.order):
                 lhs = self.conn[group.mult[g][gp]]
                 rhs = self.conn[gp].g_act(group, g).mul(self.conn[g])
                 if not lhs.eq(rhs):
                     raise InconsistentConnection(
                         f"cocycle violated at elements ({g}, {gp})")
-        for g in range(group.order):
-            invmat = self.conn[g].inverse()
-            if invmat is None:
-                raise InconsistentConnection(f"E^g singular for element {g}")
-            if not invmat.eq(self.conn[group.inv[g]].g_act(group, g)):
-                raise InconsistentConnection(f"inverse formula fails for element {g}")
 
     def zero_element(self) -> Coords:
         z = Fn.zero(self.group.space.size, self.backend)
@@ -210,6 +205,8 @@ def complete_connection(group: Group, backend: Backend,
 
     Raises InconsistentConnection when an element reached by two words gets
     conflicting matrices, SingularGeneratorMatrix for non-invertible input.
+    The breadth-first pass compares s(E^{g'}) . E^s with E^{s g'} for every
+    generator s and element g', which is all that Equation.validate checks.
     """
     if set(generator_matrices) != set(group.generators):
         raise InconsistentConnection(
@@ -241,9 +238,7 @@ def complete_connection(group: Group, backend: Backend,
         frontier = nxt
     if any(c is None for c in conn):
         raise InconsistentConnection("generators do not generate the group")
-    eq = Equation(group, backend, rank, tuple(conn))
-    eq.validate()
-    return eq
+    return Equation(group, backend, rank, tuple(conn))
 
 
 def act(eq: Equation, g: int, coords: Sequence[Fn]) -> Coords:

@@ -13,10 +13,6 @@ class NotTransitive(GDiffError):
     """The generated permutation group does not act transitively."""
 
 
-class NotFaithful(GDiffError):
-    """Distinct abstract elements map to the same permutation."""
-
-
 class GroupTooLarge(GDiffError):
     """Group enumeration exceeded the configured cap."""
 

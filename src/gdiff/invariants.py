@@ -4,60 +4,39 @@ solutions, self-duality via invariant forms, and composition principles.
 A vector alpha in an equation is invariant when g.alpha = alpha for every
 group element; symmetric/antisymmetric forms on E live as invariant
 vectors of sym2/wedge2 of the dual equation.
+
+Invariant vectors are the solutions Hom_A(1, E), so they are solved in the
+base fiber like every hom space.  Invariance is checked on the generators
+only: the action is a group action, so that covers the whole group.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .equations import (Coords, Equation, KMatrix, act, dual, sym2,
-                        sym2_basis, wedge2, wedge2_basis)
+                        sym2_basis, trivial_equation, wedge2, wedge2_basis)
 from .errors import NotASolution, NotInvariant
 from .scalars import Fn
-from .solver import Morphism, is_isomorphism
+from .solver import Morphism, hom_space, is_isomorphism
 
 DEFAULT_RETRY_BUDGET = 8
 
 
 def invariant_vectors(eq: Equation) -> List[Coords]:
-    """F-basis of {alpha : g.alpha = alpha for all g}, solved over the
-    generators and verified over the whole group."""
-    group, be = eq.group, eq.backend
-    n, size = eq.rank, group.space.size
-    nunk = n * size
-
-    def idx(i: int, y: int) -> int:
-        return i * size + y
-
-    rows = []
-    for gid in set(group.generators.values()):
-        e_g = eq.conn[gid]
-        ginv_img = group.elements[group.inv[gid]]
-        for j in range(n):
-            for y in range(size):
-                # sum_i alpha_i(g^{-1}y) E^g_{ij}(y) - alpha_j(y) = 0
-                row = [be.zero()] * nunk
-                gy = ginv_img[y]
-                for i in range(n):
-                    row[idx(i, gy)] = row[idx(i, gy)] + e_g.entries[i][j].values[y]
-                row[idx(j, y)] = row[idx(j, y)] - be.one()
-                rows.append(row)
-    basis = linalg.nullspace(rows, nunk, be)
-    out = []
-    for vec in basis:
-        coords = tuple(Fn(tuple(vec[idx(i, y)] for y in range(size)), be)
-                       for i in range(n))
-        if not is_invariant(eq, coords):
-            raise NotInvariant("generator-solved vector fails on some element")
-        out.append(coords)
-    return out
+    """F-basis of {alpha : g.alpha = alpha for all g}: the solutions
+    Hom_A(1, eq), whose unknowns alpha_i(y) keep the order (i, y)."""
+    one = trivial_equation(eq.group, eq.backend)
+    return [phi.matrix.entries[0] for phi in hom_space(one, eq)]
 
 
 def is_invariant(eq: Equation, coords: Coords) -> bool:
+    """g.alpha = alpha on the generators, hence on the whole group."""
     return all(all(a.eq(b) for a, b in zip(act(eq, g, coords), coords))
-               for g in range(eq.group.order))
+               for g in eq.group.generator_ids)
 
 
 def _check_solution(phi: Morphism) -> None:
@@ -115,15 +94,20 @@ def conserved_quantity_check(eq: Equation, alpha: Coords,
 
 
 def _form_from_sym2(eq: Equation, alpha: Coords) -> KMatrix:
-    """alpha in sym2(dual E) as a bilinear-form matrix t over k
-    (t_ij = t_ji = alpha_(ij), via the tensor embedding s_ij = e_i e_j + e_j e_i)."""
+    """alpha in sym2(dual E) as a bilinear-form matrix t over k.
+
+    sym2 uses monomial coordinates, which sit in the tensor square as
+    s_ii = e_i (x) e_i and s_ij = (e_i (x) e_j + e_j (x) e_i) / 2 for i < j;
+    so t_ii = alpha_(ii) and t_ij = t_ji = alpha_(ij) / 2.
+    """
     n = eq.rank
     z = Fn.zero(eq.group.space.size, eq.backend)
     t = [[z for _ in range(n)] for _ in range(n)]
     for a, (i, j) in zip(alpha, sym2_basis(n)):
-        t[i][j] = t[i][j] + a
-        if i != j:
-            t[j][i] = t[j][i] + a
+        if i == j:
+            t[i][i] = a
+        else:
+            t[i][j] = t[j][i] = a.scale(Fraction(1, 2))
     return KMatrix.from_rows(t, eq.backend)
 
 

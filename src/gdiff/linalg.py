@@ -110,6 +110,19 @@ def _rref_exact(m: Matrix):
     return pivots
 
 
+def nullspace_form(vectors: Sequence[Vector]) -> List[Vector]:
+    """The basis ``nullspace`` gives for any exact system whose solutions
+    are spanned by the given independent vectors.
+
+    That basis is 1 at one free column and 0 at the others, and the free
+    columns are the positions where a solution can have its last nonzero
+    entry; so it is the reduced row echelon form with the columns reversed.
+    """
+    m = [list(reversed(v)) for v in vectors]
+    pivots = _rref_exact(m)
+    return [list(reversed(row)) for row in reversed(m[:len(pivots)])]
+
+
 def _to_np(a: Matrix) -> np.ndarray:
     return np.array([[complex(x) for x in row] for row in a], dtype=complex)
 

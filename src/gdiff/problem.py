@@ -19,7 +19,6 @@ from . import (diffops, equations as eqmod, equivalence, invariants, linalg,
 from .equations import Equation, KMatrix, complete_connection, trivial_equation
 from .errors import GDiffError, ProblemFileError
 from .scalars import Backend, Fn
-from .skewalg import SkewOp
 from .space import (BASE_POINT, FiniteSpace, Group, dihedral_on_cycle,
                     enumerate_group, parse_cycles, stabilizer, transversal)
 

@@ -21,9 +21,9 @@ from .equations import Equation, KMatrix
 from .equivalence import HModule, fiber
 from .errors import CharacterBackendMismatch
 from .scalars import Backend
-from .solver import (Morphism, compose, factor_through_image, hom_space,
+from .solver import (Morphism, compose, factor_through_image,
                      identity_morphism, image)
-from .space import BASE_POINT, Group, Subgroup, Transversal, transversal
+from .space import Subgroup, Transversal, transversal
 
 
 @dataclass(frozen=True)
@@ -158,17 +158,12 @@ def factor_solution(eq: Equation, simple: Equation, psi: Morphism) -> Morphism:
     pi = frobenius_projection(eq, character(simple))
     img, emb = image(pi)
     cores = factor_through_image(pi, img, emb)
-    out = compose(cores, compose_embedding_free(psi, img))
+    # psi may come from hom_space on an equal-connection copy of the image
+    if psi.source is not img and psi.source.conn != img.conn:
+        raise ValueError("psi is not defined on the isotypic image")
+    out = compose(cores, Morphism(img, psi.target, psi.matrix))
     out.validate()
     return out
-
-
-def compose_embedding_free(psi: Morphism, img: Equation) -> Morphism:
-    """Rebase psi onto the freshly computed image equation when the caller
-    solved hom_space on an equal-connection copy."""
-    if psi.source is img or psi.source.conn == img.conn:
-        return Morphism(img, psi.target, psi.matrix)
-    raise ValueError("psi is not defined on the isotypic image")
 
 
 def isotypic_image(eq: Equation, simple: Equation) -> Tuple[Equation, Morphism]:

@@ -4,13 +4,17 @@ search, simplicity tests and direct-sum decomposition.
 A morphism E -> F with matrix phi (rank(E) x rank(F), row convention:
 phi(e_i) = sum_j phi_{ij} f_j) intertwines the connections:
 E^g . phi = g(phi) . F^g at every point, for every group element.
+
+Hom spaces are solved in the base fiber: a morphism is determined by its
+value at the base point, an intertwiner of the stabilizer modules, and is
+transported from there along the transversal.  Morphisms are verified on
+the generators only, which implies intertwining for the whole group.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,8 +40,10 @@ class Morphism:
     matrix: KMatrix  # rank(source) x rank(target)
 
     def validate(self) -> None:
+        """Intertwining on the generators; by induction on word length it
+        then holds for every group element."""
         group = self.source.group
-        for g in range(group.order):
+        for g in group.generator_ids:
             lhs = self.source.conn[g].mul(self.matrix)
             rhs = self.matrix.g_act(group, g).mul(self.target.conn[g])
             if not lhs.eq(rhs):
@@ -91,38 +97,30 @@ def _morphism_from_vector(src: Equation, dst: Equation, vec) -> Morphism:
 
 
 def hom_space(src: Equation, dst: Equation) -> List[Morphism]:
-    """F-basis of Hom_A(src, dst) via the generator-block intertwining system."""
+    """F-basis of Hom_A(src, dst), solved in the base fiber.
+
+    Each intertwiner P of the fibers is transported along the transversal:
+    phi(y) = T_src(y)^-1 . P . T_dst(y) with T(y) = E^{sigma(y)}(y), and
+    T(y)^-1 = E^{sigma(y)^-1}(base) by the cocycle law.  Over the rationals
+    the basis is the one elimination of the intertwining system gives for
+    the unknowns phi_ij(y) in the order (i, j, y).
+    """
     src.backend.check_same(dst.backend)
     group = src.group
     be = src.backend
     n, m, size = src.rank, dst.rank, group.space.size
-    nunk = n * m * size
-
-    def idx(i: int, j: int, y: int) -> int:
-        return (i * m + j) * size + y
-
-    rows = []
-    for gid in set(group.generators.values()):
-        e_g, f_g = src.conn[gid], dst.conn[gid]
-        ginv_img = group.elements[group.inv[gid]]
-        for i in range(n):
-            for k in range(m):
-                for y in range(size):
-                    # sum_j E^g_{ij}(y) phi_{jk}(y) - sum_j phi_{ij}(g^-1 y) F^g_{jk}(y) = 0
-                    row = [be.zero()] * nunk
-                    for j in range(n):
-                        row[idx(j, k, y)] = row[idx(j, k, y)] + e_g.entries[i][j].values[y]
-                    gy = ginv_img[y]
-                    for j in range(m):
-                        row[idx(i, j, gy)] = row[idx(i, j, gy)] - f_g.entries[j][k].values[y]
-                    rows.append(row)
-    basis = linalg.nullspace(rows, nunk, be)
-    out = []
-    for vec in basis:
-        phi = _morphism_from_vector(src, dst, vec)
-        phi.validate()  # post-hoc check on all group elements
-        out.append(phi)
-    return out
+    sigma = transversal(group).sigma
+    t_src_inv = [src.conn[group.inv[s]].at_point(BASE_POINT) for s in sigma]
+    t_dst = [dst.conn[s].at_point(y) for y, s in enumerate(sigma)]
+    vecs = []
+    for p in intertwiner_space(fiber(src), fiber(dst)):
+        mats = [linalg.mat_mul(t_src_inv[y], linalg.mat_mul(p, t_dst[y], be), be)
+                for y in range(size)]
+        vecs.append([mats[y][i][j] for i in range(n) for j in range(m)
+                     for y in range(size)])
+    if be.exact:
+        vecs = linalg.nullspace_form(vecs)
+    return [_morphism_from_vector(src, dst, vec) for vec in vecs]
 
 
 def symmetries(eq: Equation) -> List[Morphism]:

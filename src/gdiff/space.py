@@ -115,6 +115,11 @@ class Group:
     def order(self) -> int:
         return len(self.elements)
 
+    @property
+    def generator_ids(self) -> Tuple[int, ...]:
+        """The distinct element ids of the generators, ascending."""
+        return tuple(sorted(set(self.generators.values())))
+
     def act_point(self, g: int, x: int) -> int:
         return self.elements[g][x]
 

@@ -1,5 +1,6 @@
-"""Shared fixtures: small dihedral groups, the standard equation zoo, and
-independent sympy-based oracles for dimensions computed by the package."""
+"""Shared fixtures: small dihedral groups, the standard equation zoo,
+independent sympy-based oracles for dimensions computed by the package, and
+full-group checks (the package itself checks generators only)."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 import sympy
 
 from gdiff import equivalence
-from gdiff.equations import (KMatrix, complete_connection, direct_sum,
+from gdiff.equations import (KMatrix, act, complete_connection, direct_sum,
                              trivial_equation)
 from gdiff.scalars import Backend, Fn
 from gdiff.space import dihedral_on_cycle, stabilizer, transversal
@@ -116,6 +117,40 @@ def full_hom_system(src, dst):
 def hom_dim_oracle(src, dst):
     return sympy_nullity(full_hom_system(src, dst),
                          src.rank * dst.rank * src.group.space.size)
+
+
+def sympy_nullspace(rows, ncols):
+    """Nullspace basis by sympy's elimination, as lists of Fractions."""
+    if not rows:
+        return [[Fraction(int(i == j)) for j in range(ncols)]
+                for i in range(ncols)]
+    m = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
+    return [[Fraction(int(x.p), int(x.q)) for x in vec]
+            for vec in m.nullspace()]
+
+
+# -- full-group checks --------------------------------------------------------
+
+def cocycle_everywhere(eq):
+    """E^{gg'} = g(E^{g'}) . E^g for every pair of group elements."""
+    group = eq.group
+    return all(eq.conn[group.mult[g][gp]].eq(
+                   eq.conn[gp].g_act(group, g).mul(eq.conn[g]))
+               for g in range(group.order) for gp in range(group.order))
+
+
+def intertwines_everywhere(phi):
+    """E^g . phi = g(phi) . F^g for every group element."""
+    group = phi.source.group
+    return all(phi.source.conn[g].mul(phi.matrix).eq(
+                   phi.matrix.g_act(group, g).mul(phi.target.conn[g]))
+               for g in range(group.order))
+
+
+def fixed_everywhere(eq, coords):
+    """g.alpha = alpha for every group element."""
+    return all(all(a.eq(b) for a, b in zip(act(eq, g, coords), coords))
+               for g in range(eq.group.order))
 
 
 def seeded_rng(seed=0):

@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (equation_zoo, random_involution, rank2_equation,
-                      seeded_rng, sign_equation)
+from conftest import (cocycle_everywhere, equation_zoo, random_involution,
+                      rank2_equation, seeded_rng, sign_equation)
 from gdiff import equivalence
-from gdiff.equations import (KMatrix, act, complete_connection, direct_sum,
-                             dual, hom, sym2, tensor, trivial_equation,
-                             wedge2, wedge_top)
+from gdiff.equations import (Equation, KMatrix, act, complete_connection,
+                             direct_sum, dual, hom, sym2, tensor,
+                             trivial_equation, wedge2, wedge_top)
 from gdiff.errors import InconsistentConnection, SingularGeneratorMatrix
 from gdiff.scalars import Fn
 from gdiff.space import stabilizer, transversal
@@ -19,24 +19,13 @@ def scalar_gen(group, be, values):
             for name, v in values.items()}
 
 
-def exhaustive_cocycle_ok(eq):
-    group = eq.group
-    for g in range(group.order):
-        for gp in range(group.order):
-            lhs = eq.conn[group.mult[g][gp]]
-            rhs = eq.conn[gp].g_act(group, g).mul(eq.conn[g])
-            if not lhs.eq(rhs):
-                return False
-    return True
-
-
 def test_trivial_and_sign_validate(g3, rational):
     one = trivial_equation(g3, rational)
     one.validate()
     sign = complete_connection(g3, rational,
                                scalar_gen(g3, rational, {"s": 1, "t": -1}))
     sign.validate()
-    assert exhaustive_cocycle_ok(sign)
+    assert cocycle_everywhere(sign)
 
 
 def test_random_rank2_connection_validates(g3, rational):
@@ -49,7 +38,7 @@ def test_random_rank2_connection_validates(g3, rational):
             sub, rational, {0: [[1, 0], [0, 1]], t: m})
         eq = equivalence.induce(mod, transversal(g3))
         eq.validate()
-        assert exhaustive_cocycle_ok(eq)
+        assert cocycle_everywhere(eq)
 
 
 def test_corrupted_connection_rejected(g3, rational):
@@ -57,6 +46,22 @@ def test_corrupted_connection_rejected(g3, rational):
     with pytest.raises(InconsistentConnection):
         complete_connection(g3, rational,
                             scalar_gen(g3, rational, {"s": 1, "t": 2}))
+
+
+def test_corrupting_any_element_fails_validate(g4, g6, rational):
+    # |G| = 8 and 12: groups small enough that validate used to check every
+    # pair; it now checks generators x elements, which must catch the same
+    for group in (g4, g6):
+        for eq in (sign_equation(group, rational),
+                   rank2_equation(group, rational)):
+            eq.validate()
+            for g in range(1, group.order):
+                conn = list(eq.conn)
+                conn[g] = conn[g].scale(2)
+                bad = Equation(group, rational, eq.rank, tuple(conn))
+                assert not cocycle_everywhere(bad)
+                with pytest.raises(InconsistentConnection):
+                    bad.validate()
 
 
 def test_singular_generator_rejected(g3, rational):
@@ -91,6 +96,7 @@ def test_tensor_constructions_satisfy_cocycle(g3, rational):
     for built in (direct_sum(e, f), tensor(e, f), hom(e, f), dual(e),
                   sym2(e), wedge2(e), wedge_top(e)):
         built.validate()
+        assert cocycle_everywhere(built)
 
 
 def test_sym2_wedge2_ranks(g3, rational):

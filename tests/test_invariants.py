@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import equation_zoo
+from conftest import (equation_zoo, fixed_everywhere, intertwines_everywhere,
+                      rank2_equation)
 from gdiff import equivalence, solver
 from gdiff.equations import (KMatrix, direct_sum, dual, sym2, trivial_equation,
                              wedge2, wedge_top)
@@ -52,6 +53,16 @@ def test_invariant_dim_matches_hom_from_trivial(g3, g4, rational):
         one = trivial_equation(group, rational)
         for eq in equation_zoo(group, rational).values():
             assert len(invariant_vectors(eq)) == len(hom_space(one, eq))
+
+
+def test_invariant_vectors_fixed_by_every_element(g3, g4, rational, cplx):
+    # the package checks invariance on generators only
+    for group in (g3, g4):
+        for be in (rational, cplx):
+            for eq in equation_zoo(group, be).values():
+                for host in (eq, sym2(dual(eq)), wedge2(dual(eq))):
+                    for alpha in invariant_vectors(host):
+                        assert fixed_everywhere(host, alpha)
 
 
 def test_invariant_vectors_really_invariant(g6, rational):
@@ -131,6 +142,17 @@ def test_self_dual_needs_random_mixing(g3, rational):
     from gdiff import linalg
     for y in range(3):
         assert linalg.det(phi.at_point(y), rational) != 0
+
+
+def test_self_dual_rank2_intertwines_on_every_element(g3, g4, g6, rational,
+                                                      cplx):
+    # rank2 has an invariant form with an off-diagonal sym2 coordinate,
+    # which enters the form matrix at half weight
+    for group in (g3, g4, g6):
+        for be in (rational, cplx):
+            phi = self_dual_check(rank2_equation(group, be))
+            assert phi is not None and solver.is_isomorphism(phi)
+            assert intertwines_everywhere(phi)
 
 
 def test_symplectic_antisymmetric_form(g4, rational):

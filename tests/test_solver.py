@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import equation_zoo, hom_dim_oracle, seeded_rng
+from conftest import (equation_zoo, full_hom_system, hom_dim_oracle,
+                      intertwines_everywhere, seeded_rng, sympy_nullspace)
 from gdiff import equivalence, solver
 from gdiff.equations import act, direct_sum, trivial_equation
 from gdiff.errors import NotASolution
@@ -16,6 +17,33 @@ def test_hom_dims_match_full_system_oracle(g3, rational):
     for a in zoo.values():
         for b in zoo.values():
             assert len(hom_space(a, b)) == hom_dim_oracle(a, b)
+
+
+def test_hom_basis_intertwines_on_every_element(g3, g4, rational, cplx):
+    # the package verifies on generators only; here every element is checked
+    for group in (g3, g4):
+        for be in (rational, cplx):
+            zoo = equation_zoo(group, be)
+            for a in zoo.values():
+                for b in zoo.values():
+                    for phi in hom_space(a, b):
+                        assert intertwines_everywhere(phi)
+
+
+def test_rational_hom_basis_is_the_full_system_nullspace(g3, g4, rational):
+    # entry by entry: sympy's nullspace of the system over all of G
+    for group in (g3, g4):
+        zoo = equation_zoo(group, rational)
+        zoo["zero"] = trivial_equation(group, rational, rank=0)
+        for a in zoo.values():
+            for b in zoo.values():
+                n, m, size = a.rank, b.rank, group.space.size
+                want = sympy_nullspace(full_hom_system(a, b), n * m * size)
+                got = [[phi.matrix.entries[i][j].values[y]
+                        for i in range(n) for j in range(m)
+                        for y in range(size)]
+                       for phi in hom_space(a, b)]
+                assert got == want
 
 
 def test_hom_dims_match_fiber_intertwiners(g4, rational):
