@@ -164,9 +164,6 @@ class Equation:
     rank: int
     conn: Tuple[KMatrix, ...]  # indexed by group element id
 
-    def matrix(self, g: int) -> KMatrix:
-        return self.conn[g]
-
     def validate(self) -> None:
         """Check E^e = I and the cocycle law for generators x all elements.
 
@@ -187,9 +184,10 @@ class Equation:
                     raise InconsistentConnection(
                         f"cocycle violated at elements ({g}, {gp})")
 
-    def zero_element(self) -> Coords:
-        z = Fn.zero(self.group.space.size, self.backend)
-        return tuple(z for _ in range(self.rank))
+    def inverse(self, g: int) -> KMatrix:
+        """(E^g)^-1 = g(E^{g^-1}): the cocycle law at (g, g^-1), so it holds
+        for every equation that validates; no pointwise inversion."""
+        return self.conn[self.group.inv[g]].g_act(self.group, g)
 
 
 def trivial_equation(group: Group, backend: Backend, rank: int = 1) -> Equation:
@@ -275,26 +273,17 @@ def tensor(e: Equation, f: Equation) -> Equation:
 
 
 def dual(e: Equation) -> Equation:
-    """(E*)^g = ((E^g)^t)^{-1}."""
-    conn = []
-    for g in range(e.group.order):
-        m = e.conn[g].transpose().inverse()
-        if m is None:
-            raise InconsistentConnection("singular connection in dual()")
-        conn.append(m)
-    return Equation(e.group, e.backend, e.rank, tuple(conn))
+    """(E*)^g = ((E^g)^t)^{-1} = (g(E^{g^-1}))^t, by Equation.inverse."""
+    conn = tuple(e.inverse(g).transpose() for g in range(e.group.order))
+    return Equation(e.group, e.backend, e.rank, conn)
 
 
 def hom(e: Equation, f: Equation) -> Equation:
     """Hom_k(E,F)^g = F^g (x) ((E^g)^t)^{-1}; basis d_{ij}, i over F, j over E."""
     _check_compatible(e, f)
-    conn = []
-    for g in range(e.group.order):
-        t = e.conn[g].transpose().inverse()
-        if t is None:
-            raise InconsistentConnection("singular connection in hom()")
-        conn.append(f.conn[g].kron(t))
-    return Equation(e.group, e.backend, e.rank * f.rank, tuple(conn))
+    conn = tuple(f.conn[g].kron(e.inverse(g).transpose())
+                 for g in range(e.group.order))
+    return Equation(e.group, e.backend, e.rank * f.rank, conn)
 
 
 def sym2_basis(n: int) -> List[Tuple[int, int]]:

@@ -10,13 +10,13 @@ matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from . import linalg
 from .equations import Equation, KMatrix
 from .errors import ElementNotInH, NoIsoFound
 from .scalars import Backend
-from .space import BASE_POINT, Group, Subgroup, Transversal, stabilizer
+from .space import BASE_POINT, Subgroup, Transversal, stabilizer
 
 IrredFamily = Dict[str, "HModule"]
 

@@ -41,10 +41,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(c, a: Matrix) -> Matrix:
     return [[c * x for x in row] for row in a]
 

@@ -9,7 +9,7 @@ supplies comparison, parsing and serialization.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 

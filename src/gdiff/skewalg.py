@@ -4,7 +4,7 @@ function coefficients, the twisted product, and the action on functions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from .scalars import Backend, Fn
 from .space import Group, act_on_function

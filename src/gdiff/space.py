@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import GroupTooLarge, NotTransitive
-from .scalars import Backend, Fn
+from .scalars import Fn
 
 BASE_POINT = 0
 DEFAULT_GROUP_CAP = 10 ** 6

@@ -9,8 +9,8 @@ import pytest
 import sympy
 
 from gdiff import equivalence
-from gdiff.equations import (KMatrix, act, complete_connection, direct_sum,
-                             trivial_equation)
+from gdiff.equations import (Equation, KMatrix, act, complete_connection,
+                             direct_sum, trivial_equation)
 from gdiff.scalars import Backend, Fn
 from gdiff.space import dihedral_on_cycle, stabilizer, transversal
 
@@ -164,3 +164,18 @@ def random_fn(rng, size, be):
 def random_kmatrix(rng, nrows, ncols, size, be):
     return KMatrix.from_rows(
         [[random_fn(rng, size, be) for _ in range(ncols)] for _ in range(nrows)], be)
+
+
+def gauged_equation(rng, eq):
+    """E'^g = g(T)^{-1} . E^g . T for a random pointwise-invertible T: the
+    same equation in other coordinates.  It satisfies the cocycle law, but
+    unlike the induced zoo equations its E'^g(y) are not involutions, so a
+    connection matrix and its inverse differ."""
+    t = None
+    while t is None or t.inverse() is None:
+        t = random_kmatrix(rng, eq.rank, eq.rank, eq.group.space.size,
+                           eq.backend)
+    tinv = t.inverse()
+    conn = tuple(tinv.g_act(eq.group, g).mul(eq.conn[g]).mul(t)
+                 for g in range(eq.group.order))
+    return Equation(eq.group, eq.backend, eq.rank, conn)

@@ -209,10 +209,10 @@ def test_criterion_08_operator_calculus(g3, rational):
     for _ in range(20):
         t1 = diffops.canonicalize(random_raw(rng, e1, e2))
         t2 = diffops.canonicalize(random_raw(rng, e2, e3))
-        comp = diffops.compose(t2, t1)  # internal cross-check raises on mismatch
-        assert linalg.mat_eq(comp.action,
-                             linalg.mat_mul(t2.action, t1.action, rational),
-                             rational)
+        comp = diffops.compose(t2, t1)
+        want = linalg.mat_mul(t2.action, t1.action, rational)
+        assert linalg.mat_eq(comp.action, want, rational)
+        assert linalg.mat_eq(diffops.mu(comp.rep), want, rational)
     for _ in range(10):
         theta = random_raw(rng, e1, e2)
         a = SkewOp.from_terms(g3, rational, {

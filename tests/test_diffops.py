@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import sympy
 
-from conftest import equation_zoo, random_fn, random_kmatrix, seeded_rng
+from conftest import (equation_zoo, gauged_equation, random_fn,
+                      random_kmatrix, seeded_rng, sympy_nullity)
 from gdiff import diffops, linalg
 from gdiff.diffops import (ClassicalSystem, RawOperator,
                            canonicalize, classical_solutions, compose,
@@ -134,16 +135,22 @@ def test_canonicalize_quotients_ker_mu(g3, rational):
     assert canonicalize(theta).eq(canonicalize(theta.add(kern)))
 
 
-def test_compose_tensor_route_random_pairs(g3, rational):
+def test_compose_tensor_route_random_pairs(g3, g4, rational, cplx):
+    # compose returns the action-matrix product; the tensor-formula
+    # representative it carries must have that product as its mu-image
     rng = seeded_rng(22)
-    zoo = equation_zoo(g3, rational)
-    e1, e2, e3 = zoo["rank2"], zoo["both"], zoo["sign"]
-    for _ in range(20):
-        t1 = random_raw(rng, e1, e2)
-        t2 = random_raw(rng, e2, e3)
-        comp = compose(canonicalize(t2), canonicalize(t1))  # raises on mismatch
-        assert linalg.mat_eq(comp.action,
-                             linalg.mat_mul(mu(t2), mu(t1), rational), rational)
+    for group in (g3, g4):
+        for be in (rational, cplx):
+            zoo = equation_zoo(group, be)
+            e1 = gauged_equation(rng, zoo["rank2"])
+            e2, e3 = zoo["both"], zoo["sign"]
+            for _ in range(20):
+                t1 = random_raw(rng, e1, e2)
+                t2 = random_raw(rng, e2, e3)
+                comp = compose(canonicalize(t2), canonicalize(t1))
+                want = linalg.mat_mul(mu(t2), mu(t1), be)
+                assert linalg.mat_eq(comp.action, want, be)
+                assert linalg.mat_eq(mu(comp.rep), want, be)
 
 
 def test_compose_identity_neutral(g3, rational):
@@ -164,18 +171,24 @@ def test_compose_associativity(g3, rational):
     assert lhs.eq(rhs)
 
 
-def test_skew_action_matches_delta_composition(g3, rational):
+def test_skew_action_matches_delta_composition(g3, g4, rational, cplx):
     rng = seeded_rng(25)
-    zoo = equation_zoo(g3, rational)
-    e1, e2 = zoo["sign"], zoo["rank2"]
-    for _ in range(10):
-        theta = random_raw(rng, e1, e2)
-        a = SkewOp.from_terms(g3, rational, {
-            rng.randrange(6): random_fn(rng, 3, rational),
-            rng.randrange(6): random_fn(rng, 3, rational)})
-        lhs = canonicalize(skew_action(a, theta))
-        rhs = compose(canonicalize(delta_op(a, e2)), canonicalize(theta))
-        assert lhs.eq(rhs)
+    for group in (g3, g4):
+        size = group.space.size
+        for be in (rational, cplx):
+            zoo = equation_zoo(group, be)
+            gauged = gauged_equation(rng, zoo["rank2"])
+            for e1, e2 in ((zoo["sign"], zoo["rank2"]),
+                           (gauged, zoo["both"])):
+                for _ in range(5):
+                    theta = random_raw(rng, e1, e2)
+                    a = SkewOp.from_terms(group, be, {
+                        rng.randrange(group.order): random_fn(rng, size, be),
+                        rng.randrange(group.order): random_fn(rng, size, be)})
+                    lhs = canonicalize(skew_action(a, theta))
+                    rhs = compose(canonicalize(delta_op(a, e2)),
+                                  canonicalize(theta))
+                    assert lhs.eq(rhs)
 
 
 def test_mu_is_a_module_morphism(g3, rational):
@@ -214,14 +227,62 @@ def test_laplacian_solutions_constants(g6, rational):
     assert circ.cols - circ.rank() == 1
 
 
+def single_term_images(eq):
+    """Flattened mu-images of every single-term operator delta_y e_i g from
+    eq to 1: a spanning set of Difn(eq, 1), built without the package's
+    _DifnModule."""
+    be, size = eq.backend, eq.group.space.size
+    one = trivial_equation(eq.group, be)
+    rows = []
+    for i in range(eq.rank):
+        for g in range(eq.group.order):
+            for y in range(size):
+                ent = [[Fn.zero(size, be)] for _ in range(eq.rank)]
+                ent[i][0] = Fn.delta(y, size, be)
+                theta = RawOperator(eq, one, {g: KMatrix.from_rows(ent, be)})
+                rows.append(linalg.flatten(mu(theta)))
+    return rows
+
+
+def sympy_rank(rows, ncols):
+    return ncols - sympy_nullity(rows, ncols)
+
+
+def difn_dim_oracle(eq):
+    size = eq.group.space.size
+    return sympy_rank(single_term_images(eq), size * eq.rank * size)
+
+
+def coker_dim_oracle(op):
+    """dim Difn(source, 1) - rank of nabla -> nabla o Delta on Difn(target, 1),
+    both by sympy."""
+    size = op.source.group.space.size
+    action = sympy.Matrix([[sympy.Rational(x) for x in r] for r in op.action])
+    images = []
+    for row in single_term_images(op.target):
+        lmat = sympy.Matrix(size, len(row) // size,
+                            [sympy.Rational(x) for x in row])
+        images.append(list(lmat * action))
+    return (difn_dim_oracle(op.source)
+            - sympy_rank(images, size * op.source.rank * size))
+
+
+def test_single_term_images_span_every_matrix(g3, g4, g6, rational):
+    # the fact behind _DifnModule's standard basis: Difn(E, 1) is all of
+    # the |S| x n|S| matrices
+    for group in (g3, g4, g6):
+        size = group.space.size
+        for eq in equation_zoo(group, rational).values():
+            assert difn_dim_oracle(eq) == size * eq.rank * size
+
+
 def test_equation_of_identity_and_zero(g3, rational):
     one = trivial_equation(g3, rational)
     assert equation_of(identity_op(one)).rank == 0
     zero = canonicalize(zero_raw(one, one))
     difn_rank = equation_of(zero).rank
     # cokernel of the zero map is all of Difn(1, k)
-    w = diffops._DifnModule(one)
-    assert difn_rank * 3 == len(w.basis)
+    assert difn_rank * 3 == difn_dim_oracle(one)
 
 
 def test_equation_of_laplacian(g6, rational):
@@ -229,15 +290,7 @@ def test_equation_of_laplacian(g6, rational):
     eq = equation_of(op)
     eq.validate()
     # brute-force cokernel dimension oracle: dim W1 - rank(phi^Delta)
-    w1 = diffops._DifnModule(op.source)
-    w2 = diffops._DifnModule(op.target)
-    rows = []
-    for lvec in w2.basis:
-        lmat = w2.unflatten(lvec)
-        rows.append(linalg.flatten(linalg.mat_mul(lmat, op.action, rational)))
-    img = sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows]).rank()
-    coker = len(w1.basis) - img
-    assert eq.rank * 6 == coker
+    assert eq.rank * 6 == coker_dim_oracle(op)
 
 
 def test_embed_solutions_laplacian(g6, rational):

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (cocycle_everywhere, equation_zoo, random_involution,
-                      rank2_equation, seeded_rng, sign_equation)
+from conftest import (cocycle_everywhere, equation_zoo, gauged_equation,
+                      random_involution, rank2_equation, seeded_rng,
+                      sign_equation)
 from gdiff import equivalence
 from gdiff.equations import (Equation, KMatrix, act, complete_connection,
                              direct_sum, dual, hom, sym2, tensor,
@@ -76,6 +77,28 @@ def test_inverse_formula(g4, rational):
     for g in range(group.order):
         inv = eq.conn[g].inverse()
         assert inv.eq(eq.conn[group.inv[g]].g_act(group, g))
+
+
+def test_dual_and_hom_match_pointwise_inversion(g3, g4, g6, rational, cplx):
+    # dual and hom take (E^g)^{-1} = g(E^{g^-1}) from the cocycle law; the
+    # pointwise transpose-and-invert construction is the oracle
+    rng = seeded_rng(11)
+    for group in (g3, g4, g6):
+        for be in (rational, cplx):
+            zoo = equation_zoo(group, be)
+            zoo["gauged"] = gauged_equation(rng, zoo["rank2"])
+            zoo["gauged"].validate()
+            for e in zoo.values():
+                old = [e.conn[g].transpose().inverse()
+                       for g in range(group.order)]
+                assert all(e.inverse(g).eq(e.conn[g].inverse())
+                           for g in range(group.order))
+                d = dual(e)
+                assert all(d.conn[g].eq(old[g]) for g in range(group.order))
+                for f in zoo.values():
+                    h = hom(e, f)
+                    assert all(h.conn[g].eq(f.conn[g].kron(old[g]))
+                               for g in range(group.order))
 
 
 def test_act_is_group_action(g3, rational):

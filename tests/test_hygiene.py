@@ -1,0 +1,67 @@
+"""Source hygiene checks that need only the standard library.
+
+Every module of the package (``__init__.py`` aside, whose imports are its
+re-exports) must use each name it imports.  A name counts as used when it
+appears in the code or inside a string annotation such as ``"KMatrix"``.
+"""
+
+import ast
+import os
+
+import pytest
+
+PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "gdiff")
+MODULES = sorted(f for f in os.listdir(PACKAGE)
+                 if f.endswith(".py") and f != "__init__.py")
+
+
+def imported_names(tree):
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                names[bound] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree):
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in annotations(tree):
+        for n in ast.walk(ann):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                used |= used_names(ast.parse(n.value, mode="eval"))
+    return used
+
+
+def test_used_names_resolve_string_annotations():
+    tree = ast.parse('from .equations import KMatrix\n'
+                     'def f(x: "KMatrix") -> "Optional[int]": pass\n')
+    assert {"KMatrix", "Optional", "int"} <= used_names(tree)
+    assert set(imported_names(tree)) == {"KMatrix"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_import(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    used = used_names(tree)
+    unused = sorted(f"{name} (line {line})"
+                    for name, line in imported_names(tree).items()
+                    if name not in used)
+    assert not unused, f"{module} imports names it never uses: {unused}"
