@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import linalg
 from .errors import BackendMismatch, InconsistentConnection, SingularGeneratorMatrix
 from .scalars import Backend, Fn
@@ -155,6 +157,30 @@ class KMatrix:
 Coords = Tuple[Fn, ...]  # coordinates of a module element (row vector over k)
 
 
+# Scalars compared per batch in Equation.validate: the temporaries of one
+# batch stay at a few hundred KB, whatever |G| is.
+_BATCH_SCALARS = 1 << 12
+
+
+def stack(mats: Sequence[KMatrix], nrows: int, ncols: int, size: int,
+          backend: Backend) -> np.ndarray:
+    """nrows x ncols matrices over k as one array of shape
+    (len(mats), size, nrows, ncols) and dtype ``backend.dtype``: entry
+    [a, y] is the scalar matrix of mats[a] at the point y."""
+    flat = [f.values for m in mats for row in m.entries for f in row]
+    arr = np.array(flat, dtype=backend.dtype)
+    return arr.reshape(len(mats), nrows, ncols, size).transpose(0, 3, 1, 2)
+
+
+def first_mismatch(lhs: np.ndarray, rhs: np.ndarray,
+                   backend: Backend) -> Optional[int]:
+    """The least index a with lhs[a] != rhs[a] under ``backend.eq_array``,
+    or None when every block agrees."""
+    same = backend.eq_array(lhs, rhs).all(axis=tuple(range(1, lhs.ndim)))
+    bad = np.flatnonzero(~same)
+    return int(bad[0]) if bad.size else None
+
+
 @dataclass(frozen=True)
 class Equation:
     """A rank-n equation presented by its connection matrices."""
@@ -171,18 +197,33 @@ class Equation:
         finite, so positive words reach every element).  At (g, g^-1) it
         reads g(E^{g^-1}) . E^g = I: every E^g is invertible, with the
         inverse that law predicts.
+
+        The connection is gathered once into an array C of shape
+        (|G|, |S|, n, n) (see ``stack``).  For a generator g, the law is one
+        batched ``matmul`` and comparison of C[g g'] with g(C[g']) . C[g],
+        where g(C[g'])(y) = C[g'](g^-1 y), over consecutive slices of g'
+        holding about ``_BATCH_SCALARS`` scalars each, so the temporaries
+        stay small whatever |G| is.  A failure names the first pair in
+        generator order, then g' ascending, as a pointwise scan would.
+        Rank 0 has nothing to check.  Complex products may round in the
+        last bit unlike ``KMatrix.mul``; only an eps near machine
+        precision can see that.
         """
-        group, size = self.group, self.group.space.size
-        ident = KMatrix.identity(self.rank, size, self.backend)
-        if not self.conn[0].eq(ident):
+        group, be = self.group, self.backend
+        conn = stack(self.conn, self.rank, self.rank, group.space.size, be)
+        if not be.eq_array(conn[0], np.eye(self.rank, dtype=be.dtype)).all():
             raise InconsistentConnection("E^e is not the identity")
+        step = max(1, _BATCH_SCALARS // max(1, conn[0].size))
         for g in group.generator_ids:
-            for gp in range(group.order):
-                lhs = self.conn[group.mult[g][gp]]
-                rhs = self.conn[gp].g_act(group, g).mul(self.conn[g])
-                if not lhs.eq(rhs):
+            ginv_image = list(group.elements[group.inv[g]])
+            for start in range(0, group.order, step):
+                stop = min(start + step, group.order)
+                lhs = conn[list(group.mult[g][start:stop])]
+                rhs = conn[start:stop, ginv_image] @ conn[g]
+                bad = first_mismatch(lhs, rhs, be)
+                if bad is not None:
                     raise InconsistentConnection(
-                        f"cocycle violated at elements ({g}, {gp})")
+                        f"cocycle violated at elements ({g}, {start + bad})")
 
     def inverse(self, g: int) -> KMatrix:
         """(E^g)^-1 = g(E^{g^-1}): the cocycle law at (g, g^-1), so it holds

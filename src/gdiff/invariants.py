@@ -50,8 +50,11 @@ def conserved_quantity_check(eq: Equation, alpha: Coords,
     """Push an invariant structure forward along solutions of type 1 and
     assert the result is a constant function.
 
-    power = "sym2": alpha lives in sym2(eq), one or two solutions phi, psi;
-    the value is sum_{i<=j} alpha_ij . s_ij(phi, psi).
+    power = "sym2": alpha lives in sym2(eq), one or two solutions phi, psi
+    (psi = phi when one is given); the value at y is f(y)^T t(y) g(y), with
+    f, g the first columns of phi, psi and t the symmetric matrix of alpha
+    in monomial coordinates (``_form_from_sym2``: t_ii = alpha_ii,
+    t_ij = t_ji = alpha_ij / 2 for i < j).
     power = "wedge_top": alpha lives in wedge_top(eq) (a single coordinate)
     and rank(eq) solutions are contracted through the determinant.
     """
@@ -65,12 +68,8 @@ def conserved_quantity_check(eq: Equation, alpha: Coords,
             raise NotInvariant("alpha is not an invariant of sym2(E)")
         phi = solutions[0]
         psi = solutions[1] if len(solutions) > 1 else solutions[0]
-        f = [phi.matrix.entries[i][0] for i in range(eq.rank)]
-        g = [psi.matrix.entries[i][0] for i in range(eq.rank)]
-        value = Fn.zero(size, be)
-        for a, (i, j) in zip(alpha, sym2_basis(eq.rank)):
-            pair = f[i] * g[j] if i == j else f[i] * g[j] + f[j] * g[i]
-            value = value + a * pair
+        t = _form_from_sym2(eq, alpha)
+        value = phi.matrix.transpose().mul(t).mul(psi.matrix).entries[0][0]
     elif power == "wedge_top":
         from .equations import wedge_top
         host = wedge_top(eq)

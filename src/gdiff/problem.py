@@ -63,20 +63,34 @@ def _parse_kmatrix(obj: Any, size: int, be: Backend) -> KMatrix:
 
 def _build_space(obj: Any) -> FiniteSpace:
     _reject_unknown(obj, {"cycle", "points"}, "space")
-    if "cycle" in obj:
-        return FiniteSpace.cycle(int(obj["cycle"]))
-    return FiniteSpace(tuple(obj["points"]))
+    try:
+        if "cycle" in obj:
+            return FiniteSpace.cycle(int(obj["cycle"]))
+        if "points" in obj:
+            return FiniteSpace(tuple(obj["points"]))
+    except (TypeError, ValueError) as exc:
+        raise ProblemFileError(f"bad space: {exc}") from exc
+    raise ProblemFileError("space needs 'cycle' or 'points'")
 
 
 def _build_group(obj: Any, space: FiniteSpace) -> Group:
     _reject_unknown(obj, {"generators", "dihedral_cycle"}, "group")
     if "dihedral_cycle" in obj:
-        group = dihedral_on_cycle(int(obj["dihedral_cycle"]))
+        try:
+            group = dihedral_on_cycle(int(obj["dihedral_cycle"]))
+        except (TypeError, ValueError) as exc:
+            raise ProblemFileError(f"bad dihedral_cycle: {exc}") from exc
         if group.space != space:
             raise ProblemFileError("dihedral_cycle size disagrees with the space")
         return group
-    gens = {name: parse_cycles(text, space.size)
-            for name, text in obj["generators"].items()}
+    if "generators" not in obj:
+        raise ProblemFileError("group needs 'generators' or 'dihedral_cycle'")
+    gens = {}
+    for name, text in obj["generators"].items():
+        try:
+            gens[name] = parse_cycles(text, space.size)
+        except ValueError as exc:
+            raise ProblemFileError(f"group generator {name!r}: {exc}") from exc
     return enumerate_group(space, gens)
 
 
@@ -194,11 +208,19 @@ def _build_system(name: str, obj: Dict[str, Any], prob: Problem
                                    int(obj["unknowns"]), coeffs)
 
 
+def _eq_ref(prob: Problem, obj: Dict[str, Any], key: str,
+            where: str = "task") -> Equation:
+    name = obj.get(key)
+    if name not in prob.equations:
+        raise ProblemFileError(f"{where} references undefined equation {name!r}")
+    return prob.equations[name]
+
+
 def _build_operator(name: str, obj: Dict[str, Any], prob: Problem
                     ) -> diffops.RawOperator:
     _reject_unknown(obj, {"source", "target", "terms"}, f"operator {name!r}")
-    src = prob.equations[obj["source"]]
-    dst = prob.equations[obj["target"]]
+    src = _eq_ref(prob, obj, "source", f"operator {name!r}")
+    dst = _eq_ref(prob, obj, "target", f"operator {name!r}")
     terms: Dict[int, KMatrix] = {}
     for item in obj["terms"]:
         _reject_unknown(item, {"word", "matrix"}, f"operator {name!r} term")
@@ -262,13 +284,6 @@ def _ser_kmatrix(m: KMatrix, be: Backend):
 
 def _ser_coords(coords, be: Backend):
     return [_ser_fn(f, be) for f in coords]
-
-
-def _eq_ref(prob: Problem, task: Dict[str, Any], key: str) -> Equation:
-    name = task.get(key)
-    if name not in prob.equations:
-        raise ProblemFileError(f"task references undefined equation {name!r}")
-    return prob.equations[name]
 
 
 def run_task(prob: Problem, task: Dict[str, Any], seed: int) -> Dict[str, Any]:

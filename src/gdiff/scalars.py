@@ -3,7 +3,8 @@
 Two backends are supported: exact rationals (``fractions.Fraction``) and
 complex floats compared with a tolerance.  All higher layers are generic
 over the backend; values are plain Python scalars, the backend object only
-supplies comparison, parsing and serialization.
+supplies comparison, parsing and serialization.  Batched checks hold the
+same values in numpy arrays of ``Backend.dtype``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
+import numpy as np
+
 from .errors import BackendMismatch
 
 RATIONAL = "rational"
@@ -21,7 +24,16 @@ COMPLEX = "complex"
 
 @dataclass(frozen=True)
 class Backend:
-    """Scalar field tag plus the comparison tolerance for the float case."""
+    """Scalar field tag plus the comparison tolerance for the float case.
+
+    Equality: rationals compare exactly; complex scalars a, b are equal when
+    |a - b| <= eps * (1 + max(|a|, |b|)).  ``eq`` applies that formula to
+    two scalars and ``eq_array`` elementwise to two arrays, so batched and
+    pointwise checks agree.  Thresholds that are still separate from it:
+    ``linalg._rank_tol`` (max(eps, 1e-8 * largest singular value)), the
+    ``RowSpace`` and ``solve`` residual tests (1e3 * eps * scale), and
+    ``solver._eigenvalue_split`` (max(1e3 * eps, 1e-7) * scale).
+    """
 
     name: str
     eps: float = 1e-9
@@ -62,10 +74,21 @@ class Backend:
             return complex(Fraction(value))
         raise BackendMismatch(f"cannot coerce {value!r} to a complex scalar")
 
+    @property
+    def dtype(self):
+        """numpy dtype of an array of scalars: Fractions are kept as objects."""
+        return object if self.exact else complex
+
     def eq(self, a, b) -> bool:
         if self.exact:
             return a == b
         return abs(a - b) <= self.eps * (1 + max(abs(a), abs(b)))
+
+    def eq_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``eq`` elementwise on two arrays of ``dtype``, as a bool array."""
+        if self.exact:
+            return a == b
+        return np.abs(a - b) <= self.eps * (1 + np.maximum(np.abs(a), np.abs(b)))
 
     def is_zero(self, a) -> bool:
         if self.exact:

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .equations import Equation, KMatrix
+from .equations import Equation, KMatrix, first_mismatch, stack
 from .equivalence import HModule, fiber, induce, intertwiner_space
 from .errors import NotASolution, SplittingInconclusive
 from .scalars import Backend, Fn
@@ -41,13 +41,24 @@ class Morphism:
 
     def validate(self) -> None:
         """Intertwining on the generators; by induction on word length it
-        then holds for every group element."""
-        group = self.source.group
-        for g in group.generator_ids:
-            lhs = self.source.conn[g].mul(self.matrix)
-            rhs = self.matrix.g_act(group, g).mul(self.target.conn[g])
-            if not lhs.eq(rhs):
-                raise NotASolution(f"intertwining fails for group element {g}")
+        then holds for every group element.
+
+        One batched comparison of E^g . phi with g(phi) . F^g for all
+        generators g at once, on arrays of the generator connections only
+        (see ``equations.stack``).  A failure names the first generator.
+        """
+        group, be = self.source.group, self.source.backend
+        n, m, size = self.source.rank, self.target.rank, group.space.size
+        gens = group.generator_ids
+        phi = stack([self.matrix], n, m, size, be)[0]
+        src = stack([self.source.conn[g] for g in gens], n, n, size, be)
+        dst = stack([self.target.conn[g] for g in gens], m, m, size, be)
+        ginv_images = np.array([group.elements[group.inv[g]] for g in gens],
+                               dtype=np.intp).reshape(len(gens), size)
+        moved = phi[ginv_images]
+        i = first_mismatch(src @ phi, moved @ dst, be)
+        if i is not None:
+            raise NotASolution(f"intertwining fails for group element {gens[i]}")
 
     def is_valid(self) -> bool:
         try:

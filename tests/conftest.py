@@ -147,6 +147,36 @@ def intertwines_everywhere(phi):
                for g in range(group.order))
 
 
+def pointwise_validate(eq):
+    """Equation.validate as a loop over scalar-tuple matrices, the way it ran
+    before the batched check: E^e = I, then the cocycle law for generators x
+    elements in generator order, g' ascending.  The message of the first
+    failure, or None."""
+    group = eq.group
+    if not eq.conn[0].eq(KMatrix.identity(eq.rank, group.space.size,
+                                          eq.backend)):
+        return "E^e is not the identity"
+    for g in group.generator_ids:
+        for gp in range(group.order):
+            lhs = eq.conn[group.mult[g][gp]]
+            rhs = eq.conn[gp].g_act(group, g).mul(eq.conn[g])
+            if not lhs.eq(rhs):
+                return f"cocycle violated at elements ({g}, {gp})"
+    return None
+
+
+def pointwise_intertwines(phi):
+    """Morphism.validate as a loop over the generators, the way it ran
+    before the batched check.  The message of the first failure, or None."""
+    group = phi.source.group
+    for g in group.generator_ids:
+        lhs = phi.source.conn[g].mul(phi.matrix)
+        rhs = phi.matrix.g_act(group, g).mul(phi.target.conn[g])
+        if not lhs.eq(rhs):
+            return f"intertwining fails for group element {g}"
+    return None
+
+
 def fixed_everywhere(eq, coords):
     """g.alpha = alpha for every group element."""
     return all(all(a.eq(b) for a, b in zip(act(eq, g, coords), coords))

@@ -51,6 +51,48 @@ def test_missing_file_exits_two(capsys):
     assert main(["run", path("no_such_file.json")]) == 2
 
 
+def _run_mutated(tmp_path, capsys, mutate):
+    """Run a copy of c3_basic.json changed by `mutate`; return (code, stderr)."""
+    with open(path("c3_basic.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    mutate(data)
+    target = tmp_path / "mutated.json"
+    target.write_text(json.dumps(data))
+    code = main(["run", str(target)])
+    return code, capsys.readouterr().err
+
+
+def _assert_one_line_error(code, err):
+    assert code == 2
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_out_of_range_cycle_point_exits_two(tmp_path, capsys):
+    def mutate(data):
+        data["group"]["generators"]["s"] = "(1 2 9)"
+    _assert_one_line_error(*_run_mutated(tmp_path, capsys, mutate))
+
+
+def test_group_without_generators_exits_two(tmp_path, capsys):
+    def mutate(data):
+        data["group"] = {}
+    _assert_one_line_error(*_run_mutated(tmp_path, capsys, mutate))
+
+
+def test_operator_with_undefined_target_exits_two(tmp_path, capsys):
+    def mutate(data):
+        data["operators"]["alt"]["target"] = "nope"
+    _assert_one_line_error(*_run_mutated(tmp_path, capsys, mutate))
+
+
+def test_non_integer_space_cycle_exits_two(tmp_path, capsys):
+    def mutate(data):
+        data["space"] = {"cycle": "x"}
+    _assert_one_line_error(*_run_mutated(tmp_path, capsys, mutate))
+
+
 def test_validate_subcommand(capsys):
     assert main(["validate", path("c3_basic.json")]) == 0
     out = capsys.readouterr().out

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import (cocycle_everywhere, equation_zoo, gauged_equation,
-                      random_involution, rank2_equation, seeded_rng,
-                      sign_equation)
-from gdiff import equivalence
+                      pointwise_validate, random_involution, rank2_equation,
+                      seeded_rng, sign_equation)
+from gdiff import equations, equivalence
 from gdiff.equations import (Equation, KMatrix, act, complete_connection,
                              direct_sum, dual, hom, sym2, tensor,
                              trivial_equation, wedge2, wedge_top)
@@ -49,20 +50,97 @@ def test_corrupted_connection_rejected(g3, rational):
                             scalar_gen(g3, rational, {"s": 1, "t": 2}))
 
 
-def test_corrupting_any_element_fails_validate(g4, g6, rational):
+def validate_message(eq):
+    """None when eq validates, else the InconsistentConnection message."""
+    try:
+        eq.validate()
+    except InconsistentConnection as exc:
+        return str(exc)
+    return None
+
+
+def test_corrupting_any_element_fails_validate(g4, g6, rational, cplx):
     # |G| = 8 and 12: groups small enough that validate used to check every
-    # pair; it now checks generators x elements, which must catch the same
+    # pair; it now checks generators x elements, which must catch the same,
+    # and report the same first failing pair as the pointwise loop
     for group in (g4, g6):
-        for eq in (sign_equation(group, rational),
-                   rank2_equation(group, rational)):
-            eq.validate()
-            for g in range(1, group.order):
+        for be in (rational, cplx):
+            for eq in (sign_equation(group, be), rank2_equation(group, be)):
+                eq.validate()
+                for g in range(group.order):
+                    conn = list(eq.conn)
+                    conn[g] = conn[g].scale(2)
+                    bad = Equation(group, be, eq.rank, tuple(conn))
+                    assert not cocycle_everywhere(bad)
+                    with pytest.raises(InconsistentConnection):
+                        bad.validate()
+                    assert validate_message(bad) == pointwise_validate(bad)
+
+
+def test_validate_matches_pointwise_oracle(g3, g4, g6, rational, cplx):
+    # the batched check against the pointwise loop on the zoo, a gauged
+    # equation, their constructions and a rank-0 equation
+    rng = seeded_rng(12)
+    for group in (g3, g4, g6):
+        for be in (rational, cplx):
+            zoo = equation_zoo(group, be)
+            e, f = zoo["rank2"], zoo["both"]
+            zoo["gauged"] = gauged_equation(rng, e)
+            zoo["rank0"] = trivial_equation(group, be, 0)
+            zoo.update(sum=direct_sum(e, f), tensor=tensor(e, f),
+                       hom=hom(e, f), dual=dual(e), sym2=sym2(e),
+                       wedge2=wedge2(e), top=wedge_top(e))
+            for eq in zoo.values():
+                assert validate_message(eq) is None
+                assert pointwise_validate(eq) is None
+
+
+def test_batched_product_matches_kmatrix_mul(g4, g6, cplx, rational):
+    # the cocycle product of Equation.validate against the pointwise
+    # KMatrix.mul: equal over the rationals; over the complex numbers the
+    # summation may round differently, within a few units in the last place
+    ulps = 8 * np.finfo(float).eps
+    rng = seeded_rng(15)
+    for group in (g4, g6):
+        for be in (cplx, rational):
+            eq = gauged_equation(rng, rank2_equation(group, be))
+            size = group.space.size
+            conn = equations.stack(eq.conn, 2, 2, size, be)
+            for g in group.generator_ids:
+                ginv_image = list(group.elements[group.inv[g]])
+                old = equations.stack(
+                    [eq.conn[gp].g_act(group, g).mul(eq.conn[g])
+                     for gp in range(group.order)], 2, 2, size, be)
+                new = conn[:, ginv_image] @ conn[g]
+                if be.exact:
+                    assert (new == old).all()
+                else:
+                    assert (np.abs(new - old) <= ulps * (1 + np.abs(old))).all()
+
+
+@pytest.mark.parametrize("batch", [equations._BATCH_SCALARS, 1, 50])
+def test_single_entry_corruption_reports_first_pair(g4, g6, rational, cplx,
+                                                    batch, monkeypatch):
+    # one entry of one matrix at one point: the batched check must name the
+    # same (g, g') as the pointwise scan in generator order, g' ascending,
+    # whether the elements fit one batch or are split over several
+    monkeypatch.setattr(equations, "_BATCH_SCALARS", batch)
+    rng = seeded_rng(13)
+    for group in (g4, g6):
+        for be in (rational, cplx):
+            eq = gauged_equation(rng, rank2_equation(group, be))
+            size = group.space.size
+            for g in range(group.order):
+                i, j, y = rng.randrange(2), rng.randrange(2), rng.randrange(size)
+                rows = [list(r) for r in eq.conn[g].entries]
+                bump = Fn.delta(y, size, be).scale(rng.choice((1, -3)))
+                rows[i][j] = rows[i][j] + bump
                 conn = list(eq.conn)
-                conn[g] = conn[g].scale(2)
-                bad = Equation(group, rational, eq.rank, tuple(conn))
-                assert not cocycle_everywhere(bad)
-                with pytest.raises(InconsistentConnection):
-                    bad.validate()
+                conn[g] = KMatrix.from_rows(rows, be)
+                bad = Equation(group, be, eq.rank, tuple(conn))
+                expected = pointwise_validate(bad)
+                assert expected is not None
+                assert validate_message(bad) == expected
 
 
 def test_singular_generator_rejected(g3, rational):

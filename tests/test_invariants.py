@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import (equation_zoo, fixed_everywhere, intertwines_everywhere,
@@ -90,6 +92,26 @@ def test_conserved_quantity_both(g3, rational):
     for alpha in invariant_vectors(sym2(both)):
         report = conserved_quantity_check(both, alpha, sols)
         assert report["constant"]
+
+
+def test_conserved_quantity_sym2_values_use_monomial_weights(g3, rational):
+    # alpha = e1^2 + 2 e1 e2 + 3 e2^2 on 1 + 1 is t = [[1, 1], [1, 3]] in
+    # monomial coordinates, so f = (1, 2), g = (3, 1) give f^T t g = 16
+    one = trivial_equation(g3, rational)
+    eq = direct_sum(one, one)
+    alpha = tuple(Fn.constant(c, 3, rational) for c in (1, 2, 3))
+    assert is_invariant(sym2(eq), alpha)
+
+    def solution(a, b):
+        return Morphism(eq, one, KMatrix.from_scalar_matrix([[a], [b]], 3,
+                                                            rational))
+    report = conserved_quantity_check(eq, alpha, [solution(1, 2), solution(3, 1)])
+    assert report["constant"]
+    assert report["values"] == [16, 16, 16]
+    off_diagonal = tuple(Fn.constant(c, 3, rational) for c in (0, 1, 0))
+    report = conserved_quantity_check(eq, off_diagonal,
+                                      [solution(1, 0), solution(0, 1)])
+    assert report["values"] == [Fraction(1, 2)] * 3
 
 
 def test_conserved_quantity_rejects_perturbed_invariant(g3, rational):

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
-from conftest import seeded_rng, sympy_nullity
+from conftest import pointwise_validate, rank2_equation, seeded_rng, sympy_nullity
 from gdiff import linalg
-from gdiff.errors import BackendMismatch
+from gdiff.equations import Equation, KMatrix
+from gdiff.errors import BackendMismatch, InconsistentConnection
 from gdiff.scalars import Backend, Fn
 
 
@@ -122,3 +124,62 @@ def test_rowspace_incremental(rational):
     assert not sp.contains([Fraction(0), Fraction(0), Fraction(1)])
     coords = sp.coords([Fraction(2), Fraction(3), Fraction(2)])
     assert coords == [Fraction(2), Fraction(3)]
+
+
+def pairs_around_threshold(be, rel):
+    """(a, b) pairs, over several magnitudes and directions, with |a - b|
+    equal to the tolerance eps * (1 + max(|a|, |b|)) times (1 + rel)."""
+    pairs = []
+    for mag in (0.0, 1e-3, 1.0, 1e3):
+        for u in (1, 1j, (3 + 4j) / 5):
+            for v in (1, -1j, (-5 + 12j) / 13):
+                a = complex(mag * u)
+                d = be.eps * (1 + mag)
+                for _ in range(3):  # d = eps * (1 + max(|a|, |a + d v|))
+                    d = be.eps * (1 + max(abs(a), abs(a + d * v)))
+                pairs.append((a, a + d * (1 + rel) * v))
+    return pairs
+
+
+def test_scalar_and_array_tolerance_agree_near_threshold(cplx):
+    # about 1e-3 of the tolerance on either side of it, and far from it
+    # (1e-3 and 1e3 times the tolerance); Backend.eq and Backend.eq_array
+    # must give the same verdict as the formula
+    for rel, expected in ((-1e-3, True), (1e-3, False),
+                          (-1 + 1e-3, True), (1e3, False)):
+        pairs = pairs_around_threshold(cplx, rel)
+        a = np.array([p[0] for p in pairs], dtype=cplx.dtype)
+        b = np.array([p[1] for p in pairs], dtype=cplx.dtype)
+        assert [cplx.eq(x, y) for x, y in pairs] == [expected] * len(pairs)
+        assert cplx.eq_array(a, b).tolist() == [expected] * len(pairs)
+
+
+def test_exact_array_comparison_matches_scalar(rational):
+    vals = [Fraction(1, 3), Fraction(2), Fraction(-5, 7), Fraction(0)]
+    other = [Fraction(1, 3), Fraction(2, 1), Fraction(5, 7), Fraction(1, 10**30)]
+    a = np.array(vals, dtype=rational.dtype)
+    b = np.array(other, dtype=rational.dtype)
+    assert rational.eq_array(a, b).tolist() == \
+        [rational.eq(x, y) for x, y in zip(vals, other)] == \
+        [True, True, False, False]
+
+
+def test_connection_perturbation_against_tolerance(g4, cplx):
+    # one entry of one connection matrix at one point, moved by 1e-3 * eps
+    # (validates) or by 1e3 * eps (fails, at the pair the pointwise scan
+    # names); the entries are small integers, so the tolerance is a few eps
+    eq = rank2_equation(g4, cplx)
+    for g in range(g4.order):
+        for shift, passes in ((1e-3 * cplx.eps, True), (1e3 * cplx.eps, False)):
+            rows = [list(r) for r in eq.conn[g].entries]
+            rows[0][0] = rows[0][0] + Fn.delta(2, g4.space.size, cplx).scale(shift)
+            conn = list(eq.conn)
+            conn[g] = KMatrix.from_rows(rows, cplx)
+            moved = Equation(g4, cplx, eq.rank, tuple(conn))
+            if passes:
+                moved.validate()
+                assert pointwise_validate(moved) is None
+            else:
+                with pytest.raises(InconsistentConnection) as info:
+                    moved.validate()
+                assert str(info.value) == pointwise_validate(moved)

@@ -1,7 +1,9 @@
 import pytest
 
-from conftest import (equation_zoo, full_hom_system, hom_dim_oracle,
-                      intertwines_everywhere, seeded_rng, sympy_nullspace)
+from conftest import (equation_zoo, full_hom_system, gauged_equation,
+                      hom_dim_oracle, intertwines_everywhere,
+                      pointwise_intertwines, random_kmatrix, seeded_rng,
+                      sympy_nullspace)
 from gdiff import equivalence, solver
 from gdiff.equations import act, direct_sum, trivial_equation
 from gdiff.errors import NotASolution
@@ -80,6 +82,44 @@ def test_morphism_validation_rejects_junk(g3, rational):
     bad = solver.Morphism(one, sign, identity_morphism(one).matrix)
     with pytest.raises(NotASolution):
         bad.validate()
+
+
+def morphism_message(phi):
+    """None when phi validates, else the NotASolution message."""
+    try:
+        phi.validate()
+    except NotASolution as exc:
+        return str(exc)
+    return None
+
+
+def test_morphism_validate_matches_pointwise_oracle(g3, g4, g6, rational,
+                                                   cplx):
+    # the batched check against the generator loop: hom bases pass, junk
+    # matrices fail on the same first generator
+    rng = seeded_rng(14)
+    for group in (g3, g4, g6):
+        for be in (rational, cplx):
+            zoo = equation_zoo(group, be)
+            zoo["gauged"] = gauged_equation(rng, zoo["rank2"])
+            zoo["zero"] = trivial_equation(group, be, rank=0)
+            for a in zoo.values():
+                for b in zoo.values():
+                    for phi in hom_space(a, b):
+                        assert morphism_message(phi) is None
+                        assert pointwise_intertwines(phi) is None
+                    junk = solver.Morphism(a, b, random_kmatrix(
+                        rng, a.rank, b.rank, group.space.size, be))
+                    assert morphism_message(junk) == pointwise_intertwines(junk)
+                    if a.rank and b.rank:
+                        assert morphism_message(junk) is not None
+    # on D3 the identity 1 -> sign commutes with s and fails only at t
+    zoo = equation_zoo(g3, rational)
+    bad = solver.Morphism(zoo["one"], zoo["sign"],
+                          identity_morphism(zoo["one"]).matrix)
+    t = g3.generators["t"]
+    assert morphism_message(bad) == pointwise_intertwines(bad) == \
+        f"intertwining fails for group element {t}"
 
 
 def test_pointwise_equivariance(g3, rational):
