@@ -278,10 +278,11 @@ def _quotient_module(op: DiffOperator) -> _QuotientData:
     qreps = [b for b in w1.basis if combined.add(b)]
     r = len(qreps)
 
-    def qcoords(vec) -> Optional[list]:
+    def qcoords(vec) -> list:
         c = combined.coords(vec)
         if c is None:
-            return None
+            raise GDiffError("operator module vector has no coordinates "
+                             "within the tolerance")
         return c[im_dim:]
 
     def q_lift(coeffs) -> list:

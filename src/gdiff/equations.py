@@ -199,26 +199,30 @@ class Equation:
         inverse that law predicts.
 
         The connection is gathered once into an array C of shape
-        (|G|, |S|, n, n) (see ``stack``).  For a generator g, the law is one
-        batched ``matmul`` and comparison of C[g g'] with g(C[g']) . C[g],
-        where g(C[g'])(y) = C[g'](g^-1 y), over consecutive slices of g'
-        holding about ``_BATCH_SCALARS`` scalars each, so the temporaries
-        stay small whatever |G| is.  A failure names the first pair in
-        generator order, then g' ascending, as a pointwise scan would.
-        Rank 0 has nothing to check.  Complex products may round in the
-        last bit unlike ``KMatrix.mul``; only an eps near machine
+        (|G|, |S|, n, n) (see ``stack``) and written as C = A / d with
+        ``Backend.integral``, so over the rationals every product below
+        multiplies Python ints (d = 1 on the complex backend).  Then
+        E^e = I reads A[e] == d I, and for a generator g the law, scaled by
+        d^2, is one batched ``matmul`` and comparison of d A[g g'] with
+        g(A[g']) . A[g], where g(A[g'])(y) = A[g'](g^-1 y), over consecutive
+        slices of g' holding about ``_BATCH_SCALARS`` scalars each, so the
+        temporaries stay small whatever |G| is.  A failure names the first
+        pair in generator order, then g' ascending, as a pointwise scan
+        would.  Rank 0 has nothing to check.  Complex products may round
+        in the last bit unlike ``KMatrix.mul``; only an eps near machine
         precision can see that.
         """
         group, be = self.group, self.backend
-        conn = stack(self.conn, self.rank, self.rank, group.space.size, be)
-        if not be.eq_array(conn[0], np.eye(self.rank, dtype=be.dtype)).all():
+        conn, d = be.integral(
+            stack(self.conn, self.rank, self.rank, group.space.size, be))
+        if not be.eq_array(conn[0], d * np.eye(self.rank, dtype=be.dtype)).all():
             raise InconsistentConnection("E^e is not the identity")
         step = max(1, _BATCH_SCALARS // max(1, conn[0].size))
         for g in group.generator_ids:
             ginv_image = list(group.elements[group.inv[g]])
             for start in range(0, group.order, step):
                 stop = min(start + step, group.order)
-                lhs = conn[list(group.mult[g][start:stop])]
+                lhs = d * conn[list(group.mult[g][start:stop])]
                 rhs = conn[start:stop, ginv_image] @ conn[g]
                 bad = first_mismatch(lhs, rhs, be)
                 if bad is not None:

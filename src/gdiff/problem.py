@@ -44,19 +44,45 @@ class Problem:
     tasks: List[Dict[str, Any]] = field(default_factory=list)
 
 
+def _nonneg_int(value: Any, where: str) -> int:
+    try:
+        out = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFileError(f"{where}: not an integer: {value!r}") from exc
+    if out < 0:
+        raise ProblemFileError(f"{where}: negative: {value!r}")
+    return out
+
+
+def _word(prob: Problem, text: Any, where: str) -> int:
+    try:
+        return prob.group.word(text)
+    except (AttributeError, KeyError, ValueError) as exc:
+        raise ProblemFileError(f"{where}: bad group word {text!r}") from exc
+
+
+def _pair(obj: Dict[str, Any], key: str, where: str):
+    names = obj[key]
+    if not isinstance(names, list) or len(names) != 2:
+        raise ProblemFileError(f"{where}: {key!r} needs a list of two names")
+    return names
+
+
 def _parse_fn(obj: Any, size: int, be: Backend) -> Fn:
     if isinstance(obj, dict):
         _reject_unknown(obj, {"values"}, "function entry")
-        vals = obj["values"]
-        if len(vals) != size:
+        vals = obj.get("values")
+        if not isinstance(vals, list) or len(vals) != size:
             raise ProblemFileError(f"pointwise entry needs {size} values")
         return Fn(tuple(be.parse(v) for v in vals), be)
     return Fn.constant(be.parse(obj), size, be)
 
 
 def _parse_kmatrix(obj: Any, size: int, be: Backend) -> KMatrix:
-    if not isinstance(obj, list) or not obj:
-        raise ProblemFileError("matrix must be a non-empty list of rows")
+    if not isinstance(obj, list) or not obj or any(
+            not isinstance(row, list) or len(row) != len(obj[0]) for row in obj):
+        raise ProblemFileError("matrix must be a non-empty list of rows "
+                               "of equal length")
     return KMatrix.from_rows([[_parse_fn(v, size, be) for v in row]
                               for row in obj], be)
 
@@ -85,6 +111,8 @@ def _build_group(obj: Any, space: FiniteSpace) -> Group:
         return group
     if "generators" not in obj:
         raise ProblemFileError("group needs 'generators' or 'dihedral_cycle'")
+    if not isinstance(obj["generators"], dict):
+        raise ProblemFileError("group 'generators' must map names to cycles")
     gens = {}
     for name, text in obj["generators"].items():
         try:
@@ -107,19 +135,20 @@ def _build_equation(name: str, obj: Dict[str, Any], prob: Problem) -> Equation:
         return prob.equations[other]
 
     if "trivial" in obj:
-        return trivial_equation(prob.group, prob.backend, int(obj["trivial"]))
+        rank = _nonneg_int(obj["trivial"], f"equation {name!r}")
+        return trivial_equation(prob.group, prob.backend, rank)
     if "generators" in obj:
         mats = {gname: _parse_kmatrix(m, size, prob.backend)
                 for gname, m in obj["generators"].items()}
         return complete_connection(prob.group, prob.backend, mats)
     if "direct_sum" in obj:
-        a, b = obj["direct_sum"]
+        a, b = _pair(obj, "direct_sum", f"equation {name!r}")
         return eqmod.direct_sum(ref(a), ref(b))
     if "tensor" in obj:
-        a, b = obj["tensor"]
+        a, b = _pair(obj, "tensor", f"equation {name!r}")
         return eqmod.tensor(ref(a), ref(b))
     if "hom" in obj:
-        a, b = obj["hom"]
+        a, b = _pair(obj, "hom", f"equation {name!r}")
         return eqmod.hom(ref(a), ref(b))
     if "dual" in obj:
         return eqmod.dual(ref(obj["dual"]))
@@ -171,21 +200,23 @@ def _build_hmodule(name: str, obj: Dict[str, Any], prob: Problem
                                    f"have {sorted(family)}")
         return family[obj["builtin"]]
     if "character" in obj:
-        partial = {prob.group.word(w): [[be.parse(v)]]
+        partial = {_word(prob, w, f"hmodule {name!r}"): [[be.parse(v)]]
                    for w, v in obj["character"].items()}
         rho = _close_rho(sub, be, partial)
         mod = equivalence.HModule(sub, be, 1, rho)
         mod.validate()
         return mod
     if "rho" in obj:
-        partial = {prob.group.word(w): [[be.parse(v) for v in row] for row in m]
+        partial = {_word(prob, w, f"hmodule {name!r}"):
+                   [[be.parse(v) for v in row] for row in m]
                    for w, m in obj["rho"].items()}
         for h in partial:
             if h not in sub:
                 raise ProblemFileError(f"hmodule {name!r}: element outside "
                                        "the stabilizer")
         rho = _close_rho(sub, be, partial)
-        mod = equivalence.HModule(sub, be, int(obj["dim"]), rho)
+        dim = _nonneg_int(obj.get("dim"), f"hmodule {name!r} dim")
+        mod = equivalence.HModule(sub, be, dim, rho)
         mod.validate()
         return mod
     raise ProblemFileError(f"hmodule {name!r} has no recognized constructor")
@@ -198,14 +229,14 @@ def _build_system(name: str, obj: Dict[str, Any], prob: Problem
     coeffs: Dict[tuple, Fn] = {}
     for j, terms in enumerate(obj["equations"]):
         for term in terms:
-            _reject_unknown(term, {"unknown", "word", "coeff"},
-                            f"system {name!r} equation {j}")
-            g = prob.group.word(term["word"])
-            key = (j, int(term["unknown"]), g)
-            fn = _parse_fn(term["coeff"], size, prob.backend)
+            where = f"system {name!r} equation {j}"
+            _reject_unknown(term, {"unknown", "word", "coeff"}, where)
+            g = _word(prob, term.get("word"), where)
+            key = (j, _nonneg_int(term.get("unknown"), where), g)
+            fn = _parse_fn(term.get("coeff"), size, prob.backend)
             coeffs[key] = coeffs[key] + fn if key in coeffs else fn
-    return diffops.ClassicalSystem(prob.group, prob.backend,
-                                   int(obj["unknowns"]), coeffs)
+    unknowns = _nonneg_int(obj.get("unknowns"), f"system {name!r}")
+    return diffops.ClassicalSystem(prob.group, prob.backend, unknowns, coeffs)
 
 
 def _eq_ref(prob: Problem, obj: Dict[str, Any], key: str,
@@ -221,11 +252,13 @@ def _build_operator(name: str, obj: Dict[str, Any], prob: Problem
     _reject_unknown(obj, {"source", "target", "terms"}, f"operator {name!r}")
     src = _eq_ref(prob, obj, "source", f"operator {name!r}")
     dst = _eq_ref(prob, obj, "target", f"operator {name!r}")
+    if not isinstance(obj.get("terms"), list):
+        raise ProblemFileError(f"operator {name!r} needs a list of 'terms'")
     terms: Dict[int, KMatrix] = {}
     for item in obj["terms"]:
         _reject_unknown(item, {"word", "matrix"}, f"operator {name!r} term")
-        g = prob.group.word(item["word"])
-        mat = _parse_kmatrix(item["matrix"], prob.space.size, prob.backend)
+        g = _word(prob, item.get("word"), f"operator {name!r} term")
+        mat = _parse_kmatrix(item.get("matrix"), prob.space.size, prob.backend)
         terms[g] = terms[g].add(mat) if g in terms else mat
     return diffops.RawOperator(src, dst, terms)
 

@@ -4,15 +4,18 @@ Two backends are supported: exact rationals (``fractions.Fraction``) and
 complex floats compared with a tolerance.  All higher layers are generic
 over the backend; values are plain Python scalars, the backend object only
 supplies comparison, parsing and serialization.  Batched checks hold the
-same values in numpy arrays of ``Backend.dtype``.
+same values in numpy arrays of ``Backend.dtype``; exact arithmetic on such
+arrays runs on Python integers over one common denominator
+(``Backend.integral``).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +36,12 @@ class Backend:
     ``linalg._rank_tol`` (max(eps, 1e-8 * largest singular value)), the
     ``RowSpace`` and ``solve`` residual tests (1e3 * eps * scale), and
     ``solver._eigenvalue_split`` (max(1e3 * eps, 1e-7) * scale).
+
+    Arrays: ``dtype`` is complex, or object over the rationals, where the
+    entries are ``Fraction`` objects.  ``integral`` writes an exact array as
+    integers over one common denominator, so that batched products and
+    comparisons multiply Python ints, never ``Fraction`` objects; a complex
+    array passes through it unchanged.
     """
 
     name: str
@@ -78,6 +87,17 @@ class Backend:
     def dtype(self):
         """numpy dtype of an array of scalars: Fractions are kept as objects."""
         return object if self.exact else complex
+
+    def integral(self, arr: np.ndarray) -> Tuple[np.ndarray, int]:
+        """(A, d) with arr == A / d: over the rationals d is the lcm of the
+        entries' denominators and A = d * arr, Python ints in an object
+        array of arr's shape; on the complex backend (arr, 1)."""
+        if not self.exact:
+            return arr, 1
+        flat = arr.ravel().tolist()
+        d = math.lcm(*(x.denominator for x in flat))
+        ints = [x.numerator * (d // x.denominator) for x in flat]
+        return np.array(ints, dtype=object).reshape(arr.shape), d
 
     def eq(self, a, b) -> bool:
         if self.exact:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,18 +46,23 @@ class Morphism:
 
         One batched comparison of E^g . phi with g(phi) . F^g for all
         generators g at once, on arrays of the generator connections only
-        (see ``equations.stack``).  A failure names the first generator.
+        (see ``equations.stack``).  Each array is written as A / d by
+        ``Backend.integral``, so over the rationals the check is
+        (E^g . phi) d_F == (g(phi) . F^g) d_E on Python ints (phi's
+        denominator cancels).  A failure names the first generator.
         """
         group, be = self.source.group, self.source.backend
         n, m, size = self.source.rank, self.target.rank, group.space.size
         gens = group.generator_ids
-        phi = stack([self.matrix], n, m, size, be)[0]
-        src = stack([self.source.conn[g] for g in gens], n, n, size, be)
-        dst = stack([self.target.conn[g] for g in gens], m, m, size, be)
+        phi, _ = be.integral(stack([self.matrix], n, m, size, be)[0])
+        src, d_src = be.integral(
+            stack([self.source.conn[g] for g in gens], n, n, size, be))
+        dst, d_dst = be.integral(
+            stack([self.target.conn[g] for g in gens], m, m, size, be))
         ginv_images = np.array([group.elements[group.inv[g]] for g in gens],
                                dtype=np.intp).reshape(len(gens), size)
         moved = phi[ginv_images]
-        i = first_mismatch(src @ phi, moved @ dst, be)
+        i = first_mismatch((src @ phi) * d_dst, (moved @ dst) * d_src, be)
         if i is not None:
             raise NotASolution(f"intertwining fails for group element {gens[i]}")
 
@@ -112,25 +118,36 @@ def hom_space(src: Equation, dst: Equation) -> List[Morphism]:
 
     Each intertwiner P of the fibers is transported along the transversal:
     phi(y) = T_src(y)^-1 . P . T_dst(y) with T(y) = E^{sigma(y)}(y), and
-    T(y)^-1 = E^{sigma(y)^-1}(base) by the cocycle law.  Over the rationals
-    the basis is the one elimination of the intertwining system gives for
-    the unknowns phi_ij(y) in the order (i, j, y).
+    T(y)^-1 = E^{sigma(y)^-1}(base) by the cocycle law.  The transport is
+    one batched product of three arrays, T_src^-1 of shape (|S|, n, n), the
+    intertwiners (k, n, m) and T_dst (|S|, m, m), each written as A / d by
+    ``Backend.integral``: over the rationals the product runs on Python
+    ints and each entry becomes a ``Fraction`` over d1 d2 d3 afterwards;
+    complex entries are used as the product gives them.  Over the
+    rationals the basis is the one elimination of the intertwining system
+    gives for the unknowns phi_ij(y) in the order (i, j, y).
     """
     src.backend.check_same(dst.backend)
     group = src.group
     be = src.backend
-    n, m, size = src.rank, dst.rank, group.space.size
+    basis = intertwiner_space(fiber(src), fiber(dst))
+    if not basis:
+        return []
     sigma = transversal(group).sigma
-    t_src_inv = [src.conn[group.inv[s]].at_point(BASE_POINT) for s in sigma]
-    t_dst = [dst.conn[s].at_point(y) for y, s in enumerate(sigma)]
-    vecs = []
-    for p in intertwiner_space(fiber(src), fiber(dst)):
-        mats = [linalg.mat_mul(t_src_inv[y], linalg.mat_mul(p, t_dst[y], be), be)
-                for y in range(size)]
-        vecs.append([mats[y][i][j] for i in range(n) for j in range(m)
-                     for y in range(size)])
+    t_src_inv, d1 = be.integral(np.array(
+        [src.conn[group.inv[s]].at_point(BASE_POINT) for s in sigma],
+        dtype=be.dtype))
+    p, d2 = be.integral(np.array(basis, dtype=be.dtype))
+    t_dst, d3 = be.integral(np.array(
+        [dst.conn[s].at_point(y) for y, s in enumerate(sigma)],
+        dtype=be.dtype))
+    # (k, |S|, n, m) -> one row per intertwiner, unknowns in (i, j, y) order
+    moved = t_src_inv @ (p[:, None] @ t_dst)
+    vecs = moved.transpose(0, 2, 3, 1).reshape(len(basis), -1).tolist()
     if be.exact:
-        vecs = linalg.nullspace_form(vecs)
+        denom = d1 * d2 * d3
+        vecs = linalg.nullspace_form([[Fraction(x, denom) for x in vec]
+                                      for vec in vecs])
     return [_morphism_from_vector(src, dst, vec) for vec in vecs]
 
 

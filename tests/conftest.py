@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from gdiff import equivalence
+from gdiff import equivalence, linalg
 from gdiff.equations import (Equation, KMatrix, act, complete_connection,
                              direct_sum, trivial_equation)
 from gdiff.scalars import Backend, Fn
-from gdiff.space import dihedral_on_cycle, stabilizer, transversal
+from gdiff.space import (BASE_POINT, dihedral_on_cycle, stabilizer,
+                         transversal)
 
 
 @pytest.fixture(scope="session")
@@ -175,6 +176,26 @@ def pointwise_intertwines(phi):
         if not lhs.eq(rhs):
             return f"intertwining fails for group element {g}"
     return None
+
+
+def pointwise_hom_space(src, dst):
+    """hom_space as it ran before the batched transport: each fiber
+    intertwiner P moved to every point y by two scalar matrix products,
+    T_src(y)^-1 . (P . T_dst(y)).  The basis vectors, unknowns in the order
+    (i, j, y), put in ``nullspace_form`` over the rationals."""
+    group, be = src.group, src.backend
+    n, m, size = src.rank, dst.rank, group.space.size
+    sigma = transversal(group).sigma
+    t_src_inv = [src.conn[group.inv[s]].at_point(BASE_POINT) for s in sigma]
+    t_dst = [dst.conn[s].at_point(y) for y, s in enumerate(sigma)]
+    vecs = []
+    for p in equivalence.intertwiner_space(equivalence.fiber(src),
+                                           equivalence.fiber(dst)):
+        mats = [linalg.mat_mul(t_src_inv[y], linalg.mat_mul(p, t_dst[y], be), be)
+                for y in range(size)]
+        vecs.append([mats[y][i][j] for i in range(n) for j in range(m)
+                     for y in range(size)])
+    return linalg.nullspace_form(vecs) if be.exact else vecs
 
 
 def fixed_everywhere(eq, coords):

@@ -93,6 +93,62 @@ def test_non_integer_space_cycle_exits_two(tmp_path, capsys):
     _assert_one_line_error(*_run_mutated(tmp_path, capsys, mutate))
 
 
+def _set(path, value):
+    """A mutation that sets data[path[0]][path[1]]... to value."""
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return mutate
+
+
+def _delete(path):
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        del data[path[-1]]
+    return mutate
+
+
+MALFORMED = {
+    "operator_without_terms": _delete(["operators", "alt", "terms"]),
+    "term_without_word": _delete(["operators", "alt", "terms", 0, "word"]),
+    "term_word_unknown_generator": _set(
+        ["operators", "alt", "terms", 1, "word"], "zz"),
+    "hmodule_rho_unknown_generator": _set(
+        ["hmodules", "v2", "rho"], {"zz": [[1, 0], [0, 1]]}),
+    "system_unknown_not_integer": _set(
+        ["systems", "triple", "equations", 0, 0, "unknown"], "q"),
+    "hmodule_dim_not_integer": _set(["hmodules", "v2", "dim"], "x"),
+    "negative_trivial_rank": _set(["equations", "one", "trivial"], -1),
+    "ragged_generator_matrix": _set(
+        ["equations", "sign", "generators"],
+        {"s": [[1, 2], [3]], "t": [[1, 0], [0, 1]]}),
+    "one_element_direct_sum": _set(["equations", "both", "direct_sum"],
+                                   ["one"]),
+    "values_not_a_list": _set(
+        ["equations", "sign", "generators", "s"], [[{"values": 3}]]),
+    "group_generators_as_list": _set(["group", "generators"],
+                                     ["(1 2 3)", "(2 3)"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_problem_file_exits_two(tmp_path, capsys, case):
+    _assert_one_line_error(*_run_mutated(tmp_path, capsys, MALFORMED[case]))
+
+
+def test_zero_epsilon_fails_tasks_without_traceback(capsys):
+    # at zero tolerance the operator calculus finds no quotient coordinates;
+    # that is a task failure with a report line, not a crash
+    assert main(["run", path("c3_basic.json"), "--backend", "complex",
+                 "--epsilon", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "task 14 equation_of: FAIL error=GDiffError" in captured.out
+    assert captured.out.endswith("fail\n")
+
+
 def test_validate_subcommand(capsys):
     assert main(["validate", path("c3_basic.json")]) == 0
     out = capsys.readouterr().out

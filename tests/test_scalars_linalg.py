@@ -164,6 +164,29 @@ def test_exact_array_comparison_matches_scalar(rational):
         [True, True, False, False]
 
 
+def test_integral_is_exact_over_common_denominator(rational):
+    # mixed prime and negative denominators and zeros: A / d is the input
+    # exactly, A holds Python ints, d is the least common denominator
+    vals = [Fraction(1, 3), Fraction(-2, 7), Fraction(0), Fraction(5, -6),
+            Fraction(-11, 49), Fraction(4), Fraction(-1, 2), Fraction(0, 5)]
+    arr = np.array(vals, dtype=rational.dtype).reshape(2, 2, 2)
+    ints, d = rational.integral(arr)
+    assert d == 294
+    assert ints.shape == arr.shape and ints.dtype == object
+    assert all(type(x) is int for x in ints.ravel())
+    assert [Fraction(x, d) for x in ints.ravel()] == vals
+    zeros, d0 = rational.integral(np.array([Fraction(0)] * 3, dtype=object))
+    assert d0 == 1 and zeros.tolist() == [0, 0, 0]
+    empty, de = rational.integral(np.empty((0, 2, 2), dtype=object))
+    assert de == 1 and empty.shape == (0, 2, 2)
+
+
+def test_integral_leaves_complex_arrays_alone(cplx):
+    arr = np.array([[0.5 - 1j, 1 / 3], [0j, -2.25 + 1e-17j]], dtype=cplx.dtype)
+    same, d = cplx.integral(arr)
+    assert same is arr and d == 1
+
+
 def test_connection_perturbation_against_tolerance(g4, cplx):
     # one entry of one connection matrix at one point, moved by 1e-3 * eps
     # (validates) or by 1e3 * eps (fails, at the pair the pointwise scan

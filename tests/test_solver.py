@@ -1,11 +1,13 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import (equation_zoo, full_hom_system, gauged_equation,
                       hom_dim_oracle, intertwines_everywhere,
-                      pointwise_intertwines, random_kmatrix, seeded_rng,
-                      sympy_nullspace)
+                      pointwise_hom_space, pointwise_intertwines,
+                      random_kmatrix, seeded_rng, sympy_nullspace)
 from gdiff import equivalence, solver
-from gdiff.equations import act, direct_sum, trivial_equation
+from gdiff.equations import KMatrix, act, direct_sum, trivial_equation
 from gdiff.errors import NotASolution
 from gdiff.scalars import Fn
 from gdiff.solver import (NOT_SIMPLE, SIMPLE, compose, decompose, hom_space,
@@ -46,6 +48,40 @@ def test_rational_hom_basis_is_the_full_system_nullspace(g3, g4, rational):
                         for y in range(size)]
                        for phi in hom_space(a, b)]
                 assert got == want
+
+
+def hom_vectors(basis):
+    """The hom_space basis as vectors, unknowns in the order (i, j, y)."""
+    return [[f.values[y] for row in phi.matrix.entries for f in row
+             for y in range(len(f))] for phi in basis]
+
+
+def test_hom_space_matches_pointwise_transport(g3, g4, g6, rational, cplx):
+    # the batched integer transport against the per-point scalar products:
+    # entry by entry over the rationals, within Backend.eq on complex.
+    # Gauged equations have transports with non-integer entries, so the
+    # common denominators are not 1.
+    rng = seeded_rng(16)
+    for group in (g3, g4, g6):
+        for be in (rational, cplx):
+            zoo = equation_zoo(group, be)
+            zoo["gauged"] = gauged_equation(rng, zoo["rank2"])
+            zoo["gauged_both"] = gauged_equation(rng, zoo["both"])
+            fractional = False
+            for a in zoo.values():
+                for b in zoo.values():
+                    got = hom_vectors(hom_space(a, b))
+                    want = pointwise_hom_space(a, b)
+                    assert len(got) == len(want)
+                    if be.exact:
+                        assert got == want
+                        assert all(type(x) is Fraction for v in got for x in v)
+                        fractional |= any(x.denominator > 1
+                                          for v in got for x in v)
+                    else:
+                        assert all(be.eq(x, y) for u, v in zip(got, want)
+                                   for x, y in zip(u, v))
+            assert fractional or not be.exact
 
 
 def test_hom_dims_match_fiber_intertwiners(g4, rational):
@@ -120,6 +156,30 @@ def test_morphism_validate_matches_pointwise_oracle(g3, g4, g6, rational,
     t = g3.generators["t"]
     assert morphism_message(bad) == pointwise_intertwines(bad) == \
         f"intertwining fails for group element {t}"
+
+
+def test_corrupted_morphism_with_new_denominator(g4, g6, rational, cplx):
+    # a hom basis element of gauged equations, one entry at one point moved
+    # by 1/11, which changes the morphism's common denominator: the batched
+    # check on the integer form must agree with the generator loop
+    rng = seeded_rng(17)
+    for group in (g4, g6):
+        for be in (rational, cplx):
+            zoo = equation_zoo(group, be)
+            a = gauged_equation(rng, zoo["rank2"])
+            b = gauged_equation(rng, zoo["rank2"])
+            size = group.space.size
+            basis = hom_space(a, b)
+            assert basis
+            for phi in basis:
+                assert morphism_message(phi) is None
+                rows = [list(r) for r in phi.matrix.entries]
+                i, j, y = rng.randrange(2), rng.randrange(2), rng.randrange(size)
+                rows[i][j] = rows[i][j] + Fn.delta(y, size, be).scale(
+                    Fraction(1, 11))
+                bad = solver.Morphism(a, b, KMatrix.from_rows(rows, be))
+                assert morphism_message(bad) == pointwise_intertwines(bad)
+                assert morphism_message(bad) is not None
 
 
 def test_pointwise_equivariance(g3, rational):
