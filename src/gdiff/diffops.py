@@ -10,6 +10,12 @@ coordinates f by
 
 Two raw operators are the same difference operator exactly when their
 assembled F-linear action matrices agree (the quotient by ker mu).
+
+The equation E_Delta of an operator Delta is fixed by its base fiber, like
+every equation.  That fiber is (F^{n|S|})^* / rowspace(mu(Delta)), of rank
+n|S| - rank mu(Delta), and the stabilizer acts on it trivially; so
+E_Delta comes from one row space over n|S| columns, not from a quotient of
+the |S| x n|S| matrices.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .equations import Coords, Equation, KMatrix, trivial_equation
-from .equivalence import HModule, induce
+from .equivalence import HModule, induce, trivial_hmodule
 from .errors import GDiffError
 from .scalars import Backend, Fn
 from .skewalg import SkewOp
@@ -214,17 +220,19 @@ def classical_solutions(op: DiffOperator) -> List[Coords]:
             for vec in basis]
 
 
-# -- Difn(E, 1) as a concrete A-module and the equation of an operator ------
+# -- Difn(E, 1) on the base fiber and the equation of an operator ----------
 
 class _DifnModule:
-    """Difn_*(E, 1) realized as the span of mu-images (|S| x n|S| action
-    matrices), with the delta-idempotent and group actions needed to extract
-    fibers.
+    """Difn_*(E, 1): the F-linear maps from sections of E (n|S|
+    coordinates, index k|S|+p) to functions on S, written as |S| x n|S|
+    matrices whose row y is the functional evaluated at y.
 
-    That span is every such matrix: the single-term operator delta_y e_i g
-    has mu-image column i of E^g(y) placed in row y at the columns of the
-    point g^{-1}y.  Each E^g(y) is invertible and G is transitive, so these
-    images reach every matrix unit, and the basis is the standard one.
+    Every such matrix is an operator: the single-term operator delta_y e_i g
+    has mu-image column i of E^g(y) in row y at the columns of the point
+    g^{-1}y, each E^g(y) is invertible and G is transitive.  So the base
+    fiber, the rows at BASE_POINT, is all of (F^{n|S|})^*.  The group acts
+    by permuting rows, (g.L)[y] = L[g^{-1}y], and every h in the stabilizer
+    H fixes BASE_POINT, so H acts on that fiber by the identity.
     """
 
     def __init__(self, eq: Equation):
@@ -232,23 +240,6 @@ class _DifnModule:
         self.be = eq.backend
         self.size = eq.group.space.size
         self.ncols = eq.rank * self.size
-        self.basis = linalg.identity(self.size * self.ncols, self.be)
-
-    def unflatten(self, vec) -> linalg.Matrix:
-        return linalg.unflatten(list(vec), self.size, self.ncols)
-
-    def act_delta(self, x: int, vec) -> list:
-        """The idempotent delta_x in k: keep only output row x."""
-        mat = self.unflatten(vec)
-        out = linalg.zeros(self.size, self.ncols, self.be)
-        out[x] = mat[x]
-        return linalg.flatten(out)
-
-    def act_g(self, g: int, vec) -> list:
-        """g . L = P_g L with (P_g L)[y] = L[g^{-1}y] (post-composition)."""
-        mat = self.unflatten(vec)
-        ginv_img = self.group.elements[self.group.inv[g]]
-        return linalg.flatten([mat[ginv_img[y]] for y in range(self.size)])
 
 
 @dataclass
@@ -258,64 +249,37 @@ class _QuotientData:
 
     equation: Equation
     hmodule: HModule
-    lifts: List[list]        # one W1-vector (flattened action matrix) per
-                             # fiber basis element
-    source_module: "_DifnModule"
+    columns: List[int]       # C: fiber basis element i is the class of the
+                             # coordinate functional e_{columns[i]}
+    source_module: _DifnModule
 
 
 def _quotient_module(op: DiffOperator) -> _QuotientData:
+    """E_Delta = Difn(source, 1) / (Difn(target, 1) o Delta), on its fiber.
+
+    Row y of nabla o Delta is (row y of nabla) . mu(Delta), so the image of
+    precomposition is rowspace(mu(Delta)) in every row, and the base fiber
+    of the quotient is (F^{n|S|})^* / rowspace(mu(Delta)): rank
+    n|S| - rank mu(Delta), with H acting trivially (see _DifnModule).  Its
+    basis is the classes of the unit functionals e_c that extend the rows of
+    mu(Delta) greedily, c ascending.
+    """
     be = op.source.backend
     group = op.source.group
     w1 = _DifnModule(op.source)
-    w2 = _DifnModule(op.target)
-
-    # image of phi^Delta : W2 -> W1, nabla -> nabla o Delta
-    combined = linalg.RowSpace(w1.size * w1.ncols, be)
-    for lvec in w2.basis:
-        lmat = w2.unflatten(lvec)
-        combined.add(linalg.flatten(linalg.mat_mul(lmat, op.action, be)))
-    im_dim = combined.dim
-    qreps = [b for b in w1.basis if combined.add(b)]
-    r = len(qreps)
-
-    def qcoords(vec) -> list:
-        c = combined.coords(vec)
-        if c is None:
+    space = linalg.RowSpace(w1.ncols, be)
+    for row in op.action:
+        space.add(row)
+    units = linalg.identity(w1.ncols, be)
+    columns = [c for c in range(w1.ncols) if space.add(units[c])]
+    for c in columns:
+        if space.coords(units[c]) is None:
             raise GDiffError("operator module vector has no coordinates "
                              "within the tolerance")
-        return c[im_dim:]
-
-    def q_lift(coeffs) -> list:
-        out = [be.zero()] * (w1.size * w1.ncols)
-        for c, rep in zip(coeffs, qreps):
-            out = [x + c * yv for x, yv in zip(out, rep)]
-        return out
-
-    # fiber of the quotient at the base point: image of the delta idempotent
-    dx_rows = []
-    for rep in qreps:
-        img = qcoords(w1.act_delta(BASE_POINT, rep))
-        dx_rows.append(img)
-    fiber_basis = linalg.row_space_basis(dx_rows, r, be) if r else []
-    d = len(fiber_basis)
-
-    sub = stabilizer(group, BASE_POINT)
-    ft = linalg.transpose(fiber_basis) if d else []
-    rho = {}
-    for h in sub.members:
-        mat = []
-        for c in fiber_basis:
-            img = qcoords(w1.act_g(h, q_lift(c)))
-            coeffs = linalg.solve(ft, img, be)
-            if coeffs is None:
-                raise GDiffError("operator fiber is not stabilizer-stable")
-            mat.append(coeffs)
-        rho[h] = mat
-    mod = HModule(sub, be, d, rho)
+    mod = trivial_hmodule(stabilizer(group, BASE_POINT), be, len(columns))
     mod.validate()
     eq_delta = induce(mod, transversal(group))
-    lifts = [q_lift(c) for c in fiber_basis]
-    return _QuotientData(eq_delta, mod, lifts, w1)
+    return _QuotientData(eq_delta, mod, columns, w1)
 
 
 def equation_of(op: DiffOperator) -> Equation:
@@ -325,19 +289,16 @@ def equation_of(op: DiffOperator) -> Equation:
 
 
 def solution_morphism(data: _QuotientData, coords: Coords) -> Morphism:
-    """phi_e : E_Delta -> 1 attached to a classical solution e."""
+    """phi_e : E_Delta -> 1 attached to a classical solution e.
+
+    The class of e_c sends e to its coordinate c; (sigma(y).e_c)(e) evaluated
+    at y collapses to that base-point value, so each entry is a constant."""
     be = data.source_module.be
     size = data.source_module.size
     vec_e = [v for f in coords for v in f.values]
-    entries = []
-    for lift in data.lifts:
-        lmat = data.source_module.unflatten(lift)
-        vals = linalg.mat_vec(lmat, vec_e, be)
-        # (sigma(y).b_i)(e) evaluated at y collapses to the base-point value
-        entries.append((Fn.constant(vals[BASE_POINT], size, be),))
+    entries = tuple((Fn.constant(vec_e[c], size, be),) for c in data.columns)
     triv = trivial_equation(data.source_module.group, be)
-    phi = Morphism(data.equation, triv,
-                   KMatrix(tuple(entries), be) if entries else KMatrix((), be))
+    phi = Morphism(data.equation, triv, KMatrix(entries, be))
     phi.validate()
     return phi
 

@@ -120,7 +120,10 @@ def nullspace_form(vectors: Sequence[Vector]) -> List[Vector]:
 
 
 def _to_np(a: Matrix) -> np.ndarray:
-    return np.array([[complex(x) for x in row] for row in a], dtype=complex)
+    """Always two-dimensional, so that an empty matrix stays 0 x c."""
+    cols = len(a[0]) if a else 0
+    return np.array([[complex(x) for x in row] for row in a],
+                    dtype=complex).reshape(len(a), cols)
 
 
 def _rank_tol(s: np.ndarray, backend: Backend) -> float:

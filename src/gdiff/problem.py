@@ -26,7 +26,10 @@ TOP_KEYS = {"space", "group", "backend", "epsilon", "equations", "hmodules",
             "systems", "operators", "tasks"}
 
 
-def _reject_unknown(obj: Dict[str, Any], allowed, where: str) -> None:
+def _check_object(obj: Any, allowed, where: str) -> None:
+    """obj must be a JSON object whose keys all lie in ``allowed``."""
+    if not isinstance(obj, dict):
+        raise ProblemFileError(f"{where} must be a JSON object")
     extra = set(obj) - set(allowed)
     if extra:
         raise ProblemFileError(f"unknown keys {sorted(extra)} in {where}")
@@ -68,9 +71,24 @@ def _pair(obj: Dict[str, Any], key: str, where: str):
     return names
 
 
+def _ref(table: Dict[str, Any], kind: str, obj: Dict[str, Any], key: str,
+         where: str = "task"):
+    """The entry of ``table`` (the problem's equations, operators, ...) that
+    ``obj[key]`` names."""
+    name = obj.get(key)
+    if not isinstance(name, str) or name not in table:
+        raise ProblemFileError(f"{where} references undefined {kind} {name!r}")
+    return table[name]
+
+
+def _eq_ref(prob: Problem, obj: Dict[str, Any], key: str,
+            where: str = "task") -> Equation:
+    return _ref(prob.equations, "equation", obj, key, where)
+
+
 def _parse_fn(obj: Any, size: int, be: Backend) -> Fn:
     if isinstance(obj, dict):
-        _reject_unknown(obj, {"values"}, "function entry")
+        _check_object(obj, {"values"}, "function entry")
         vals = obj.get("values")
         if not isinstance(vals, list) or len(vals) != size:
             raise ProblemFileError(f"pointwise entry needs {size} values")
@@ -78,17 +96,21 @@ def _parse_fn(obj: Any, size: int, be: Backend) -> Fn:
     return Fn.constant(be.parse(obj), size, be)
 
 
-def _parse_kmatrix(obj: Any, size: int, be: Backend) -> KMatrix:
+def _check_matrix(obj: Any) -> None:
     if not isinstance(obj, list) or not obj or any(
             not isinstance(row, list) or len(row) != len(obj[0]) for row in obj):
         raise ProblemFileError("matrix must be a non-empty list of rows "
                                "of equal length")
+
+
+def _parse_kmatrix(obj: Any, size: int, be: Backend) -> KMatrix:
+    _check_matrix(obj)
     return KMatrix.from_rows([[_parse_fn(v, size, be) for v in row]
                               for row in obj], be)
 
 
 def _build_space(obj: Any) -> FiniteSpace:
-    _reject_unknown(obj, {"cycle", "points"}, "space")
+    _check_object(obj, {"cycle", "points"}, "space")
     try:
         if "cycle" in obj:
             return FiniteSpace.cycle(int(obj["cycle"]))
@@ -100,7 +122,7 @@ def _build_space(obj: Any) -> FiniteSpace:
 
 
 def _build_group(obj: Any, space: FiniteSpace) -> Group:
-    _reject_unknown(obj, {"generators", "dihedral_cycle"}, "group")
+    _check_object(obj, {"generators", "dihedral_cycle"}, "group")
     if "dihedral_cycle" in obj:
         try:
             group = dihedral_on_cycle(int(obj["dihedral_cycle"]))
@@ -115,6 +137,9 @@ def _build_group(obj: Any, space: FiniteSpace) -> Group:
         raise ProblemFileError("group 'generators' must map names to cycles")
     gens = {}
     for name, text in obj["generators"].items():
+        if not isinstance(text, str):
+            raise ProblemFileError(f"group generator {name!r}: cycles must "
+                                   "be a string")
         try:
             gens[name] = parse_cycles(text, space.size)
         except ValueError as exc:
@@ -123,13 +148,13 @@ def _build_group(obj: Any, space: FiniteSpace) -> Group:
 
 
 def _build_equation(name: str, obj: Dict[str, Any], prob: Problem) -> Equation:
-    _reject_unknown(obj, {"trivial", "generators", "direct_sum", "tensor",
-                          "dual", "sym2", "wedge2", "wedge_top", "hom",
-                          "induce"}, f"equation {name!r}")
+    _check_object(obj, {"trivial", "generators", "direct_sum", "tensor",
+                        "dual", "sym2", "wedge2", "wedge_top", "hom",
+                        "induce"}, f"equation {name!r}")
     size = prob.space.size
 
-    def ref(other: str) -> Equation:
-        if other not in prob.equations:
+    def ref(other: Any) -> Equation:
+        if not isinstance(other, str) or other not in prob.equations:
             raise ProblemFileError(f"equation {name!r} references "
                                    f"undefined {other!r}")
         return prob.equations[other]
@@ -138,6 +163,9 @@ def _build_equation(name: str, obj: Dict[str, Any], prob: Problem) -> Equation:
         rank = _nonneg_int(obj["trivial"], f"equation {name!r}")
         return trivial_equation(prob.group, prob.backend, rank)
     if "generators" in obj:
+        if not isinstance(obj["generators"], dict):
+            raise ProblemFileError(f"equation {name!r}: 'generators' must map "
+                                   "generator names to matrices")
         mats = {gname: _parse_kmatrix(m, size, prob.backend)
                 for gname, m in obj["generators"].items()}
         return complete_connection(prob.group, prob.backend, mats)
@@ -159,10 +187,8 @@ def _build_equation(name: str, obj: Dict[str, Any], prob: Problem) -> Equation:
     if "wedge_top" in obj:
         return eqmod.wedge_top(ref(obj["wedge_top"]))
     if "induce" in obj:
-        mod = prob.hmodules.get(obj["induce"])
-        if mod is None:
-            raise ProblemFileError(f"equation {name!r} references undefined "
-                                   f"hmodule {obj['induce']!r}")
+        mod = _ref(prob.hmodules, "hmodule", obj, "induce",
+                   f"equation {name!r}")
         return equivalence.induce(mod, transversal(prob.group))
     raise ProblemFileError(f"equation {name!r} has no recognized constructor")
 
@@ -189,24 +215,28 @@ def _close_rho(sub, be: Backend, partial: Dict[int, list]) -> Dict[int, list]:
 
 def _build_hmodule(name: str, obj: Dict[str, Any], prob: Problem
                    ) -> equivalence.HModule:
-    _reject_unknown(obj, {"builtin", "character", "dim", "rho"},
-                    f"hmodule {name!r}")
+    _check_object(obj, {"builtin", "character", "dim", "rho"},
+                  f"hmodule {name!r}")
     sub = stabilizer(prob.group, BASE_POINT)
     be = prob.backend
     if "builtin" in obj:
         family = equivalence.builtin_irreducibles(sub, be)
-        if obj["builtin"] not in family:
+        if not isinstance(obj["builtin"], str) or obj["builtin"] not in family:
             raise ProblemFileError(f"no builtin hmodule {obj['builtin']!r}; "
                                    f"have {sorted(family)}")
         return family[obj["builtin"]]
+    for key in ("character", "rho"):
+        if key in obj and (not isinstance(obj[key], dict) or not obj[key]):
+            raise ProblemFileError(f"hmodule {name!r}: {key!r} must map "
+                                   "words to values")
     if "character" in obj:
         partial = {_word(prob, w, f"hmodule {name!r}"): [[be.parse(v)]]
                    for w, v in obj["character"].items()}
         rho = _close_rho(sub, be, partial)
-        mod = equivalence.HModule(sub, be, 1, rho)
-        mod.validate()
-        return mod
+        return _validated(name, equivalence.HModule(sub, be, 1, rho))
     if "rho" in obj:
+        for m in obj["rho"].values():
+            _check_matrix(m)
         partial = {_word(prob, w, f"hmodule {name!r}"):
                    [[be.parse(v) for v in row] for row in m]
                    for w, m in obj["rho"].items()}
@@ -216,47 +246,53 @@ def _build_hmodule(name: str, obj: Dict[str, Any], prob: Problem
                                        "the stabilizer")
         rho = _close_rho(sub, be, partial)
         dim = _nonneg_int(obj.get("dim"), f"hmodule {name!r} dim")
-        mod = equivalence.HModule(sub, be, dim, rho)
-        mod.validate()
-        return mod
+        return _validated(name, equivalence.HModule(sub, be, dim, rho))
     raise ProblemFileError(f"hmodule {name!r} has no recognized constructor")
+
+
+def _validated(name: str, mod: equivalence.HModule) -> equivalence.HModule:
+    try:
+        mod.validate()
+    except ValueError as exc:
+        raise ProblemFileError(f"hmodule {name!r}: {exc}") from exc
+    return mod
 
 
 def _build_system(name: str, obj: Dict[str, Any], prob: Problem
                   ) -> diffops.ClassicalSystem:
-    _reject_unknown(obj, {"unknowns", "equations"}, f"system {name!r}")
+    _check_object(obj, {"unknowns", "equations"}, f"system {name!r}")
     size = prob.space.size
+    if not isinstance(obj.get("equations"), list):
+        raise ProblemFileError(f"system {name!r} needs a list of 'equations'")
+    unknowns = _nonneg_int(obj.get("unknowns"), f"system {name!r}")
     coeffs: Dict[tuple, Fn] = {}
     for j, terms in enumerate(obj["equations"]):
+        where = f"system {name!r} equation {j}"
+        if not isinstance(terms, list):
+            raise ProblemFileError(f"{where} must be a list of terms")
         for term in terms:
-            where = f"system {name!r} equation {j}"
-            _reject_unknown(term, {"unknown", "word", "coeff"}, where)
+            _check_object(term, {"unknown", "word", "coeff"}, where)
             g = _word(prob, term.get("word"), where)
-            key = (j, _nonneg_int(term.get("unknown"), where), g)
+            k = _nonneg_int(term.get("unknown"), where)
+            if k >= unknowns:
+                raise ProblemFileError(f"{where}: unknown {k} out of range "
+                                       f"for {unknowns} unknowns")
+            key = (j, k, g)
             fn = _parse_fn(term.get("coeff"), size, prob.backend)
             coeffs[key] = coeffs[key] + fn if key in coeffs else fn
-    unknowns = _nonneg_int(obj.get("unknowns"), f"system {name!r}")
     return diffops.ClassicalSystem(prob.group, prob.backend, unknowns, coeffs)
-
-
-def _eq_ref(prob: Problem, obj: Dict[str, Any], key: str,
-            where: str = "task") -> Equation:
-    name = obj.get(key)
-    if name not in prob.equations:
-        raise ProblemFileError(f"{where} references undefined equation {name!r}")
-    return prob.equations[name]
 
 
 def _build_operator(name: str, obj: Dict[str, Any], prob: Problem
                     ) -> diffops.RawOperator:
-    _reject_unknown(obj, {"source", "target", "terms"}, f"operator {name!r}")
+    _check_object(obj, {"source", "target", "terms"}, f"operator {name!r}")
     src = _eq_ref(prob, obj, "source", f"operator {name!r}")
     dst = _eq_ref(prob, obj, "target", f"operator {name!r}")
     if not isinstance(obj.get("terms"), list):
         raise ProblemFileError(f"operator {name!r} needs a list of 'terms'")
     terms: Dict[int, KMatrix] = {}
     for item in obj["terms"]:
-        _reject_unknown(item, {"word", "matrix"}, f"operator {name!r} term")
+        _check_object(item, {"word", "matrix"}, f"operator {name!r} term")
         g = _word(prob, item.get("word"), f"operator {name!r} term")
         mat = _parse_kmatrix(item.get("matrix"), prob.space.size, prob.backend)
         terms[g] = terms[g].add(mat) if g in terms else mat
@@ -270,16 +306,18 @@ def load_problem(path: str, backend_override: Optional[str] = None,
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ProblemFileError(f"cannot read problem file: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ProblemFileError("problem file must be a JSON object")
-    _reject_unknown(data, TOP_KEYS, "problem file")
+    _check_object(data, TOP_KEYS, "problem file")
     for key in ("space", "group"):
         if key not in data:
             raise ProblemFileError(f"missing required section {key!r}")
 
     backend_name = backend_override or data.get("backend", "rational")
-    eps = epsilon_override if epsilon_override is not None \
-        else float(data.get("epsilon", 1e-9))
+    eps = epsilon_override
+    if eps is None:
+        try:
+            eps = float(data.get("epsilon", 1e-9))
+        except (TypeError, ValueError) as exc:
+            raise ProblemFileError(f"bad epsilon: {exc}") from exc
     if backend_name == "rational":
         backend = Backend.rational()
     elif backend_name == "complex":
@@ -290,17 +328,22 @@ def load_problem(path: str, backend_override: Optional[str] = None,
     space = _build_space(data["space"])
     group = _build_group(data["group"], space)
     prob = Problem(space, group, backend)
-    for name, obj in data.get("hmodules", {}).items():
-        prob.hmodules[name] = _build_hmodule(name, obj, prob)
-    for name, obj in data.get("equations", {}).items():
-        prob.equations[name] = _build_equation(name, obj, prob)
-    for name, obj in data.get("systems", {}).items():
-        prob.systems[name] = _build_system(name, obj, prob)
-    for name, obj in data.get("operators", {}).items():
-        prob.operators[name] = _build_operator(name, obj, prob)
+    for key, build, table in (("hmodules", _build_hmodule, prob.hmodules),
+                              ("equations", _build_equation, prob.equations),
+                              ("systems", _build_system, prob.systems),
+                              ("operators", _build_operator, prob.operators)):
+        section = data.get(key, {})
+        if not isinstance(section, dict):
+            raise ProblemFileError(f"{key} must be a JSON object of named "
+                                   "entries")
+        for name, obj in section.items():
+            table[name] = build(name, obj, prob)
     tasks = data.get("tasks", [])
     if not isinstance(tasks, list):
         raise ProblemFileError("tasks must be a list")
+    for i, task in enumerate(tasks):
+        if not isinstance(task, dict):
+            raise ProblemFileError(f"task {i} must be a JSON object")
     prob.tasks = tasks
     return prob
 
@@ -351,10 +394,8 @@ def run_task(prob: Problem, task: Dict[str, Any], seed: int) -> Dict[str, Any]:
                                   for row in mod.rho[h]]
                          for h in mod.subgroup.members}
     elif kind == "induce":
-        name = task.get("hmodule")
-        if name not in prob.hmodules:
-            raise ProblemFileError(f"task references undefined hmodule {name!r}")
-        eq = equivalence.induce(prob.hmodules[name], transversal(prob.group))
+        mod = _ref(prob.hmodules, "hmodule", task, "hmodule")
+        eq = equivalence.induce(mod, transversal(prob.group))
         eq.validate()
         result["rank"] = eq.rank
     elif kind == "roundtrip":
@@ -392,12 +433,15 @@ def run_task(prob: Problem, task: Dict[str, Any], seed: int) -> Dict[str, Any]:
         result.update(diffops.embed_solutions(op))
         ok = bool(result["embeds"])
     elif kind == "compose":
-        first = diffops.canonicalize(prob.operators[task["first"]])
-        second = diffops.canonicalize(prob.operators[task["second"]])
+        first = diffops.canonicalize(
+            _ref(prob.operators, "operator", task, "first"))
+        second = diffops.canonicalize(
+            _ref(prob.operators, "operator", task, "second"))
         comp = diffops.compose(second, first)
         result["action_rank"] = linalg.rank(comp.action, be)
     elif kind == "assert_zero_action":
-        op = diffops.canonicalize(prob.operators[task["operator"]])
+        op = diffops.canonicalize(
+            _ref(prob.operators, "operator", task, "operator"))
         ok = linalg.mat_is_zero(op.action, be)
         result["zero"] = ok
     else:
@@ -413,9 +457,11 @@ def run_task(prob: Problem, task: Dict[str, Any], seed: int) -> Dict[str, Any]:
 
 def _op_from_task(prob: Problem, task: Dict[str, Any]) -> diffops.DiffOperator:
     if "operator" in task:
-        return diffops.canonicalize(prob.operators[task["operator"]])
+        return diffops.canonicalize(
+            _ref(prob.operators, "operator", task, "operator"))
     if "system" in task:
-        return diffops.ingest_classical(prob.systems[task["system"]])
+        return diffops.ingest_classical(
+            _ref(prob.systems, "system", task, "system"))
     raise ProblemFileError("task needs an 'operator' or 'system' reference")
 
 

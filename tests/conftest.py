@@ -2,6 +2,7 @@
 independent sympy-based oracles for dimensions computed by the package, and
 full-group checks (the package itself checks generators only)."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -14,6 +15,21 @@ from gdiff.equations import (Equation, KMatrix, act, complete_connection,
 from gdiff.scalars import Backend, Fn
 from gdiff.space import (BASE_POINT, dihedral_on_cycle, stabilizer,
                          transversal)
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+
+
+def perfbench_module(name):
+    """The namespace of perfbench/<name>.py, run from its source: no import
+    of perfbench as a package, and nothing written under perfbench/."""
+    path = os.path.join(PERFBENCH, f"{name}.py")
+    with open(path, encoding="utf-8") as fh:
+        code = compile(fh.read(), path, "exec")
+    namespace = {"__name__": f"perfbench_{name}", "__file__": path}
+    exec(code, namespace)
+    return namespace
 
 
 @pytest.fixture(scope="session")
@@ -230,3 +246,69 @@ def gauged_equation(rng, eq):
     conn = tuple(tinv.g_act(eq.group, g).mul(eq.conn[g]).mul(t)
                  for g in range(eq.group.order))
     return Equation(eq.group, eq.backend, eq.rank, conn)
+
+
+# -- the operator quotient over every row -------------------------------------
+
+def difn_quotient_oracle(op, solutions):
+    """E_Delta's fiber and the morphisms phi_e, computed the way diffops did
+    before it worked on the base fiber: as the quotient of all of
+    Difn(source, 1) (every |S| x n|S| matrix, flattened row-major) by the
+    span of the products L . mu(Delta) with the matrix units L of
+    Difn(target, 1).  The delta idempotent at the base point cuts the fiber
+    out of the quotient, and the stabilizer acts by permuting rows.
+
+    Returns (HModule, one KMatrix per solution in ``solutions``)."""
+    be, group = op.source.backend, op.source.group
+    size = group.space.size
+    ncols, tcols = op.source.rank * size, op.target.rank * size
+    dim = size * ncols
+    combined = linalg.RowSpace(dim, be)
+    for y in range(size):
+        for c in range(tcols):
+            unit = linalg.zeros(size, tcols, be)
+            unit[y][c] = be.one()
+            combined.add(linalg.flatten(linalg.mat_mul(unit, op.action, be)))
+    im_dim = combined.dim
+    qreps = [b for b in linalg.identity(dim, be) if combined.add(b)]
+
+    def qcoords(vec):
+        c = combined.coords(vec)
+        assert c is not None
+        return c[im_dim:]
+
+    def q_lift(coeffs):
+        out = [be.zero()] * dim
+        for c, rep in zip(coeffs, qreps):
+            out = [x + c * yv for x, yv in zip(out, rep)]
+        return out
+
+    def act_delta(vec):
+        out = [be.zero()] * dim
+        out[BASE_POINT * ncols:(BASE_POINT + 1) * ncols] = \
+            vec[BASE_POINT * ncols:(BASE_POINT + 1) * ncols]
+        return out
+
+    def act_g(g, vec):
+        ginv_img = group.elements[group.inv[g]]
+        return [x for y in range(size)
+                for x in vec[ginv_img[y] * ncols:(ginv_img[y] + 1) * ncols]]
+
+    fiber_basis = linalg.row_space_basis(
+        [qcoords(act_delta(rep)) for rep in qreps], len(qreps), be)
+    sub = stabilizer(group, BASE_POINT)
+    ft = linalg.transpose(fiber_basis)
+    rho = {}
+    for h in sub.members:
+        rho[h] = [linalg.solve(ft, qcoords(act_g(h, q_lift(c))), be)
+                  for c in fiber_basis]
+        assert all(row is not None for row in rho[h])
+    mod = equivalence.HModule(sub, be, len(fiber_basis), rho)
+    lifts = [linalg.unflatten(q_lift(c), size, ncols) for c in fiber_basis]
+    mats = []
+    for coords in solutions:
+        vec_e = [v for f in coords for v in f.values]
+        mats.append(KMatrix(tuple(
+            (Fn.constant(linalg.mat_vec(lift, vec_e, be)[BASE_POINT], size,
+                         be),) for lift in lifts), be))
+    return mod, mats

@@ -51,14 +51,19 @@ def test_missing_file_exits_two(capsys):
     assert main(["run", path("no_such_file.json")]) == 2
 
 
-def _run_mutated(tmp_path, capsys, mutate):
-    """Run a copy of c3_basic.json changed by `mutate`; return (code, stderr)."""
+def _write_mutated(tmp_path, mutate):
+    """Write a copy of c3_basic.json changed by `mutate`; return its path."""
     with open(path("c3_basic.json"), encoding="utf-8") as fh:
         data = json.load(fh)
     mutate(data)
     target = tmp_path / "mutated.json"
     target.write_text(json.dumps(data))
-    code = main(["run", str(target)])
+    return str(target)
+
+
+def _run_mutated(tmp_path, capsys, mutate):
+    """Run a copy of c3_basic.json changed by `mutate`; return (code, stderr)."""
+    code = main(["run", _write_mutated(tmp_path, mutate)])
     return code, capsys.readouterr().err
 
 
@@ -130,12 +135,48 @@ MALFORMED = {
         ["equations", "sign", "generators", "s"], [[{"values": 3}]]),
     "group_generators_as_list": _set(["group", "generators"],
                                      ["(1 2 3)", "(2 3)"]),
+    # a section of the wrong JSON type
+    "system_without_equations": _delete(["systems", "triple", "equations"]),
+    "system_equations_not_a_list": _set(["systems", "triple", "equations"], 3),
+    "system_equation_not_a_list": _set(
+        ["systems", "triple", "equations", 0], 3),
+    "operator_term_not_an_object": _set(["operators", "alt", "terms", 0], 5),
+    "hmodule_rho_as_list": _set(["hmodules", "v2", "rho"], [1]),
+    "hmodule_rho_matrix_not_a_list": _set(["hmodules", "v2", "rho", "t"], 3),
+    "hmodule_character_not_an_object": _set(
+        ["hmodules", "vsign", "character"], 3),
+    "equations_section_as_list": _set(["equations"], []),
+    "equation_not_an_object": _set(["equations", "one"], 3),
+    "equation_generators_as_list": _set(
+        ["equations", "sign", "generators"], [[[1]], [[-1]]]),
+    "dual_of_a_list": _set(["equations", "star"], {"dual": ["one"]}),
+    "task_not_an_object": _set(["tasks", 0], 3),
+    "epsilon_not_a_number": _set(["epsilon"], "x"),
+    "group_generator_not_a_string": _set(["group", "generators", "s"], 5),
+    "hmodule_builtin_as_list": _set(["hmodules", "vsign"], {"builtin": []}),
+    "induce_a_list": _set(["equations", "rank2"], {"induce": ["v2"]}),
+    # values of the right type that do not fit together
+    "hmodule_dim_disagrees_with_matrices": _set(["hmodules", "v2", "dim"], 3),
+    "system_unknown_out_of_range": _set(
+        ["systems", "triple", "equations", 0, 0, "unknown"], 5),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_problem_file_exits_two(tmp_path, capsys, case):
     _assert_one_line_error(*_run_mutated(tmp_path, capsys, MALFORMED[case]))
+
+
+@pytest.mark.parametrize("index, kind, key",
+                         [(12, "assert_zero_action", "operator"),
+                          (13, "classical", "system")])
+def test_undefined_task_reference_fails_the_task(tmp_path, capsys, index,
+                                                 kind, key):
+    # named like an undefined equation, not a bare KeyError
+    target = _write_mutated(tmp_path, _set(["tasks", index, key], "zz"))
+    assert main(["run", target]) == 1
+    assert (f"task {index} {kind}: FAIL error=ProblemFileError: task "
+            f"references undefined {key} 'zz'\n") in capsys.readouterr().out
 
 
 def test_zero_epsilon_fails_tasks_without_traceback(capsys):

@@ -1,9 +1,12 @@
+import json
 from fractions import Fraction
 
+import pytest
 import sympy
 
-from conftest import (equation_zoo, gauged_equation, random_fn,
-                      random_kmatrix, seeded_rng, sympy_nullity)
+from conftest import (difn_quotient_oracle, equation_zoo, gauged_equation,
+                      perfbench_module, random_fn, random_kmatrix, seeded_rng,
+                      sympy_nullity)
 from gdiff import diffops, linalg
 from gdiff.diffops import (ClassicalSystem, RawOperator,
                            canonicalize, classical_solutions, compose,
@@ -11,8 +14,10 @@ from gdiff.diffops import (ClassicalSystem, RawOperator,
                            identity_op, ingest_classical, ker_mu_basis, mu,
                            skew_action, zero_raw)
 from gdiff.equations import KMatrix, act, trivial_equation
-from gdiff.scalars import Fn
+from gdiff.problem import load_problem
+from gdiff.scalars import Backend, Fn
 from gdiff.skewalg import SkewOp
+from gdiff.space import dihedral_on_cycle
 
 
 def perm_sign(p):
@@ -206,12 +211,13 @@ def test_mu_is_a_module_morphism(g3, rational):
         assert all(x.eq(y) for x, y in zip(lhs, rhs))
 
 
-def laplacian_op(g6, be):
-    one = trivial_equation(g6, be)
-    s = g6.generators["s"]
-    a = SkewOp.from_terms(g6, be, {
-        s: Fn.one(6, be), 0: Fn.constant(-2, 6, be),
-        g6.inv[s]: Fn.one(6, be)})
+def laplacian_op(group, be):
+    one = trivial_equation(group, be)
+    size = group.space.size
+    s = group.generators["s"]
+    a = SkewOp.from_terms(group, be, {
+        s: Fn.one(size, be), 0: Fn.constant(-2, size, be),
+        group.inv[s]: Fn.one(size, be)})
     return canonicalize(delta_op(a, one))
 
 
@@ -314,6 +320,14 @@ def test_embed_solutions_identity(g3, rational):
     assert report["solution_dim"] == 0 and report["rank_equation"] == 0
 
 
+def test_embed_solutions_identity_complex(g3, cplx):
+    # an injective operator has E_Delta of rank 0; the complex backend must
+    # handle the empty fiber as the rational one does
+    report = embed_solutions(identity_op(trivial_equation(g3, cplx)))
+    assert report["solution_dim"] == 0 and report["rank_equation"] == 0
+    assert report["embeds"]
+
+
 def test_ingest_classical_intro_equation(g6, rational):
     # a f_{i+1} + b f_i + c f_{i-1} = 0 with a = c = 1, b = -2
     s = g6.generators["s"]
@@ -355,3 +369,40 @@ def test_ingest_classical_random_2x2_on_c4(g4, rational):
             dense[j * 4 + y][k * 4 + ginv[y]] += c.values[y]
     m = sympy.Matrix([[sympy.Rational(x) for x in r] for r in dense])
     assert len(sols) == 8 - m.rank()
+
+
+def operator_problem_systems(n, be, tmp_path):
+    """The classical systems of the operator-calculus benchmark file on the
+    n-cycle, loaded through the problem-file parser."""
+    prob, _ = perfbench_module("workloads")["operator_problem"](n, be.name)
+    target = tmp_path / f"operators{n}.json"
+    target.write_text(json.dumps(prob))
+    return load_problem(str(target), backend_override=be.name).systems
+
+
+@pytest.mark.parametrize("backend", ["rational", "complex"])
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_quotient_module_matches_full_row_oracle(n, backend, tmp_path):
+    # the base-fiber E_Delta against the quotient of every |S| x n|S| matrix:
+    # same rank, same rho, same phi_e on every classical solution
+    group = dihedral_on_cycle(n)
+    be = getattr(Backend, backend)()
+    rng = seeded_rng(28)
+    zoo = equation_zoo(group, be)
+    ops = [ingest_classical(sysm)
+           for sysm in operator_problem_systems(n, be, tmp_path).values()]
+    ops.append(laplacian_op(group, be))
+    ops.append(canonicalize(random_raw(
+        rng, gauged_equation(rng, zoo["rank2"]), zoo["both"])))
+    compared = 0
+    for op in ops:
+        data = diffops._quotient_module(op)
+        sols = classical_solutions(op)
+        mod, mats = difn_quotient_oracle(op, sols)
+        assert data.equation.rank == data.hmodule.dim == mod.dim
+        assert all(linalg.mat_eq(data.hmodule.rho[h], mod.rho[h], be)
+                   for h in mod.subgroup.members)
+        for coords, mat in zip(sols, mats):
+            assert diffops.solution_morphism(data, coords).matrix.eq(mat)
+            compared += 1
+    assert len(ops) == 5 and compared >= 4

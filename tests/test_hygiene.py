@@ -3,12 +3,18 @@
 Every module of the package (``__init__.py`` aside, whose imports are its
 re-exports) must use each name it imports.  A name counts as used when it
 appears in the code or inside a string annotation such as ``"KMatrix"``.
+
+Every function and method that the benchmark's traced mode wraps by dotted
+path (``perfbench/layers.py``) must exist in the package.
 """
 
 import ast
+import importlib
 import os
 
 import pytest
+
+from conftest import perfbench_module
 
 PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src", "gdiff")
@@ -65,3 +71,19 @@ def test_module_uses_every_import(module):
                     for name, line in imported_names(tree).items()
                     if name not in used)
     assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize(
+    "path", [row[0] for row in perfbench_module("layers")["TARGETS"]])
+def test_traced_target_exists(path):
+    # a path is gdiff.module.function or gdiff.module.Class.method
+    parts = path.split(".")
+    assert parts[0] == "gdiff" and len(parts) in (3, 4), path
+    module = importlib.import_module(".".join(parts[:2]))
+    assert os.path.dirname(os.path.abspath(module.__file__)) == PACKAGE
+    if len(parts) == 3:
+        assert callable(getattr(module, parts[2], None)), path
+    else:
+        owner = vars(module).get(parts[2])
+        assert isinstance(owner, type), path
+        assert parts[3] in vars(owner), path
