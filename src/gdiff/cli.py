@@ -11,7 +11,7 @@ import sys
 from typing import List, Optional
 
 from .errors import GDiffError, ProblemFileError
-from .problem import format_report, load_problem, run_problem
+from .problem import check_tasks, format_report, load_problem, run_problem
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -53,6 +53,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         prob = load_problem(args.file, backend_override=args.backend,
                             epsilon_override=args.epsilon)
+        if args.command == "validate":
+            check_tasks(prob)
     except ProblemFileError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -74,7 +74,7 @@ def mu(theta: RawOperator) -> linalg.Matrix:
     n, m, size = src.rank, dst.rank, group.space.size
     mat = linalg.zeros(m * size, n * size, be)
     for g, coef in theta.terms.items():
-        ginv_img = group.elements[group.inv[g]]
+        ginv_img = group.image(group.inv[g])
         e_g = src.conn[g]
         for y in range(size):
             p = ginv_img[y]
@@ -136,7 +136,7 @@ def compose_raw(theta2: RawOperator, theta1: RawOperator) -> RawOperator:
         right = e2.conn[gp].mul(d_mat)
         for g, c_mat in theta1.terms.items():
             mat = e1_inv.mul(c_mat.g_act(group, gp)).mul(right)
-            key = group.mult[gp][g]
+            key = group.mul(gp, g)
             out[key] = out[key].add(mat) if key in out else mat
     return RawOperator(e1, theta2.target, out)
 
@@ -159,7 +159,7 @@ def skew_action(a: SkewOp, theta: RawOperator) -> RawOperator:
         e2_g = e2.conn[g]
         for gp, c_mat in theta.terms.items():
             mat = e1_inv.mul(c_mat.g_act(group, g)).mul(e2_g).scale_fn(a_g)
-            key = group.mult[g][gp]
+            key = group.mul(g, gp)
             out[key] = out[key].add(mat) if key in out else mat
     return RawOperator(e1, e2, out)
 
@@ -175,7 +175,7 @@ def ker_mu_basis(src: Equation, dst: Equation) -> List[RawOperator]:
 
     rows = []
     for g in range(group.order):
-        ginv_img = group.elements[group.inv[g]]
+        ginv_img = group.image(group.inv[g])
         e_g = src.conn[g]
         for y in range(size):
             p = ginv_img[y]

@@ -11,6 +11,7 @@ transforms as  f |-> g(f) . E^g.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -105,7 +106,7 @@ class KMatrix:
 
     def g_act(self, group: Group, g: int) -> "KMatrix":
         """Apply g to every entry: (g.f)(x) = f(g^{-1}x)."""
-        ginv = group.elements[group.inv[g]]
+        ginv = group.image(group.inv[g])
         return KMatrix(tuple(tuple(f.translate(ginv) for f in row)
                              for row in self.entries), self.backend)
 
@@ -172,6 +173,33 @@ def stack(mats: Sequence[KMatrix], nrows: int, ncols: int, size: int,
     return arr.reshape(len(mats), nrows, ncols, size).transpose(0, 3, 1, 2)
 
 
+def unstack(arr: np.ndarray, backend: Backend) -> Tuple[KMatrix, ...]:
+    """The inverse of ``stack``: one KMatrix per leading index of an array
+    of shape (N, |S|, nrows, ncols), its entries the array's scalars."""
+    return tuple(KMatrix(tuple(tuple(Fn(tuple(vals), backend) for vals in row)
+                               for row in mat.tolist()), backend)
+                 for mat in arr.transpose(0, 2, 3, 1))
+
+
+def mul_in_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the last two axes of complex arrays, rounded exactly as
+    ``KMatrix.mul`` rounds: every entry sums its terms in order, starting
+    from 0, and every term is Python's complex product, computed on the real
+    and imaginary parts apart.  (numpy's complex ``matmul`` may sum in
+    another order, and so differ in the last bit.)"""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    shape = np.broadcast_shapes(a.shape[:-1] + (1,), b.shape[:-2] + (1, b.shape[-1]))
+    re, im = np.zeros(shape), np.zeros(shape)
+    for t in range(a.shape[-1]):
+        xr, xi = ar[..., :, t, None], ai[..., :, t, None]
+        yr, yi = br[..., None, t, :], bi[..., None, t, :]
+        re = re + (xr * yr - xi * yi)
+        im = im + (xr * yi + xi * yr)
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def first_mismatch(lhs: np.ndarray, rhs: np.ndarray,
                    backend: Backend) -> Optional[int]:
     """The least index a with lhs[a] != rhs[a] under ``backend.eq_array``,
@@ -219,10 +247,11 @@ class Equation:
             raise InconsistentConnection("E^e is not the identity")
         step = max(1, _BATCH_SCALARS // max(1, conn[0].size))
         for g in group.generator_ids:
-            ginv_image = list(group.elements[group.inv[g]])
+            ginv_image = group.elements[group.inv[g]]
+            products = group.mul_ids(g, np.arange(group.order))
             for start in range(0, group.order, step):
                 stop = min(start + step, group.order)
-                lhs = d * conn[list(group.mult[g][start:stop])]
+                lhs = d * conn[products[start:stop]]
                 rhs = conn[start:stop, ginv_image] @ conn[g]
                 bad = first_mismatch(lhs, rhs, be)
                 if bad is not None:
@@ -242,52 +271,93 @@ def trivial_equation(group: Group, backend: Backend, rank: int = 1) -> Equation:
     return Equation(group, backend, rank, tuple(ident for _ in range(group.order)))
 
 
+_FRACTION = np.frompyfunc(Fraction, 2, 1)
+
+
 def complete_connection(group: Group, backend: Backend,
                         generator_matrices: Dict[str, KMatrix]) -> Equation:
     """Extend generator connection data to all of G by the cocycle law.
 
     Raises InconsistentConnection when an element reached by two words gets
     conflicting matrices, SingularGeneratorMatrix for non-invertible input.
-    The breadth-first pass compares s(E^{g'}) . E^s with E^{s g'} for every
-    generator s and element g', which is all that Equation.validate checks.
+    Breadth first from E^e = I: each level sets E^{s g'} = s(E^{g'}) . E^s
+    for every element g' of the level before (in order) and generator s
+    (in the order of ``group.generators``).  An element keeps the matrix of
+    the first such product that reaches it, and every later product that
+    reaches it must agree with it; that is all that Equation.validate
+    checks.
+
+    The connection is one array of shape (|G|, |S|, n, n) (see ``stack``),
+    and each level is one batched product over its elements and all the
+    generators.  The generator matrices are checked for singularity in one
+    batch per generator (``linalg.any_singular``).  The products are
+    those of ``KMatrix.mul``, bit for bit: on the complex backend by
+    ``mul_in_order``; over the rationals on Python ints, E^g being
+    A[g] / d^depth(g) with d the common denominator of the generator
+    matrices (``Backend.integral``), so that a product of depth L + 1 is
+    A[g'] . (d E^s) over d^(L+1).
     """
     if set(generator_matrices) != set(group.generators):
         raise InconsistentConnection(
             f"need one matrix per generator {sorted(group.generators)}")
     size = group.space.size
     rank = next(iter(generator_matrices.values())).nrows
+    stacked = {}
     for name, mat in generator_matrices.items():
         if mat.nrows != rank or mat.ncols != rank:
             raise InconsistentConnection(f"generator {name!r} has wrong shape")
-        if mat.inverse() is None:
+        stacked[name] = stack([mat], rank, rank, size, backend)[0]
+        if linalg.any_singular(stacked[name], backend):
             raise SingularGeneratorMatrix(f"generator {name!r} singular at some point")
 
-    conn: List[Optional[KMatrix]] = [None] * group.order
-    conn[0] = KMatrix.identity(rank, size, backend)
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for gp in frontier:
-            for name, gid in group.generators.items():
-                # E^{s g'} = s(E^{g'}) . E^s
-                target = group.mult[gid][gp]
-                mat = conn[gp].g_act(group, gid).mul(generator_matrices[name])
-                if conn[target] is None:
-                    conn[target] = mat
-                    nxt.append(target)
-                elif not conn[target].eq(mat):
-                    raise InconsistentConnection(
-                        f"element {target} reached with conflicting matrices")
-        frontier = nxt
-    if any(c is None for c in conn):
+    mats, d = backend.integral(np.stack([stacked[name]
+                                         for name in group.generators]))
+    gens = np.array(list(group.generators.values()))
+    gens_inv_images = group.elements[[group.inv[s] for s in gens]]
+    conn = np.zeros((group.order, size, rank, rank), dtype=backend.dtype)
+    conn[0] = np.eye(rank, dtype=backend.dtype)
+    depth = np.full(group.order, -1)
+    depth[0] = 0
+    frontier = np.array([0])
+    level = 0
+    while frontier.size:
+        level += 1
+        # candidate (g', s) at [g', s]: s(E^{g'}) . E^s, reaching s g'; in
+        # the order of a pointwise pass, element of the level, then generator
+        moved = conn[frontier[:, None, None], gens_inv_images]
+        cands = moved @ mats if backend.exact else mul_in_order(moved, mats)
+        cands = cands.reshape(-1, size, rank, rank)
+        targets = group.mul_ids(gens, frontier[:, None]).ravel()
+        first: Dict[int, int] = {}  # new element -> its first candidate
+        for i, (t, new) in enumerate(zip(targets.tolist(),
+                                         (depth[targets] < 0).tolist())):
+            if new:
+                first.setdefault(t, i)
+        frontier = np.array(list(first), dtype=np.intp)
+        conn[frontier] = cands[list(first.values())]
+        depth[frontier] = level
+        if backend.exact:
+            scale = np.array([d ** (level - int(k)) for k in depth[targets]],
+                             dtype=object)
+            stored = conn[targets] * scale[:, None, None, None]
+        else:
+            stored = conn[targets]
+        bad = first_mismatch(stored, cands, backend)
+        if bad is not None:
+            raise InconsistentConnection(
+                f"element {targets[bad]} reached with conflicting matrices")
+    if (depth < 0).any():
         raise InconsistentConnection("generators do not generate the group")
-    return Equation(group, backend, rank, tuple(conn))
+    if backend.exact:
+        denominators = np.array([d ** int(k) for k in depth], dtype=object)
+        conn = _FRACTION(conn, denominators[:, None, None, None])
+    return Equation(group, backend, rank, unstack(conn, backend))
 
 
 def act(eq: Equation, g: int, coords: Sequence[Fn]) -> Coords:
     """Coordinates transform as f |-> g(f) . E^g."""
     group = eq.group
-    ginv = group.elements[group.inv[g]]
+    ginv = group.image(group.inv[g])
     shifted = [f.translate(ginv) for f in coords]
     mat = eq.conn[g]
     out = []

@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+import numpy as np
+
 from . import linalg
-from .equations import Equation, KMatrix
+from .equations import Equation, KMatrix, unstack
 from .errors import ElementNotInH, NoIsoFound
 from .scalars import Backend
 from .space import BASE_POINT, Subgroup, Transversal, stabilizer
@@ -140,22 +142,31 @@ def fiber(eq: Equation) -> HModule:
 
 
 def induce(mod: HModule, sigma: Transversal) -> Equation:
-    """Connection of the induced equation: K^g(y) = rho(sigma(y)^{-1} g sigma(g^{-1}y))."""
+    """Connection of the induced equation: K^g(y) = rho(sigma(y)^{-1} g sigma(g^{-1}y)).
+
+    The stabilizer elements of all cells (g, y) are one (|G|, |S|) array of
+    products (``Group.mul_ids``), and the connection gathers the |H| rho
+    matrices, coerced once, by one index into it.  The gather is of object
+    references, so every cell shares the scalars of rho.
+    """
     group = mod.subgroup.group
-    size = group.space.size
-    hset = set(mod.subgroup.members)
-    conn = []
-    for g in range(group.order):
-        ginv = group.inv[g]
-        mats = []
-        for y in range(size):
-            gy = group.elements[ginv][y]
-            h = group.mult[group.inv[sigma.sigma[y]]][group.mult[g][sigma.sigma[gy]]]
-            if h not in hset:
-                raise ElementNotInH(f"transversal arithmetic left H at (g={g}, y={y})")
-            mats.append(mod.rho[h])
-        conn.append(KMatrix.from_point_matrices(mats, mod.backend))
-    return Equation(group, mod.backend, mod.dim, tuple(conn))
+    members = np.array(mod.subgroup.members)
+    sig = np.array(sigma.sigma)
+    inv = np.array(group.inv)
+    cells = group.mul_ids(inv[sig][None, :], np.arange(group.order)[:, None],
+                          sig[group.elements[inv]])
+    slot = np.full(group.order, -1)
+    slot[members] = np.arange(len(members))
+    cells = slot[cells]
+    outside = np.flatnonzero(cells < 0)
+    if outside.size:
+        g, y = divmod(int(outside[0]), group.space.size)
+        raise ElementNotInH(f"transversal arithmetic left H at (g={g}, y={y})")
+    be = mod.backend
+    rho = np.array([[[be.coerce(v) for v in row] for row in mod.rho[h]]
+                    for h in mod.subgroup.members], dtype=object)
+    conn = rho.reshape(len(members), mod.dim, mod.dim)[cells]
+    return Equation(group, be, mod.dim, unstack(conn, be))
 
 
 def transversal_independence(mod: HModule, sig1: Transversal, sig2: Transversal):
@@ -168,7 +179,7 @@ def transversal_independence(mod: HModule, sig1: Transversal, sig2: Transversal)
     hset = set(mod.subgroup.members)
     mats = []
     for y in range(size):
-        gamma = group.mult[group.inv[sig2.sigma[y]]][sig1.sigma[y]]
+        gamma = group.mul(group.inv[sig2.sigma[y]], sig1.sigma[y])
         if gamma not in hset:
             raise ElementNotInH(f"gauge element not in H at point {y}")
         mats.append(mod.rho[gamma])

@@ -208,6 +208,18 @@ def inv(a: Matrix, backend: Backend) -> Optional[Matrix]:
     return [list(r) for r in np.linalg.inv(mat)]
 
 
+def any_singular(mats: np.ndarray, backend: Backend) -> bool:
+    """Whether ``inv`` would return None for some matrix of an array of
+    shape (..., n, n) and dtype ``backend.dtype``.  On the complex backend
+    this is one batched SVD with the tolerance of ``_rank_tol``."""
+    if backend.exact:
+        flat = mats.reshape((-1,) + mats.shape[-2:]).tolist()
+        return any(inv(m, backend) is None for m in flat)
+    s = np.linalg.svd(mats, compute_uv=False)
+    tol = np.maximum(backend.eps, 1e-8 * s.max(axis=-1))
+    return bool((s.min(axis=-1) <= tol).any())
+
+
 def det(a: Matrix, backend: Backend):
     n = len(a)
     if n == 0:

@@ -19,11 +19,17 @@ from . import (diffops, equations as eqmod, equivalence, invariants, linalg,
 from .equations import Equation, KMatrix, complete_connection, trivial_equation
 from .errors import GDiffError, ProblemFileError
 from .scalars import Backend, Fn
-from .space import (BASE_POINT, FiniteSpace, Group, dihedral_on_cycle,
-                    enumerate_group, parse_cycles, stabilizer, transversal)
+from .space import (BASE_POINT, DEFAULT_ENTRY_CAP, FiniteSpace, Group,
+                    dihedral_on_cycle, enumerate_group, parse_cycles,
+                    stabilizer, transversal)
 
 TOP_KEYS = {"space", "group", "backend", "epsilon", "equations", "hmodules",
             "systems", "operators", "tasks"}
+
+# Scalars (|G| x |S| x rank^2) a connection declared in a file may need: an
+# equation's rank, an hmodule's dim and a system's unknowns are bounded by
+# it before anything is built.
+MAX_CONNECTION_SCALARS = 1 << 24
 
 
 def _check_object(obj: Any, allowed, where: str) -> None:
@@ -57,6 +63,27 @@ def _nonneg_int(value: Any, where: str) -> int:
     return out
 
 
+def _rank(value: Any, where: str, prob: Problem) -> int:
+    """A non-negative rank whose connection, |G| x |S| x rank^2 scalars,
+    stays within MAX_CONNECTION_SCALARS."""
+    rank = _nonneg_int(value, where)
+    cells = prob.group.order * prob.space.size
+    if cells * rank * rank > MAX_CONNECTION_SCALARS:
+        raise ProblemFileError(
+            f"{where}: rank {rank} needs {cells} x {rank}^2 connection "
+            f"scalars, more than {MAX_CONNECTION_SCALARS}")
+    return rank
+
+
+def _scalar(obj: Any, be: Backend, where: str):
+    """One scalar of the file (see ``Backend.parse``); a value that is no
+    number, such as "x" or "1/0", is a ProblemFileError."""
+    try:
+        return be.parse(obj)
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
+        raise ProblemFileError(f"{where}: bad scalar {obj!r}") from exc
+
+
 def _word(prob: Problem, text: Any, where: str) -> int:
     try:
         return prob.group.word(text)
@@ -81,19 +108,14 @@ def _ref(table: Dict[str, Any], kind: str, obj: Dict[str, Any], key: str,
     return table[name]
 
 
-def _eq_ref(prob: Problem, obj: Dict[str, Any], key: str,
-            where: str = "task") -> Equation:
-    return _ref(prob.equations, "equation", obj, key, where)
-
-
-def _parse_fn(obj: Any, size: int, be: Backend) -> Fn:
+def _parse_fn(obj: Any, size: int, be: Backend, where: str) -> Fn:
     if isinstance(obj, dict):
         _check_object(obj, {"values"}, "function entry")
         vals = obj.get("values")
         if not isinstance(vals, list) or len(vals) != size:
             raise ProblemFileError(f"pointwise entry needs {size} values")
-        return Fn(tuple(be.parse(v) for v in vals), be)
-    return Fn.constant(be.parse(obj), size, be)
+        return Fn(tuple(_scalar(v, be, where) for v in vals), be)
+    return Fn.constant(_scalar(obj, be, where), size, be)
 
 
 def _check_matrix(obj: Any) -> None:
@@ -103,17 +125,27 @@ def _check_matrix(obj: Any) -> None:
                                "of equal length")
 
 
-def _parse_kmatrix(obj: Any, size: int, be: Backend) -> KMatrix:
+def _parse_kmatrix(obj: Any, size: int, be: Backend, where: str) -> KMatrix:
     _check_matrix(obj)
-    return KMatrix.from_rows([[_parse_fn(v, size, be) for v in row]
+    return KMatrix.from_rows([[_parse_fn(v, size, be, where) for v in row]
                               for row in obj], be)
+
+
+def _cycle_size(value: Any, where: str) -> int:
+    """The size n of a cycle: a transitive group on n points has at least n
+    elements, so its element array needs at least n^2 entries."""
+    n = int(value)
+    if n * n > DEFAULT_ENTRY_CAP:
+        raise ProblemFileError(f"{where} {n}: a transitive group on it needs "
+                               f"more than {DEFAULT_ENTRY_CAP} entries")
+    return n
 
 
 def _build_space(obj: Any) -> FiniteSpace:
     _check_object(obj, {"cycle", "points"}, "space")
     try:
         if "cycle" in obj:
-            return FiniteSpace.cycle(int(obj["cycle"]))
+            return FiniteSpace.cycle(_cycle_size(obj["cycle"], "space cycle"))
         if "points" in obj:
             return FiniteSpace(tuple(obj["points"]))
     except (TypeError, ValueError) as exc:
@@ -125,7 +157,8 @@ def _build_group(obj: Any, space: FiniteSpace) -> Group:
     _check_object(obj, {"generators", "dihedral_cycle"}, "group")
     if "dihedral_cycle" in obj:
         try:
-            group = dihedral_on_cycle(int(obj["dihedral_cycle"]))
+            group = dihedral_on_cycle(_cycle_size(obj["dihedral_cycle"],
+                                                  "dihedral_cycle"))
         except (TypeError, ValueError) as exc:
             raise ProblemFileError(f"bad dihedral_cycle: {exc}") from exc
         if group.space != space:
@@ -160,13 +193,14 @@ def _build_equation(name: str, obj: Dict[str, Any], prob: Problem) -> Equation:
         return prob.equations[other]
 
     if "trivial" in obj:
-        rank = _nonneg_int(obj["trivial"], f"equation {name!r}")
+        rank = _rank(obj["trivial"], f"equation {name!r}", prob)
         return trivial_equation(prob.group, prob.backend, rank)
     if "generators" in obj:
-        if not isinstance(obj["generators"], dict):
+        if not isinstance(obj["generators"], dict) or not obj["generators"]:
             raise ProblemFileError(f"equation {name!r}: 'generators' must map "
                                    "generator names to matrices")
-        mats = {gname: _parse_kmatrix(m, size, prob.backend)
+        mats = {gname: _parse_kmatrix(m, size, prob.backend,
+                                      f"equation {name!r}")
                 for gname, m in obj["generators"].items()}
         return complete_connection(prob.group, prob.backend, mats)
     if "direct_sum" in obj:
@@ -220,7 +254,10 @@ def _build_hmodule(name: str, obj: Dict[str, Any], prob: Problem
     sub = stabilizer(prob.group, BASE_POINT)
     be = prob.backend
     if "builtin" in obj:
-        family = equivalence.builtin_irreducibles(sub, be)
+        try:
+            family = equivalence.builtin_irreducibles(sub, be)
+        except ValueError as exc:  # a tolerance too coarse for the backend
+            raise ProblemFileError(f"hmodule {name!r}: {exc}") from exc
         if not isinstance(obj["builtin"], str) or obj["builtin"] not in family:
             raise ProblemFileError(f"no builtin hmodule {obj['builtin']!r}; "
                                    f"have {sorted(family)}")
@@ -229,23 +266,24 @@ def _build_hmodule(name: str, obj: Dict[str, Any], prob: Problem
         if key in obj and (not isinstance(obj[key], dict) or not obj[key]):
             raise ProblemFileError(f"hmodule {name!r}: {key!r} must map "
                                    "words to values")
+    where = f"hmodule {name!r}"
     if "character" in obj:
-        partial = {_word(prob, w, f"hmodule {name!r}"): [[be.parse(v)]]
+        partial = {_word(prob, w, where): [[_scalar(v, be, where)]]
                    for w, v in obj["character"].items()}
         rho = _close_rho(sub, be, partial)
         return _validated(name, equivalence.HModule(sub, be, 1, rho))
     if "rho" in obj:
+        dim = _rank(obj.get("dim"), f"hmodule {name!r} dim", prob)
         for m in obj["rho"].values():
             _check_matrix(m)
-        partial = {_word(prob, w, f"hmodule {name!r}"):
-                   [[be.parse(v) for v in row] for row in m]
+        partial = {_word(prob, w, where):
+                   [[_scalar(v, be, where) for v in row] for row in m]
                    for w, m in obj["rho"].items()}
         for h in partial:
             if h not in sub:
                 raise ProblemFileError(f"hmodule {name!r}: element outside "
                                        "the stabilizer")
         rho = _close_rho(sub, be, partial)
-        dim = _nonneg_int(obj.get("dim"), f"hmodule {name!r} dim")
         return _validated(name, equivalence.HModule(sub, be, dim, rho))
     raise ProblemFileError(f"hmodule {name!r} has no recognized constructor")
 
@@ -264,7 +302,7 @@ def _build_system(name: str, obj: Dict[str, Any], prob: Problem
     size = prob.space.size
     if not isinstance(obj.get("equations"), list):
         raise ProblemFileError(f"system {name!r} needs a list of 'equations'")
-    unknowns = _nonneg_int(obj.get("unknowns"), f"system {name!r}")
+    unknowns = _rank(obj.get("unknowns"), f"system {name!r}", prob)
     coeffs: Dict[tuple, Fn] = {}
     for j, terms in enumerate(obj["equations"]):
         where = f"system {name!r} equation {j}"
@@ -278,7 +316,7 @@ def _build_system(name: str, obj: Dict[str, Any], prob: Problem
                 raise ProblemFileError(f"{where}: unknown {k} out of range "
                                        f"for {unknowns} unknowns")
             key = (j, k, g)
-            fn = _parse_fn(term.get("coeff"), size, prob.backend)
+            fn = _parse_fn(term.get("coeff"), size, prob.backend, where)
             coeffs[key] = coeffs[key] + fn if key in coeffs else fn
     return diffops.ClassicalSystem(prob.group, prob.backend, unknowns, coeffs)
 
@@ -286,15 +324,20 @@ def _build_system(name: str, obj: Dict[str, Any], prob: Problem
 def _build_operator(name: str, obj: Dict[str, Any], prob: Problem
                     ) -> diffops.RawOperator:
     _check_object(obj, {"source", "target", "terms"}, f"operator {name!r}")
-    src = _eq_ref(prob, obj, "source", f"operator {name!r}")
-    dst = _eq_ref(prob, obj, "target", f"operator {name!r}")
+    src = _ref(prob.equations, "equation", obj, "source", f"operator {name!r}")
+    dst = _ref(prob.equations, "equation", obj, "target", f"operator {name!r}")
     if not isinstance(obj.get("terms"), list):
         raise ProblemFileError(f"operator {name!r} needs a list of 'terms'")
     terms: Dict[int, KMatrix] = {}
     for item in obj["terms"]:
-        _check_object(item, {"word", "matrix"}, f"operator {name!r} term")
-        g = _word(prob, item.get("word"), f"operator {name!r} term")
-        mat = _parse_kmatrix(item.get("matrix"), prob.space.size, prob.backend)
+        where = f"operator {name!r} term"
+        _check_object(item, {"word", "matrix"}, where)
+        g = _word(prob, item.get("word"), where)
+        mat = _parse_kmatrix(item.get("matrix"), prob.space.size, prob.backend,
+                             where)
+        if (mat.nrows, mat.ncols) != (src.rank, dst.rank):
+            raise ProblemFileError(f"{where}: matrix is {mat.nrows} x "
+                                   f"{mat.ncols}, not {src.rank} x {dst.rank}")
         terms[g] = terms[g].add(mat) if g in terms else mat
     return diffops.RawOperator(src, dst, terms)
 
@@ -362,90 +405,131 @@ def _ser_coords(coords, be: Backend):
     return [_ser_fn(f, be) for f in coords]
 
 
+# The references of each task kind: (key, kind of definition it names).
+# classical, equation_of and embed name an "operator" or else a "system".
+TASK_REFS: Dict[str, tuple] = {
+    "validate": (("equation", "equation"),),
+    "solve": (("source", "equation"), ("target", "equation")),
+    "symmetries": (("equation", "equation"),),
+    "decompose": (("equation", "equation"),),
+    "simple": (("equation", "equation"),),
+    "fiber": (("equation", "equation"),),
+    "induce": (("hmodule", "hmodule"),),
+    "roundtrip": (("equation", "equation"),),
+    "project": (("equation", "equation"), ("character_of", "equation")),
+    "invariants": (("equation", "equation"),),
+    "selfdual": (("equation", "equation"),),
+    "classical": (),
+    "equation_of": (),
+    "embed": (),
+    "compose": (("first", "operator"), ("second", "operator")),
+    "assert_zero_action": (("operator", "operator"),),
+}
+
+
+def task_refs(prob: Problem, task: Dict[str, Any]) -> Dict[str, Any]:
+    """The definitions a task names, by key; raises ProblemFileError for an
+    unknown task kind or a name the problem does not define."""
+    kind = task.get("task")
+    if not isinstance(kind, str) or kind not in TASK_REFS:
+        raise ProblemFileError(f"unknown task kind {kind!r}")
+    refs = TASK_REFS[kind]
+    if kind in ("classical", "equation_of", "embed"):
+        if "operator" in task:
+            refs = (("operator", "operator"),)
+        elif "system" in task:
+            refs = (("system", "system"),)
+        else:
+            raise ProblemFileError("task needs an 'operator' or 'system' "
+                                   "reference")
+    # the problem keeps the definitions of a kind in its attribute kind + "s"
+    return {key: _ref(getattr(prob, what + "s"), what, task, key)
+            for key, what in refs}
+
+
+def check_tasks(prob: Problem) -> None:
+    """Resolve every task's references, as ``gdiff validate`` does."""
+    for i, task in enumerate(prob.tasks):
+        try:
+            task_refs(prob, task)
+        except ProblemFileError as exc:
+            raise ProblemFileError(f"task {i}: {exc}") from exc
+
+
 def run_task(prob: Problem, task: Dict[str, Any], seed: int) -> Dict[str, Any]:
     kind = task.get("task")
     be = prob.backend
+    refs = task_refs(prob, task)
     result: Dict[str, Any] = {}
     ok = True
 
     if kind == "validate":
-        eq = _eq_ref(prob, task, "equation")
+        eq = refs["equation"]
         eq.validate()
         result["rank"] = eq.rank
     elif kind == "solve":
-        basis = solver.hom_space(_eq_ref(prob, task, "source"),
-                                 _eq_ref(prob, task, "target"))
+        basis = solver.hom_space(refs["source"], refs["target"])
         result["dimension"] = len(basis)
         result["basis"] = [_ser_kmatrix(b.matrix, be) for b in basis]
     elif kind == "symmetries":
-        basis = solver.symmetries(_eq_ref(prob, task, "equation"))
+        basis = solver.symmetries(refs["equation"])
         result["dimension"] = len(basis)
         result["basis"] = [_ser_kmatrix(b.matrix, be) for b in basis]
     elif kind == "decompose":
-        parts = solver.decompose(_eq_ref(prob, task, "equation"), seed=seed)
+        parts = solver.decompose(refs["equation"], seed=seed)
         result["summand_ranks"] = sorted(p.rank for p, _ in parts)
     elif kind == "simple":
-        result["verdict"] = solver.is_simple(_eq_ref(prob, task, "equation"),
-                                             seed=seed)
+        result["verdict"] = solver.is_simple(refs["equation"], seed=seed)
     elif kind == "fiber":
-        mod = equivalence.fiber(_eq_ref(prob, task, "equation"))
+        mod = equivalence.fiber(refs["equation"])
         result["dim"] = mod.dim
         result["rho"] = {str(h): [[be.serialize(v) for v in row]
                                   for row in mod.rho[h]]
                          for h in mod.subgroup.members}
     elif kind == "induce":
-        mod = _ref(prob.hmodules, "hmodule", task, "hmodule")
-        eq = equivalence.induce(mod, transversal(prob.group))
+        eq = equivalence.induce(refs["hmodule"], transversal(prob.group))
         eq.validate()
         result["rank"] = eq.rank
     elif kind == "roundtrip":
-        iso = equivalence.roundtrip_iso(_eq_ref(prob, task, "equation"),
-                                        seed=seed)
+        iso = equivalence.roundtrip_iso(refs["equation"], seed=seed)
         result["isomorphism"] = _ser_kmatrix(iso.matrix, be)
     elif kind == "project":
-        eq = _eq_ref(prob, task, "equation")
-        chi = projection.character(_eq_ref(prob, task, "character_of"))
-        pi = projection.frobenius_projection(eq, chi)
+        chi = projection.character(refs["character_of"])
+        pi = projection.frobenius_projection(refs["equation"], chi)
         result["matrix"] = _ser_kmatrix(pi.matrix, be)
         result["idempotent"] = pi.matrix.mul(pi.matrix).eq(pi.matrix)
     elif kind == "invariants":
-        eq = _eq_ref(prob, task, "equation")
-        basis = invariants.invariant_vectors(eq)
+        basis = invariants.invariant_vectors(refs["equation"])
         result["dimension"] = len(basis)
         result["basis"] = [_ser_coords(c, be) for c in basis]
     elif kind == "selfdual":
-        found = invariants.self_dual_check(_eq_ref(prob, task, "equation"),
-                                           seed=seed)
+        found = invariants.self_dual_check(refs["equation"], seed=seed)
         result["self_dual"] = found is not None
         if found is not None:
             result["form"] = _ser_kmatrix(found.matrix, be)
-    elif kind == "classical":
-        op = _op_from_task(prob, task)
-        sols = diffops.classical_solutions(op)
-        result["dimension"] = len(sols)
-        result["basis"] = [_ser_coords(c, be) for c in sols]
-    elif kind == "equation_of":
-        op = _op_from_task(prob, task)
-        eq = diffops.equation_of(op)
-        result["rank"] = eq.rank
-    elif kind == "embed":
-        op = _op_from_task(prob, task)
-        result.update(diffops.embed_solutions(op))
-        ok = bool(result["embeds"])
+    elif kind in ("classical", "equation_of", "embed"):
+        if "operator" in refs:
+            op = diffops.canonicalize(refs["operator"])
+        else:
+            op = diffops.ingest_classical(refs["system"])
+        if kind == "classical":
+            sols = diffops.classical_solutions(op)
+            result["dimension"] = len(sols)
+            result["basis"] = [_ser_coords(c, be) for c in sols]
+        elif kind == "equation_of":
+            result["rank"] = diffops.equation_of(op).rank
+        else:
+            result.update(diffops.embed_solutions(op))
+            ok = bool(result["embeds"])
     elif kind == "compose":
-        first = diffops.canonicalize(
-            _ref(prob.operators, "operator", task, "first"))
-        second = diffops.canonicalize(
-            _ref(prob.operators, "operator", task, "second"))
+        first = diffops.canonicalize(refs["first"])
+        second = diffops.canonicalize(refs["second"])
         comp = diffops.compose(second, first)
         result["action_rank"] = linalg.rank(comp.action, be)
-    elif kind == "assert_zero_action":
-        op = diffops.canonicalize(
-            _ref(prob.operators, "operator", task, "operator"))
+    else:  # assert_zero_action
+        op = diffops.canonicalize(refs["operator"])
         ok = linalg.mat_is_zero(op.action, be)
         result["zero"] = ok
-    else:
-        raise ProblemFileError(f"unknown task kind {kind!r}")
 
     if "expect_dim" in task and "dimension" in result:
         ok = ok and (result["dimension"] == task["expect_dim"])
@@ -453,16 +537,6 @@ def run_task(prob: Problem, task: Dict[str, Any], seed: int) -> Dict[str, Any]:
         ok = ok and (result["rank"] == task["expect_rank"])
     result["ok"] = ok
     return result
-
-
-def _op_from_task(prob: Problem, task: Dict[str, Any]) -> diffops.DiffOperator:
-    if "operator" in task:
-        return diffops.canonicalize(
-            _ref(prob.operators, "operator", task, "operator"))
-    if "system" in task:
-        return diffops.ingest_classical(
-            _ref(prob.systems, "system", task, "system"))
-    raise ProblemFileError("task needs an 'operator' or 'system' reference")
 
 
 def run_problem(prob: Problem, seed: int = 0) -> Dict[str, Any]:

@@ -41,7 +41,7 @@ class Character:
         """chi_y(h_y) = chi(sigma(y)^{-1} h_y sigma(y))."""
         group = self.subgroup.group
         s = sig.sigma[y]
-        h = group.mult[group.inv[s]][group.mult[h_y][s]]
+        h = group.mul(group.inv[s], h_y, s)
         return self.values[h]
 
     def __add__(self, other: "Character") -> "Character":
@@ -87,7 +87,7 @@ def frobenius_projection(eq: Equation, chi: Character) -> Morphism:
         sinv = group.inv[s]
         acc = linalg.zeros(eq.rank, eq.rank, be)
         for h in sub.members:
-            h_y = group.mult[s][group.mult[h][sinv]]
+            h_y = group.mul(s, h, sinv)
             w = coeff * _chi_scalar(chi.values[sub.inv(h)], be)
             acc = linalg.mat_add(acc, linalg.mat_scale(w, eq.conn[h_y].at_point(y)))
         mats.append(acc)

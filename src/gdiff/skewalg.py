@@ -71,7 +71,7 @@ def skew_mul(a: SkewOp, b: SkewOp) -> SkewOp:
     for g, f in a.terms:
         for gp, h in b.terms:
             gh = f * act_on_function(group, g, h)
-            key = group.mult[g][gp]
+            key = group.mul(g, gp)
             out[key] = out[key] + gh if key in out else gh
     return SkewOp.from_terms(group, a.backend, out)
 

@@ -59,9 +59,7 @@ class Morphism:
             stack([self.source.conn[g] for g in gens], n, n, size, be))
         dst, d_dst = be.integral(
             stack([self.target.conn[g] for g in gens], m, m, size, be))
-        ginv_images = np.array([group.elements[group.inv[g]] for g in gens],
-                               dtype=np.intp).reshape(len(gens), size)
-        moved = phi[ginv_images]
+        moved = phi[group.elements[[group.inv[g] for g in gens]]]
         i = first_mismatch((src @ phi) * d_dst, (moved @ dst) * d_src, be)
         if i is not None:
             raise NotASolution(f"intertwining fails for group element {gens[i]}")

@@ -3,7 +3,8 @@ stabilizers, and coset transversals.
 
 Conventions: points are indexed 0..|S|-1 and the base point for every
 fiber construction is index 0.  Group elements are canonicalized by their
-permutation image arrays; element 0 is always the identity.
+permutation image arrays, held as the rows of one integer array; element 0
+is always the identity.
 """
 
 from __future__ import annotations
@@ -11,11 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from .errors import GroupTooLarge, NotTransitive
 from .scalars import Fn
 
 BASE_POINT = 0
-DEFAULT_GROUP_CAP = 10 ** 6
+# Entries (|G| x |S| point indices) the element array of a group may hold:
+# 128 MB as 64-bit integers.
+DEFAULT_ENTRY_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -41,18 +46,6 @@ class FiniteSpace:
 
 
 Perm = Tuple[int, ...]  # image[i] = index of g . x_i
-
-
-def perm_compose(a: Perm, b: Perm) -> Perm:
-    """(a o b)(x) = a(b(x))."""
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
-def perm_inverse(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, j in enumerate(a):
-        out[j] = i
-    return tuple(out)
 
 
 def perm_is_valid(a: Sequence[int], size: int) -> bool:
@@ -97,19 +90,40 @@ def parse_cycles(text: str, size: int) -> Perm:
     return tuple(image)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Group:
     """A transitive permutation group, fully enumerated.
 
-    ``mult[a][b]`` is the index of the composite a o b (apply b first),
-    ``inv[a]`` the index of the inverse.  Element 0 is the identity.
+    ``elements`` is one (|G|, |S|) integer array: row g is the image array
+    of element g (``elements[g][x]`` is the index of g.x).  Element 0 is the
+    identity and the rows follow the breadth-first order of
+    ``enumerate_group``.  ``inv[a]`` is the id of the inverse.
+
+    ``base`` is a base of the action (Sims), an integer array of points
+    whose images determine an element, so an element is found from its base
+    images alone, by a
+    binary search of the sorted keys ``_keys`` (``_ids[i]`` is the element
+    with key ``_keys[i]``).  Products are computed on demand by ``mul`` and,
+    batched, ``mul_ids``; no |G| x |G| table is built.  Groups are equal
+    when their spaces, generators and elements are.
     """
 
     space: FiniteSpace
-    elements: Tuple[Perm, ...]
-    mult: Tuple[Tuple[int, ...], ...]
+    elements: np.ndarray
     inv: Tuple[int, ...]
-    generators: Dict[str, int] = field(default_factory=dict)
+    generators: Dict[str, int]
+    base: np.ndarray
+    _keys: np.ndarray = field(repr=False)
+    _ids: np.ndarray = field(repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, Group):
+            return NotImplemented
+        return (self.space == other.space and self.generators == other.generators
+                and np.array_equal(self.elements, other.elements))
+
+    def __hash__(self):
+        return hash((self.space, self.order))
 
     @property
     def order(self) -> int:
@@ -120,8 +134,31 @@ class Group:
         """The distinct element ids of the generators, ascending."""
         return tuple(sorted(set(self.generators.values())))
 
-    def act_point(self, g: int, x: int) -> int:
-        return self.elements[g][x]
+    def image(self, g: int) -> List[int]:
+        """The image array of g as a list: ``image(inv[g])`` is what
+        ``Fn.translate`` needs to apply g."""
+        return self.elements[g].tolist()
+
+    def lookup(self, images: np.ndarray) -> np.ndarray:
+        """Ids of the elements whose images of ``base`` are the rows of
+        ``images``, an array of shape (..., len(base))."""
+        rows = np.ascontiguousarray(images, dtype=np.intp)
+        return self._ids[self._keys.searchsorted(rows.view(self._keys.dtype)[..., 0])]
+
+    def mul_ids(self, *factors) -> np.ndarray:
+        """Ids of the products f1 o f2 o ... (the last factor applied first)
+        for broadcast arrays of element ids."""
+        images = self.elements[np.asarray(factors[-1])[..., None], self.base]
+        for f in reversed(factors[:-1]):
+            images = self.elements[np.asarray(f)[..., None], images]
+        return self.lookup(images)
+
+    def mul(self, *factors: int) -> int:
+        """The id of the product f1 o f2 o ... of element ids."""
+        images = self.base
+        for f in reversed(factors):
+            images = self.elements[f][images]
+        return int(self.lookup(images))
 
     def word(self, text: str) -> int:
         """Resolve a product of generator names like "s*t" or "s^-1*t"."""
@@ -142,53 +179,99 @@ class Group:
             if k < 0:
                 g, k = self.inv[g], -k
             for _ in range(k):
-                out = self.mult[out][g]
+                out = self.mul(out, g)
         return out
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One comparable scalar (raw bytes) per row of an integer array of
+    shape (..., k), so rows can be sorted and binary-searched."""
+    rows = np.ascontiguousarray(rows, dtype=np.intp)
+    width = rows.shape[-1] * rows.itemsize
+    return rows.view(np.dtype((np.void, width)))[..., 0]
+
+
+def _distinct_rows(rows: np.ndarray) -> int:
+    keys = np.sort(_row_keys(rows))
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+
+
+def _base(elements: np.ndarray) -> np.ndarray:
+    """BASE_POINT, then each point in turn that tells apart two elements
+    agreeing on the points chosen before, until the images determine the
+    element."""
+    base = [BASE_POINT]
+    seen = _distinct_rows(elements[:, base])
+    for x in range(elements.shape[1]):
+        if seen == len(elements):
+            break
+        finer = _distinct_rows(elements[:, base + [x]])
+        if finer > seen:
+            base.append(x)
+            seen = finer
+    return np.array(base, dtype=np.intp)
+
+
+def _first_rows(points: np.ndarray, size: int) -> np.ndarray:
+    """For each point y < size, the least i with points[i] == y; raises
+    NotTransitive when some point is missing."""
+    if np.count_nonzero(np.bincount(points, minlength=size)) != size:
+        raise NotTransitive("transversal incomplete; action not transitive")
+    order = np.argsort(points, kind="stable")
+    return order[np.searchsorted(points[order], np.arange(size))]
+
+
 def enumerate_group(space: FiniteSpace, generators: Dict[str, Sequence[int]],
-                    cap: int = DEFAULT_GROUP_CAP) -> Group:
+                    cap: int = DEFAULT_ENTRY_CAP) -> Group:
     """Breadth-first closure of the generators under composition.
 
-    Raises NotTransitive when the action has more than one orbit and
-    GroupTooLarge past the element cap.  Elements are keyed by their image
-    arrays, so the enumerated action is faithful by construction.
+    Each level composes every generator with the level before, a frontier
+    element g before the next and the generators in their given order
+    within it; new elements get ids in that order.  Raises NotTransitive
+    when the action has more than one orbit and GroupTooLarge when the
+    (|G|, |S|) element array would hold more than ``cap`` entries.
+    Elements are keyed by their image arrays, so the enumerated action is
+    faithful by construction.
     """
     n = space.size
-    gen_perms: Dict[str, Perm] = {}
     for name, image in generators.items():
-        img = tuple(image)
-        if not perm_is_valid(img, n):
+        if not perm_is_valid(tuple(image), n):
             raise ValueError(f"generator {name!r} is not a permutation of {n} points")
-        gen_perms[name] = img
+    gens = np.array([list(image) for image in generators.values()],
+                    dtype=np.intp).reshape(len(generators), n)
 
-    ident = tuple(range(n))
-    index: Dict[Perm, int] = {ident: 0}
-    elems: List[Perm] = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt: List[Perm] = []
-        for g in frontier:
-            for p in gen_perms.values():
-                h = perm_compose(p, g)
-                if h not in index:
-                    if len(elems) >= cap:
-                        raise GroupTooLarge(f"more than {cap} elements")
-                    index[h] = len(elems)
-                    elems.append(h)
-                    nxt.append(h)
-        frontier = nxt
+    rows = [np.arange(n, dtype=np.intp)]
+    index: Dict[bytes, int] = {rows[0].tobytes(): 0}
+    frontier = rows[0][None, :]
+    while len(frontier):
+        # row (g, p) is p o g: p[g[x]]
+        nxt = []
+        for h in gens[:, frontier].transpose(1, 0, 2).reshape(-1, n):
+            key = h.tobytes()
+            if key not in index:
+                if (len(rows) + 1) * n > cap:
+                    raise GroupTooLarge(f"more than {cap} entries in the "
+                                        "element array")
+                index[key] = len(rows)
+                rows.append(h)
+                nxt.append(h)
+        frontier = np.array(nxt, dtype=np.intp).reshape(-1, n)
+    elements = np.array(rows, dtype=np.intp)
 
-    orbit = {BASE_POINT}
-    for g in elems:
-        orbit.add(g[BASE_POINT])
-    if len(orbit) != n:
-        raise NotTransitive(f"orbit of base point has size {len(orbit)} != {n}")
+    orbit = np.count_nonzero(np.bincount(elements[:, BASE_POINT], minlength=n))
+    if orbit != n:
+        raise NotTransitive(f"orbit of base point has size {orbit} != {n}")
 
-    mult = tuple(tuple(index[perm_compose(a, b)] for b in elems) for a in elems)
-    inv = tuple(index[perm_inverse(a)] for a in elems)
-    gens = {name: index[p] for name, p in gen_perms.items()}
-    return Group(space, tuple(elems), mult, inv, gens)
+    base = _base(elements)
+    keys = _row_keys(elements[:, base])
+    ids = np.argsort(keys)
+    keys = keys[ids]
+    # the inverse of a permutation array is its argsort
+    inv_images = np.argsort(elements, axis=1)[:, base]
+    inv = tuple(ids[np.searchsorted(keys, _row_keys(inv_images))].tolist())
+    gens_ids = {name: index[row.tobytes()]
+                for name, row in zip(generators, gens)}
+    return Group(space, elements, inv, gens_ids, base, keys, ids)
 
 
 def dihedral_on_cycle(n: int) -> Group:
@@ -216,7 +299,7 @@ class Subgroup:
         return len(self.members)
 
     def mult(self, a: int, b: int) -> int:
-        return self.group.mult[a][b]
+        return self.group.mul(a, b)
 
     def inv(self, a: int) -> int:
         return self.group.inv[a]
@@ -229,8 +312,8 @@ def stabilizer(group: Group, x: int) -> Subgroup:
     """The isotropy subgroup H_x = {g : g.x = x}."""
     if not 0 <= x < group.space.size:
         raise IndexError(f"point index {x} out of range")
-    members = tuple(g for g in range(group.order) if group.elements[g][x] == x)
-    return Subgroup(group, members)
+    members = np.flatnonzero(group.elements[:, x] == x)
+    return Subgroup(group, tuple(members.tolist()))
 
 
 @dataclass(frozen=True)
@@ -244,30 +327,20 @@ class Transversal:
 
 def transversal(group: Group, base: int = BASE_POINT) -> Transversal:
     """First-found coset representatives in enumeration order; identity at base."""
-    n = group.space.size
-    sigma = [None] * n
-    sigma[base] = 0
-    for g in range(group.order):
-        y = group.elements[g][base]
-        if sigma[y] is None:
-            sigma[y] = g
-    if any(s is None for s in sigma):
-        raise NotTransitive("transversal incomplete; action not transitive")
-    return Transversal(group, base, tuple(sigma))
+    first = _first_rows(group.elements[:, base], group.space.size)
+    return Transversal(group, base, tuple(first.tolist()))
 
 
 def alternate_transversal(group: Group, base: int = BASE_POINT) -> Transversal:
     """Last-found representatives (still identity at base); a second
     deterministic choice for transversal-independence checks."""
-    n = group.space.size
-    sigma = [None] * n
-    for g in range(group.order):
-        y = group.elements[g][base]
-        sigma[y] = g
+    last = group.order - 1 - _first_rows(group.elements[::-1, base],
+                                         group.space.size)
+    sigma = last.tolist()
     sigma[base] = 0
     return Transversal(group, base, tuple(sigma))
 
 
 def act_on_function(group: Group, g: int, f: Fn) -> Fn:
     """(g.f)(x) = f(g^{-1} x)."""
-    return f.translate(group.elements[group.inv[g]])
+    return f.translate(group.image(group.inv[g]))

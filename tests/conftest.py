@@ -1,6 +1,8 @@
 """Shared fixtures: small dihedral groups, the standard equation zoo,
-independent sympy-based oracles for dimensions computed by the package, and
-full-group checks (the package itself checks generators only)."""
+independent sympy-based oracles for dimensions computed by the package,
+full-group checks (the package itself checks generators only), and the
+multiplication table and per-cell constructions that the package's array
+code must reproduce exactly."""
 
 import os
 import random
@@ -12,6 +14,8 @@ import sympy
 from gdiff import equivalence, linalg
 from gdiff.equations import (Equation, KMatrix, act, complete_connection,
                              direct_sum, trivial_equation)
+from gdiff.errors import (ElementNotInH, InconsistentConnection,
+                          SingularGeneratorMatrix)
 from gdiff.scalars import Backend, Fn
 from gdiff.space import (BASE_POINT, dihedral_on_cycle, stabilizer,
                          transversal)
@@ -97,6 +101,86 @@ def equation_zoo(group, be):
     }
 
 
+# -- the group and connection builders as they were before they worked on
+# arrays: a |G| x |G| table, and per-cell Python loops -------------------------
+
+def perm_compose(a, b):
+    """(a o b)(x) = a(b(x)) on image tuples."""
+    return tuple(a[b[i]] for i in range(len(a)))
+
+
+def perm_inverse(a):
+    out = [0] * len(a)
+    for i, j in enumerate(a):
+        out[j] = i
+    return tuple(out)
+
+
+def mult_table(group):
+    """The eager multiplication table: entry [a][b] is the id of a o b, found
+    by composing image tuples and looking the result up by its whole image."""
+    elems = [tuple(row) for row in group.elements.tolist()]
+    index = {p: i for i, p in enumerate(elems)}
+    return tuple(tuple(index[perm_compose(a, b)] for b in elems) for a in elems)
+
+
+def pointwise_induce(mod, sigma):
+    """induce as a loop over the cells (g, y), each stabilizer element read
+    from the table and each rho matrix put in by ``from_point_matrices``."""
+    group = mod.subgroup.group
+    mult = mult_table(group)
+    hset = set(mod.subgroup.members)
+    conn = []
+    for g in range(group.order):
+        mats = []
+        for y in range(group.space.size):
+            gy = group.elements[group.inv[g]][y]
+            h = mult[group.inv[sigma.sigma[y]]][mult[g][sigma.sigma[gy]]]
+            if h not in hset:
+                raise ElementNotInH(
+                    f"transversal arithmetic left H at (g={g}, y={y})")
+            mats.append(mod.rho[h])
+        conn.append(KMatrix.from_point_matrices(mats, mod.backend))
+    return Equation(group, mod.backend, mod.dim, tuple(conn))
+
+
+def pointwise_completion(group, backend, generator_matrices):
+    """complete_connection as a breadth-first pass over single elements,
+    each product a ``KMatrix.mul`` and each comparison a ``KMatrix.eq``."""
+    mult = mult_table(group)
+    rank = next(iter(generator_matrices.values())).nrows
+    for name, mat in generator_matrices.items():
+        if mat.inverse() is None:
+            raise SingularGeneratorMatrix(
+                f"generator {name!r} singular at some point")
+    conn = [None] * group.order
+    conn[0] = KMatrix.identity(rank, group.space.size, backend)
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for gp in frontier:
+            for name, gid in group.generators.items():
+                target = mult[gid][gp]
+                mat = conn[gp].g_act(group, gid).mul(generator_matrices[name])
+                if conn[target] is None:
+                    conn[target] = mat
+                    nxt.append(target)
+                elif not conn[target].eq(mat):
+                    raise InconsistentConnection(
+                        f"element {target} reached with conflicting matrices")
+        frontier = nxt
+    return Equation(group, backend, rank, tuple(conn))
+
+
+def scalar_bits(eq):
+    """Every connection scalar as something that tells apart any two
+    different bit patterns (the sign of a complex zero included)."""
+    return [(v.real.hex(), v.imag.hex()) if isinstance(v, complex)
+            else (type(v), v)
+            for m in eq.conn for row in m.entries for f in row
+            for v in f.values]
+
+
 # -- independent oracles (sympy elimination, full-group systems) -------------
 
 def sympy_nullity(rows, ncols):
@@ -151,7 +235,8 @@ def sympy_nullspace(rows, ncols):
 def cocycle_everywhere(eq):
     """E^{gg'} = g(E^{g'}) . E^g for every pair of group elements."""
     group = eq.group
-    return all(eq.conn[group.mult[g][gp]].eq(
+    mult = mult_table(group)
+    return all(eq.conn[mult[g][gp]].eq(
                    eq.conn[gp].g_act(group, g).mul(eq.conn[g]))
                for g in range(group.order) for gp in range(group.order))
 
@@ -173,9 +258,10 @@ def pointwise_validate(eq):
     if not eq.conn[0].eq(KMatrix.identity(eq.rank, group.space.size,
                                           eq.backend)):
         return "E^e is not the identity"
+    mult = mult_table(group)
     for g in group.generator_ids:
         for gp in range(group.order):
-            lhs = eq.conn[group.mult[g][gp]]
+            lhs = eq.conn[mult[g][gp]]
             rhs = eq.conn[gp].g_act(group, g).mul(eq.conn[g])
             if not lhs.eq(rhs):
                 return f"cocycle violated at elements ({g}, {gp})"

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import equation_zoo, random_fn, random_involution, seeded_rng
+from conftest import (equation_zoo, mult_table, random_fn, random_involution,
+                      seeded_rng)
 from gdiff import diffops, equivalence, linalg, projection, solver
 from gdiff.cli import main as cli_main
 from gdiff.equations import (KMatrix, complete_connection, direct_sum, sym2,
@@ -45,11 +46,12 @@ def test_criterion_01_cocycle_suite(g3, rational):
     mod = equivalence.hmodule_from_matrices(
         sub, rational, {0: [[1, 0], [0, 1]], t: random_involution(rng)})
     fixtures.append(equivalence.induce(mod, transversal(g3)))
+    mult = mult_table(g3)
     for eq in fixtures:
         eq.validate()
         for g in range(g3.order):
             for gp in range(g3.order):
-                lhs = eq.conn[g3.mult[g][gp]]
+                lhs = eq.conn[mult[g][gp]]
                 rhs = eq.conn[gp].g_act(g3, g).mul(eq.conn[g])
                 assert lhs.eq(rhs)
             assert eq.conn[g].inverse().eq(eq.conn[g3.inv[g]].g_act(g3, g))

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from gdiff import diffops, equivalence, problem
 from gdiff.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -159,6 +160,15 @@ MALFORMED = {
     "hmodule_dim_disagrees_with_matrices": _set(["hmodules", "v2", "dim"], 3),
     "system_unknown_out_of_range": _set(
         ["systems", "triple", "equations", 0, 0, "unknown"], 5),
+    # scalars that are no numbers, and an operator matrix of the wrong shape
+    "operator_matrix_entry_not_a_number": _set(
+        ["operators", "alt", "terms", 0, "matrix"], [["x"]]),
+    "system_coeff_divides_by_zero": _set(
+        ["systems", "triple", "equations", 0, 0, "coeff"], "1/0"),
+    "operator_matrix_with_an_empty_row": _set(
+        ["operators", "alt", "terms", 0, "matrix"], [[]]),
+    "operator_matrix_larger_than_the_ranks": _set(
+        ["operators", "alt", "terms", 0, "matrix"], [[1, 0], [0, 1]]),
 }
 
 
@@ -179,6 +189,25 @@ def test_undefined_task_reference_fails_the_task(tmp_path, capsys, index,
             f"references undefined {key} 'zz'\n") in capsys.readouterr().out
 
 
+def test_empty_generator_map_exits_two(tmp_path, capsys):
+    # on one point the group may have no generators; the equation still
+    # needs its matrices
+    target = tmp_path / "one_point.json"
+    target.write_text(json.dumps({
+        "space": {"points": ["a"]}, "group": {"generators": {}},
+        "equations": {"e": {"generators": {}}}}))
+    _assert_one_line_error(main(["run", str(target)]),
+                           capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("epsilon", ["1", "3"])
+def test_coarse_epsilon_exits_two(capsys, epsilon):
+    # at such a tolerance the builtin modules of the complex file no longer
+    # validate: one error line, not a traceback
+    code = main(["run", path("c6_complex.json"), "--epsilon", epsilon])
+    _assert_one_line_error(code, capsys.readouterr().err)
+
+
 def test_zero_epsilon_fails_tasks_without_traceback(capsys):
     # at zero tolerance the operator calculus finds no quotient coordinates;
     # that is a task failure with a report line, not a crash
@@ -188,6 +217,62 @@ def test_zero_epsilon_fails_tasks_without_traceback(capsys):
     assert "Traceback" not in captured.out + captured.err
     assert "task 14 equation_of: FAIL error=GDiffError" in captured.out
     assert captured.out.endswith("fail\n")
+
+
+# Each mutation declares a connection of 10^9 x 10^9 matrices; the bound
+# must refuse it before the constructor it names is called with that rank.
+HUGE_RANKS = {
+    "trivial_rank": (["equations", "one", "trivial"], problem,
+                     "trivial_equation"),
+    "hmodule_dim": (["hmodules", "v2", "dim"], equivalence, "HModule"),
+    "system_unknowns": (["systems", "triple", "unknowns"], diffops,
+                        "ClassicalSystem"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_RANKS))
+def test_huge_rank_is_refused_before_anything_is_built(tmp_path, capsys,
+                                                       monkeypatch, case):
+    path, module, constructor = HUGE_RANKS[case]
+    build = getattr(module, constructor)
+
+    def guarded(*args, **kwargs):
+        if 10 ** 9 in args or 10 ** 9 in kwargs.values():
+            raise AssertionError(f"{constructor} called for a huge rank")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(module, constructor, guarded)
+    code, err = _run_mutated(tmp_path, capsys, _set(path, 10 ** 9))
+    _assert_one_line_error(code, err)
+    assert "connection scalars" in err
+
+
+def test_rank_bound_is_exact(capsys, monkeypatch):
+    # D3 on 3 points: the largest declared rank, hmodule v2's dim 2, needs
+    # 6 x 3 x 2^2 = 72 connection scalars
+    monkeypatch.setattr(problem, "MAX_CONNECTION_SCALARS", 72)
+    assert main(["validate", path("c3_basic.json")]) == 0
+    monkeypatch.setattr(problem, "MAX_CONNECTION_SCALARS", 71)
+    assert main(["validate", path("c3_basic.json")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: hmodule 'v2' dim: rank 2 needs 18 x 2^2 connection scalars")
+
+
+@pytest.mark.parametrize("key", ["equation", "operator", "system", "hmodule"])
+def test_validate_resolves_task_references(tmp_path, capsys, key):
+    index = {"equation": 0, "operator": 12, "system": 13, "hmodule": 7}[key]
+    target = _write_mutated(tmp_path, _set(["tasks", index, key], "zz"))
+    assert main(["validate", target]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: task {index}: task references undefined {key} "
+                   "'zz'\n")
+
+
+def test_validate_rejects_an_unknown_task_kind(tmp_path, capsys):
+    target = _write_mutated(tmp_path, _set(["tasks", 3, "task"], "nope"))
+    assert main(["validate", target]) == 2
+    assert capsys.readouterr().err == \
+        "error: task 3: unknown task kind 'nope'\n"
 
 
 def test_validate_subcommand(capsys):

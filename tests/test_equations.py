@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import (cocycle_everywhere, equation_zoo, gauged_equation,
-                      pointwise_validate, random_involution, rank2_equation,
-                      seeded_rng, sign_equation)
+                      mult_table, pointwise_completion, pointwise_validate,
+                      random_involution, random_kmatrix, rank2_equation,
+                      scalar_bits, seeded_rng, sign_equation)
 from gdiff import equations, equivalence
 from gdiff.equations import (Equation, KMatrix, act, complete_connection,
                              direct_sum, dual, hom, sym2, tensor,
@@ -187,9 +188,10 @@ def test_act_is_group_action(g3, rational):
     eq = rank2_equation(g3, rational)
     coords = tuple(Fn(tuple(rational.random(rng) for _ in range(3)), rational)
                    for _ in range(2))
+    mult = mult_table(g3)
     for g in range(g3.order):
         for gp in range(g3.order):
-            via_product = act(eq, g3.mult[g][gp], coords)
+            via_product = act(eq, mult[g][gp], coords)
             via_steps = act(eq, g, act(eq, gp, coords))
             assert all(a.eq(b) for a, b in zip(via_product, via_steps))
 
@@ -254,3 +256,44 @@ def test_hom_connection_matches_conjugation(g3, rational):
         direct_coords = tuple(direct.entries[j][i]
                               for i in range(f.rank) for j in range(e.rank))
         assert all(a.eq(b) for a, b in zip(moved, direct_coords))
+
+
+def generator_data(eq):
+    return {name: eq.conn[g] for name, g in eq.group.generators.items()}
+
+
+def test_completion_is_bitwise_the_kmatrix_pass(g4, g6, rational, cplx):
+    # gauged equations have non-dyadic complex entries (from T^-1) and
+    # rational ones with denominators, so any other rounding of a product,
+    # such as numpy's complex matmul, shows in some scalar
+    rng = seeded_rng(23)
+    for group in (g4, g6):
+        for be in (rational, cplx):
+            zoo = equation_zoo(group, be)
+            for eq in (zoo["rank2"], direct_sum(zoo["rank2"], zoo["sign"])):
+                mats = generator_data(gauged_equation(rng, eq))
+                got = complete_connection(group, be, mats)
+                want = pointwise_completion(group, be, mats)
+                assert scalar_bits(got) == scalar_bits(want)
+
+
+def test_completion_conflicts_match_the_kmatrix_pass(g3, g4, g6, rational,
+                                                    cplx):
+    # random generator matrices almost never satisfy the relations: the
+    # first conflicting element must be the one a pointwise pass meets
+    rng = seeded_rng(29)
+    seen = set()
+    for group in (g3, g4, g6):
+        for be in (rational, cplx):
+            for rank in (1, 2):
+                mats = {name: random_kmatrix(rng, rank, rank,
+                                             group.space.size, be)
+                        for name in group.generators}
+                with pytest.raises((InconsistentConnection,
+                                    SingularGeneratorMatrix)) as want:
+                    pointwise_completion(group, be, mats)
+                with pytest.raises(want.type) as got:
+                    complete_connection(group, be, mats)
+                assert str(got.value) == str(want.value)
+                seen.add(str(want.value))
+    assert len(seen) > 2

@@ -1,6 +1,8 @@
 import pytest
 
-from conftest import equation_zoo, rank2_equation, seeded_rng, random_involution
+from conftest import (equation_zoo, pointwise_induce, rank2_equation,
+                      scalar_bits, seeded_rng, random_involution)
+from gdiff import scalars
 from gdiff import equivalence, solver
 from gdiff.equations import direct_sum, dual, tensor, trivial_equation
 from gdiff.equivalence import (builtin_irreducibles, fiber, grothendieck_check,
@@ -139,3 +141,30 @@ def test_dual_tensor_functors_commute_with_fiber(g3, rational):
     e, f = zoo["rank2"], zoo["sign"]
     assert fiber(tensor(e, f)).rho == hmodule_tensor(fiber(e), fiber(f)).rho
     assert fiber(dual(e)).rho == hmodule_dual(fiber(e)).rho
+
+
+@pytest.mark.parametrize("backend", [scalars.Backend.rational(),
+                                     scalars.Backend.complex()])
+def test_induce_matches_the_per_cell_loop(g3, g4, g6, backend):
+    rng = seeded_rng(41)
+    for group in (g3, g4, g6):
+        sub = stabilizer(group, 0)
+        t = next(h for h in sub.members if h != 0)
+        mods = list(builtin_irreducibles(sub, backend).values())
+        mods.append(hmodule_from_matrices(
+            sub, backend, {0: [[1, 0], [0, 1]], t: random_involution(rng)}))
+        for mod in mods:
+            for sig in (transversal(group), alternate_transversal(group)):
+                got, want = induce(mod, sig), pointwise_induce(mod, sig)
+                assert got == want
+                assert scalar_bits(got) == scalar_bits(want)
+
+
+def test_induce_leaves_h_where_the_per_cell_loop_does(g4, rational):
+    mod = builtin_irreducibles(stabilizer(g4, 0), rational)["sign"]
+    bad = Transversal(g4, 0, (0, 2, 0, 1))
+    with pytest.raises(ElementNotInH) as want:
+        pointwise_induce(mod, bad)
+    with pytest.raises(ElementNotInH) as got:
+        induce(mod, bad)
+    assert str(got.value) == str(want.value)

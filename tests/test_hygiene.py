@@ -5,7 +5,9 @@ re-exports) must use each name it imports.  A name counts as used when it
 appears in the code or inside a string annotation such as ``"KMatrix"``.
 
 Every function and method that the benchmark's traced mode wraps by dotted
-path (``perfbench/layers.py``) must exist in the package.
+path (``perfbench/layers.py``) must exist in the package, and the benchmark's
+correctness oracle (``perfbench/oracle.py``), which reads groups and
+connections directly, must still agree with the expected dimensions.
 """
 
 import ast
@@ -14,7 +16,7 @@ import os
 
 import pytest
 
-from conftest import perfbench_module
+from conftest import PERFBENCH, perfbench_module
 
 PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src", "gdiff")
@@ -87,3 +89,11 @@ def test_traced_target_exists(path):
         owner = vars(module).get(parts[2])
         assert isinstance(owner, type), path
         assert parts[3] in vars(owner), path
+
+
+def test_benchmark_oracle_agrees(tmp_path, monkeypatch):
+    # the oracle imports its sibling module ``workloads`` by name
+    monkeypatch.syspath_prepend(PERFBENCH)
+    oracle = perfbench_module("oracle")
+    workloads = perfbench_module("workloads")
+    assert oracle["check"](workloads["involution"](1), str(tmp_path)) == {}

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import equation_zoo, sign_equation
+from conftest import equation_zoo, mult_table, sign_equation
 from gdiff import equivalence, solver
 from gdiff.equations import direct_sum, trivial_equation
 from gdiff.errors import CharacterBackendMismatch
@@ -39,10 +39,11 @@ def test_transport_law(g6, rational):
     chi = character(eq)
     sig = transversal(g6)
     sub = chi.subgroup
+    mult = mult_table(g6)
     for y in range(g6.space.size):
         s = sig.sigma[y]
         for h in sub.members:
-            h_y = g6.mult[s][g6.mult[h][g6.inv[s]]]
+            h_y = mult[s][mult[h][g6.inv[s]]]
             mat = eq.conn[h_y].at_point(y)
             trace = sum(mat[i][i] for i in range(eq.rank))
             assert chi.transported(y, h_y, sig) == trace

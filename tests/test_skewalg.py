@@ -1,4 +1,4 @@
-from conftest import random_fn, seeded_rng
+from conftest import mult_table, random_fn, seeded_rng
 from gdiff.scalars import Fn
 from gdiff.skewalg import SkewOp, apply, skew_mul
 from gdiff.space import act_on_function
@@ -21,7 +21,7 @@ def test_twisted_product_on_elements(g3, rational):
     prod = skew_mul(a, b)
     assert len(prod.terms) == 1
     elem, coeff = prod.terms[0]
-    assert elem == g3.mult[g][gp]
+    assert elem == mult_table(g3)[g][gp]
     assert coeff.eq(f * act_on_function(g3, g, h))
 
 
