@@ -75,14 +75,14 @@ def mu(theta: RawOperator) -> linalg.Matrix:
     mat = linalg.zeros(m * size, n * size, be)
     for g, coef in theta.terms.items():
         ginv_img = group.image(group.inv[g])
-        e_g = src.conn[g]
+        e_g = src.scalars(g)
         for y in range(size):
             p = ginv_img[y]
             for j in range(m):
                 for k in range(n):
                     acc = be.zero()
                     for i in range(n):
-                        acc = acc + coef.entries[i][j].values[y] * e_g.entries[k][i].values[y]
+                        acc = acc + coef.entries[i][j].values[y] * e_g[y][k][i]
                     mat[j * size + y][k * size + p] = mat[j * size + y][k * size + p] + acc
     return mat
 
@@ -133,7 +133,7 @@ def compose_raw(theta2: RawOperator, theta1: RawOperator) -> RawOperator:
     out: Dict[int, KMatrix] = {}
     for gp, d_mat in theta2.terms.items():
         e1_inv = e1.inverse(gp)
-        right = e2.conn[gp].mul(d_mat)
+        right = e2.matrix(gp).mul(d_mat)
         for g, c_mat in theta1.terms.items():
             mat = e1_inv.mul(c_mat.g_act(group, gp)).mul(right)
             key = group.mul(gp, g)
@@ -156,7 +156,7 @@ def skew_action(a: SkewOp, theta: RawOperator) -> RawOperator:
     out: Dict[int, KMatrix] = {}
     for g, a_g in a.terms:
         e1_inv = e1.inverse(g)
-        e2_g = e2.conn[g]
+        e2_g = e2.matrix(g)
         for gp, c_mat in theta.terms.items():
             mat = e1_inv.mul(c_mat.g_act(group, g)).mul(e2_g).scale_fn(a_g)
             key = group.mul(g, gp)
@@ -176,7 +176,7 @@ def ker_mu_basis(src: Equation, dst: Equation) -> List[RawOperator]:
     rows = []
     for g in range(group.order):
         ginv_img = group.image(group.inv[g])
-        e_g = src.conn[g]
+        e_g = src.scalars(g)
         for y in range(size):
             p = ginv_img[y]
             for j in range(m):
@@ -184,7 +184,7 @@ def ker_mu_basis(src: Equation, dst: Equation) -> List[RawOperator]:
                     # one row of mu per (output entry (j,y), input entry (k,p))
                     row = [be.zero()] * nunk
                     for i in range(n):
-                        row[uidx(i, j, g, y)] = e_g.entries[k][i].values[y]
+                        row[uidx(i, j, g, y)] = e_g[y][k][i]
                     rows.append((j * size + y, k * size + p, row))
     # rows computed per (g, ...) target the same mu entry when g^{-1}y
     # collides; accumulate them

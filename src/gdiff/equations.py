@@ -6,12 +6,25 @@ the cocycle law  E^{gg'} = g(E^{g'}) E^g  and E^e = id.
 
 Coordinates are row vectors: an element with coordinate functions f
 transforms as  f |-> g(f) . E^g.
+
+An ``Equation`` stores its connection as one array of shape
+(|G|, |S|, n, n), entry [g, y] the scalar matrix E^g(y): complex128 on the
+complex backend, Python ints over one common denominator over the
+rationals.  Every construction (direct sum, tensor, dual, Hom, Sym^2,
+Lambda^2, Lambda^top) is a few batched operations on such arrays, with the
+values of the pointwise matrix formulas, bit for bit: complex products go
+through ``cmul``, which rounds as Python's complex product does.
+``KMatrix`` is a matrix over k as a tuple of functions, the form of
+morphisms and operator coefficients; ``Equation.conn`` is a read-only view
+of a connection as one KMatrix per element, built on first use, for code
+that reads it one scalar at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,32 +132,6 @@ class KMatrix:
             mats.append(m)
         return KMatrix.from_point_matrices(mats, self.backend)
 
-    def det(self) -> Fn:
-        vals = tuple(linalg.det(self.at_point(y), self.backend)
-                     for y in range(self.npoints))
-        return Fn(vals, self.backend)
-
-    def kron(self, other: "KMatrix") -> "KMatrix":
-        """Row (i,j), column (r,u): self_{ir} * other_{ju}, row-major."""
-        rows = []
-        for i in range(self.nrows):
-            for j in range(other.nrows):
-                row = []
-                for r in range(self.ncols):
-                    for u in range(other.ncols):
-                        row.append(self.entries[i][r] * other.entries[j][u])
-                rows.append(tuple(row))
-        return KMatrix(tuple(rows), self.backend)
-
-    def block_diag(self, other: "KMatrix") -> "KMatrix":
-        z1 = Fn.zero(self.npoints, self.backend)
-        rows = []
-        for r in self.entries:
-            rows.append(tuple(r) + (z1,) * other.ncols)
-        for r in other.entries:
-            rows.append((z1,) * self.ncols + tuple(r))
-        return KMatrix(tuple(rows), self.backend)
-
     def eq(self, other: "KMatrix") -> bool:
         if self.nrows != other.nrows or self.ncols != other.ncols:
             return False
@@ -163,40 +150,47 @@ Coords = Tuple[Fn, ...]  # coordinates of a module element (row vector over k)
 _BATCH_SCALARS = 1 << 12
 
 
-def stack(mats: Sequence[KMatrix], nrows: int, ncols: int, size: int,
-          backend: Backend) -> np.ndarray:
-    """nrows x ncols matrices over k as one array of shape
-    (len(mats), size, nrows, ncols) and dtype ``backend.dtype``: entry
-    [a, y] is the scalar matrix of mats[a] at the point y."""
-    flat = [f.values for m in mats for row in m.entries for f in row]
-    arr = np.array(flat, dtype=backend.dtype)
-    return arr.reshape(len(mats), nrows, ncols, size).transpose(0, 3, 1, 2)
+def point_array(mat: KMatrix, nrows: int, ncols: int, size: int) -> np.ndarray:
+    """A matrix over k as an array of shape (size, nrows, ncols) and dtype
+    ``backend.dtype``: entry [y] is its scalar matrix at the point y.  The
+    shape is given, since a matrix without rows has no column count."""
+    flat = [f.values for row in mat.entries for f in row]
+    arr = np.array(flat, dtype=mat.backend.dtype)
+    return arr.reshape(nrows, ncols, size).transpose(2, 0, 1)
 
 
-def unstack(arr: np.ndarray, backend: Backend) -> Tuple[KMatrix, ...]:
-    """The inverse of ``stack``: one KMatrix per leading index of an array
-    of shape (N, |S|, nrows, ncols), its entries the array's scalars."""
-    return tuple(KMatrix(tuple(tuple(Fn(tuple(vals), backend) for vals in row)
-                               for row in mat.tolist()), backend)
-                 for mat in arr.transpose(0, 2, 3, 1))
+def cmul(a: np.ndarray, b: np.ndarray,
+         out: Optional[np.ndarray] = None) -> np.ndarray:
+    """a * b elementwise on complex arrays, rounded as Python's complex
+    product: the real and imaginary parts are computed apart.  (numpy's
+    complex ``*`` may fuse a multiply and an add, and so differ in the last
+    bit.)  Written into ``out`` when it is given."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    re, im = out.real, out.imag
+    np.multiply(a.real, b.real, out=re)
+    np.multiply(a.imag, b.imag, out=im)
+    re -= im
+    np.multiply(a.real, b.imag, out=im)
+    im += a.imag * b.real
+    return out
+
+
+def _mul(a: np.ndarray, b: np.ndarray, backend: Backend,
+         out: Optional[np.ndarray] = None) -> np.ndarray:
+    """a * b elementwise: on Python ints over the rationals, else ``cmul``."""
+    return np.multiply(a, b, out=out) if backend.exact else cmul(a, b, out)
 
 
 def mul_in_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over the last two axes of complex arrays, rounded exactly as
     ``KMatrix.mul`` rounds: every entry sums its terms in order, starting
-    from 0, and every term is Python's complex product, computed on the real
-    and imaginary parts apart.  (numpy's complex ``matmul`` may sum in
-    another order, and so differ in the last bit.)"""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    from 0, and every term is a ``cmul`` product.  (numpy's complex
+    ``matmul`` may sum in another order, and so differ in the last bit.)"""
     shape = np.broadcast_shapes(a.shape[:-1] + (1,), b.shape[:-2] + (1, b.shape[-1]))
-    re, im = np.zeros(shape), np.zeros(shape)
+    out = np.zeros(shape, dtype=complex)
     for t in range(a.shape[-1]):
-        xr, xi = ar[..., :, t, None], ai[..., :, t, None]
-        yr, yi = br[..., None, t, :], bi[..., None, t, :]
-        re = re + (xr * yr - xi * yi)
-        im = im + (xr * yi + xi * yr)
-    out = np.empty(shape, dtype=complex)
-    out.real, out.imag = re, im
+        out += cmul(a[..., :, t, None], b[..., None, t, :])
     return out
 
 
@@ -209,14 +203,85 @@ def first_mismatch(lhs: np.ndarray, rhs: np.ndarray,
     return int(bad[0]) if bad.size else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Equation:
-    """A rank-n equation presented by its connection matrices."""
+    """A rank-n equation presented by its connection,
+    E^g(y) = array[g, y] / denom.
+
+    ``array`` is read-only, of shape (|G|, |S|, n, n).  On the complex
+    backend it is complex128 and ``denom`` is 1.  Over the rationals it holds
+    Python ints in an object array, brought on construction to the form that
+    ``Backend.integral`` gives (``Backend.reduce``: denom is the least common
+    denominator), so equal connections have equal arrays and denominators.
+    ``==`` compares groups and connections (the dataclass comparison of
+    the fields would compare arrays ambiguously).
+    """
 
     group: Group
     backend: Backend
     rank: int
-    conn: Tuple[KMatrix, ...]  # indexed by group element id
+    array: np.ndarray
+    denom: int = 1
+
+    def __post_init__(self):
+        arr, d = self.backend.reduce(self.array, self.denom)
+        arr = arr.view()
+        arr.flags.writeable = False
+        object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "denom", d)
+
+    @staticmethod
+    def from_kmatrices(group: Group, backend: Backend, rank: int,
+                       mats: Sequence[KMatrix]) -> "Equation":
+        """The equation with E^g = mats[g]."""
+        size = group.space.size
+        arr, d = backend.integral(np.stack(
+            [point_array(m, rank, rank, size) for m in mats]))
+        return Equation(group, backend, rank, arr, d)
+
+    @cached_property
+    def conn(self) -> Tuple[KMatrix, ...]:
+        """The connection as one KMatrix per group element, built on first
+        use, for code that reads it one scalar at a time; the package works
+        on ``array``."""
+        return tuple(self.matrix(g) for g in range(self.group.order))
+
+    def scalars(self, index) -> list:
+        """``array[index] / denom`` as nested lists of backend scalars: for
+        example ``scalars((g, y))`` is the scalar matrix E^g(y)."""
+        return self.backend.to_scalars(self.array[index], self.denom)
+
+    def _kmatrix(self, points: np.ndarray) -> KMatrix:
+        """An (|S|, n, n) slice of ``array`` as a matrix over k."""
+        be = self.backend
+        rows = be.to_scalars(points.transpose(1, 2, 0), self.denom)
+        return KMatrix(tuple(tuple(Fn(tuple(v), be) for v in row)
+                             for row in rows), be)
+
+    def matrix(self, g: int) -> KMatrix:
+        """E^g as a matrix over k."""
+        return self._kmatrix(self.array[g])
+
+    def inverse(self, g: int) -> KMatrix:
+        """(E^g)^-1 = g(E^{g^-1}): the cocycle law at (g, g^-1), so it holds
+        for every equation that validates; no pointwise inversion."""
+        group = self.group
+        return self._kmatrix(self.array[group.inv[g]][group.elements[group.inv[g]]])
+
+    def __eq__(self, other):
+        """Equal groups and connections equal scalar for scalar: over the
+        rationals equal ints over equal denominators, by the canonical
+        form."""
+        if not isinstance(other, Equation):
+            return NotImplemented
+        return ((self.group is other.group or self.group == other.group)
+                and self.backend == other.backend and self.rank == other.rank
+                and self.denom == other.denom
+                and self.array.shape == other.array.shape
+                and bool((self.array == other.array).all()))
+
+    def __hash__(self):
+        return hash((self.group, self.rank, self.denom))
 
     def validate(self) -> None:
         """Check E^e = I and the cocycle law for generators x all elements.
@@ -226,23 +291,19 @@ class Equation:
         reads g(E^{g^-1}) . E^g = I: every E^g is invertible, with the
         inverse that law predicts.
 
-        The connection is gathered once into an array C of shape
-        (|G|, |S|, n, n) (see ``stack``) and written as C = A / d with
-        ``Backend.integral``, so over the rationals every product below
-        multiplies Python ints (d = 1 on the complex backend).  Then
-        E^e = I reads A[e] == d I, and for a generator g the law, scaled by
-        d^2, is one batched ``matmul`` and comparison of d A[g g'] with
-        g(A[g']) . A[g], where g(A[g'])(y) = A[g'](g^-1 y), over consecutive
-        slices of g' holding about ``_BATCH_SCALARS`` scalars each, so the
-        temporaries stay small whatever |G| is.  A failure names the first
-        pair in generator order, then g' ascending, as a pointwise scan
-        would.  Rank 0 has nothing to check.  Complex products may round
-        in the last bit unlike ``KMatrix.mul``; only an eps near machine
-        precision can see that.
+        With C = array and d = denom, E^e = I reads C[e] == d I, and for a
+        generator g the law, scaled by d^2, is one batched ``matmul`` and
+        comparison of d C[g g'] with g(C[g']) . C[g], where
+        g(C[g'])(y) = C[g'](g^-1 y), over consecutive slices of g' holding
+        about ``_BATCH_SCALARS`` scalars each, so the temporaries stay small
+        whatever |G| is.  Over the rationals every product multiplies
+        Python ints.  A failure names the first pair in generator order,
+        then g' ascending, as a pointwise scan would.  Rank 0 has nothing
+        to check.  Complex products may round in the last bit unlike
+        ``KMatrix.mul``; only an eps near machine precision can see that.
         """
         group, be = self.group, self.backend
-        conn, d = be.integral(
-            stack(self.conn, self.rank, self.rank, group.space.size, be))
+        conn, d = self.array, self.denom
         if not be.eq_array(conn[0], d * np.eye(self.rank, dtype=be.dtype)).all():
             raise InconsistentConnection("E^e is not the identity")
         step = max(1, _BATCH_SCALARS // max(1, conn[0].size))
@@ -258,20 +319,12 @@ class Equation:
                     raise InconsistentConnection(
                         f"cocycle violated at elements ({g}, {start + bad})")
 
-    def inverse(self, g: int) -> KMatrix:
-        """(E^g)^-1 = g(E^{g^-1}): the cocycle law at (g, g^-1), so it holds
-        for every equation that validates; no pointwise inversion."""
-        return self.conn[self.group.inv[g]].g_act(self.group, g)
-
 
 def trivial_equation(group: Group, backend: Backend, rank: int = 1) -> Equation:
     """The equation 1 (and its powers): identity connection everywhere."""
-    size = group.space.size
-    ident = KMatrix.identity(rank, size, backend)
-    return Equation(group, backend, rank, tuple(ident for _ in range(group.order)))
-
-
-_FRACTION = np.frompyfunc(Fraction, 2, 1)
+    shape = (group.order, group.space.size, rank, rank)
+    return Equation(group, backend, rank,
+                    np.broadcast_to(np.eye(rank, dtype=backend.dtype), shape))
 
 
 def complete_connection(group: Group, backend: Backend,
@@ -287,30 +340,30 @@ def complete_connection(group: Group, backend: Backend,
     reaches it must agree with it; that is all that Equation.validate
     checks.
 
-    The connection is one array of shape (|G|, |S|, n, n) (see ``stack``),
-    and each level is one batched product over its elements and all the
+    Each level is one batched product over its elements and all the
     generators.  The generator matrices are checked for singularity in one
     batch per generator (``linalg.any_singular``).  The products are
     those of ``KMatrix.mul``, bit for bit: on the complex backend by
     ``mul_in_order``; over the rationals on Python ints, E^g being
     A[g] / d^depth(g) with d the common denominator of the generator
     matrices (``Backend.integral``), so that a product of depth L + 1 is
-    A[g'] . (d E^s) over d^(L+1).
+    A[g'] . (d E^s) over d^(L+1); at the end every A[g] is brought to the
+    deepest level's denominator.
     """
     if set(generator_matrices) != set(group.generators):
         raise InconsistentConnection(
             f"need one matrix per generator {sorted(group.generators)}")
     size = group.space.size
     rank = next(iter(generator_matrices.values())).nrows
-    stacked = {}
+    points = {}
     for name, mat in generator_matrices.items():
         if mat.nrows != rank or mat.ncols != rank:
             raise InconsistentConnection(f"generator {name!r} has wrong shape")
-        stacked[name] = stack([mat], rank, rank, size, backend)[0]
-        if linalg.any_singular(stacked[name], backend):
+        points[name] = point_array(mat, rank, rank, size)
+        if linalg.any_singular(points[name], backend):
             raise SingularGeneratorMatrix(f"generator {name!r} singular at some point")
 
-    mats, d = backend.integral(np.stack([stacked[name]
+    mats, d = backend.integral(np.stack([points[name]
                                          for name in group.generators]))
     gens = np.array(list(group.generators.values()))
     gens_inv_images = group.elements[[group.inv[s] for s in gens]]
@@ -348,25 +401,27 @@ def complete_connection(group: Group, backend: Backend,
                 f"element {targets[bad]} reached with conflicting matrices")
     if (depth < 0).any():
         raise InconsistentConnection("generators do not generate the group")
-    if backend.exact:
-        denominators = np.array([d ** int(k) for k in depth], dtype=object)
-        conn = _FRACTION(conn, denominators[:, None, None, None])
-    return Equation(group, backend, rank, unstack(conn, backend))
+    top = int(depth.max())
+    if d != 1:
+        scale = np.array([d ** (top - int(k)) for k in depth], dtype=object)
+        conn = conn * scale[:, None, None, None]
+    return Equation(group, backend, rank, conn, d ** top)
 
 
 def act(eq: Equation, g: int, coords: Sequence[Fn]) -> Coords:
-    """Coordinates transform as f |-> g(f) . E^g."""
-    group = eq.group
-    ginv = group.image(group.inv[g])
-    shifted = [f.translate(ginv) for f in coords]
-    mat = eq.conn[g]
-    out = []
-    for j in range(eq.rank):
-        acc = Fn.zero(group.space.size, eq.backend)
-        for i in range(eq.rank):
-            acc = acc + shifted[i] * mat.entries[i][j]
-        out.append(acc)
-    return tuple(out)
+    """Coordinates transform as f |-> g(f) . E^g: at every point the row
+    vector of g(f) times E^g, summed in order as ``KMatrix.mul`` sums."""
+    if not eq.rank:
+        return ()
+    be = eq.backend
+    ginv_image = eq.group.elements[eq.group.inv[g]]
+    vals = np.array([f.values for f in coords], dtype=be.dtype)
+    shifted = vals[:, ginv_image].T[:, None, :]
+    if be.exact:
+        out = shifted @ np.array(eq.scalars(g), dtype=object)
+    else:
+        out = mul_in_order(shifted, eq.array[g])
+    return tuple(Fn(tuple(col), be) for col in out[:, 0].T.tolist())
 
 
 def _check_compatible(e: Equation, f: Equation) -> None:
@@ -375,30 +430,72 @@ def _check_compatible(e: Equation, f: Equation) -> None:
     e.backend.check_same(f.backend)
 
 
+def _entries(e: Equation) -> np.ndarray:
+    """The connection entry-major, shape (n, n, |G|, |S|): a view of
+    ``array`` whose entry [i, j] is the (|G|, |S|) plane of E^g_ij(y).
+
+    The constructions below fill their results one such plane at a time,
+    each one batched operation over all of G and S.  Their temporaries are
+    then one plane, not the whole connection: fresh memory is what a large
+    temporary costs most."""
+    return np.moveaxis(e.array, (2, 3), (0, 1))
+
+
+def _from_entries(e: Equation, rank: int, entries: np.ndarray,
+                  denom: int) -> Equation:
+    """An equation over e's group and backend from an entry-major
+    connection, stored as a (|G|, |S|, n, n) view of it."""
+    return Equation(e.group, e.backend, rank,
+                    np.moveaxis(entries, (0, 1), (2, 3)), denom)
+
+
+def _kron(a: np.ndarray, b: np.ndarray, backend: Backend) -> np.ndarray:
+    """Entry-major: row (i, j), column (r, u) is a_ir * b_ju, row-major."""
+    (n, n2), (m, m2) = a.shape[:2], b.shape[:2]
+    out = np.empty((n * m, n2 * m2) + a.shape[2:], dtype=backend.dtype)
+    for i in range(n):
+        for j in range(m):
+            for r in range(n2):
+                for u in range(m2):
+                    _mul(a[i, r], b[j, u], backend, out[i * m + j, r * m2 + u])
+    return out
+
+
+def _dual_entries(e: Equation) -> np.ndarray:
+    """(E*)^g(y) = ((E^g(y))^t)^-1 = E^{g^-1}(g^-1 y)^t, by Equation.inverse:
+    one gather and a transpose, entry-major."""
+    inv = np.array(e.group.inv)
+    return _entries(e)[:, :, inv[:, None], e.group.elements[inv]].swapaxes(0, 1)
+
+
 def direct_sum(e: Equation, f: Equation) -> Equation:
     _check_compatible(e, f)
-    conn = tuple(e.conn[g].block_diag(f.conn[g]) for g in range(e.group.order))
-    return Equation(e.group, e.backend, e.rank + f.rank, conn)
+    n, m = e.rank, f.rank
+    d = math.lcm(e.denom, f.denom)
+    out = np.zeros((n + m, n + m) + e.array.shape[:2], dtype=e.backend.dtype)
+    out[:n, :n] = _entries(e) if d == e.denom else _entries(e) * (d // e.denom)
+    out[n:, n:] = _entries(f) if d == f.denom else _entries(f) * (d // f.denom)
+    return _from_entries(e, n + m, out, d)
 
 
 def tensor(e: Equation, f: Equation) -> Equation:
     _check_compatible(e, f)
-    conn = tuple(e.conn[g].kron(f.conn[g]) for g in range(e.group.order))
-    return Equation(e.group, e.backend, e.rank * f.rank, conn)
+    return _from_entries(e, e.rank * f.rank,
+                         _kron(_entries(e), _entries(f), e.backend),
+                         e.denom * f.denom)
 
 
 def dual(e: Equation) -> Equation:
     """(E*)^g = ((E^g)^t)^{-1} = (g(E^{g^-1}))^t, by Equation.inverse."""
-    conn = tuple(e.inverse(g).transpose() for g in range(e.group.order))
-    return Equation(e.group, e.backend, e.rank, conn)
+    return _from_entries(e, e.rank, _dual_entries(e), e.denom)
 
 
 def hom(e: Equation, f: Equation) -> Equation:
     """Hom_k(E,F)^g = F^g (x) ((E^g)^t)^{-1}; basis d_{ij}, i over F, j over E."""
     _check_compatible(e, f)
-    conn = tuple(f.conn[g].kron(e.inverse(g).transpose())
-                 for g in range(e.group.order))
-    return Equation(e.group, e.backend, e.rank * f.rank, conn)
+    return _from_entries(e, e.rank * f.rank,
+                         _kron(_entries(f), _dual_entries(e), e.backend),
+                         f.denom * e.denom)
 
 
 def sym2_basis(n: int) -> List[Tuple[int, int]]:
@@ -409,44 +506,39 @@ def wedge2_basis(n: int) -> List[Tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+def _pair_power(e: Equation, basis: List[Tuple[int, int]],
+                combine: np.ufunc) -> np.ndarray:
+    """Entry-major: entry ((i, j), (k, l)) over the basis pairs is
+    combine(m_ik m_jl, m_il m_jk) for k != l and m_ik m_jk for k = l, m the
+    entries of E^g(y)."""
+    m, be = _entries(e), e.backend
+    out = np.empty((len(basis), len(basis)) + m.shape[2:], dtype=be.dtype)
+    for r, (i, j) in enumerate(basis):
+        for c, (k, l) in enumerate(basis):
+            plane = _mul(m[i, k], m[j, l], be, out[r, c])
+            if k != l:
+                combine(plane, _mul(m[i, l], m[j, k], be), out=plane)
+    return out
+
+
 def sym2(e: Equation) -> Equation:
-    """Symmetric square on the basis {e_i e_j}, i <= j, lexicographic."""
+    """Symmetric square on the basis {e_i e_j}, i <= j, lexicographic: entry
+    m_ik m_jl + m_il m_jk, or m_ik m_jk in a column k = l."""
     basis = sym2_basis(e.rank)
-    conn = []
-    for g in range(e.group.order):
-        m = e.conn[g]
-        rows = []
-        for (i, j) in basis:
-            row = []
-            for (k, l) in basis:
-                if k == l:
-                    row.append(m.entries[i][k] * m.entries[j][k])
-                else:
-                    row.append(m.entries[i][k] * m.entries[j][l]
-                               + m.entries[i][l] * m.entries[j][k])
-            rows.append(tuple(row))
-        conn.append(KMatrix(tuple(rows), e.backend))
-    return Equation(e.group, e.backend, len(basis), tuple(conn))
+    return _from_entries(e, len(basis), _pair_power(e, basis, np.add),
+                         e.denom ** 2)
 
 
 def wedge2(e: Equation) -> Equation:
-    """Exterior square on the basis {e_i ^ e_j}, i < j, lexicographic."""
+    """Exterior square on the basis {e_i ^ e_j}, i < j, lexicographic: entry
+    m_ik m_jl - m_il m_jk."""
     basis = wedge2_basis(e.rank)
-    conn = []
-    for g in range(e.group.order):
-        m = e.conn[g]
-        rows = []
-        for (i, j) in basis:
-            row = []
-            for (k, l) in basis:
-                row.append(m.entries[i][k] * m.entries[j][l]
-                           - m.entries[i][l] * m.entries[j][k])
-            rows.append(tuple(row))
-        conn.append(KMatrix(tuple(rows), e.backend))
-    return Equation(e.group, e.backend, len(basis), tuple(conn))
+    return _from_entries(e, len(basis), _pair_power(e, basis, np.subtract),
+                         e.denom ** 2)
 
 
 def wedge_top(e: Equation) -> Equation:
     """Top exterior power: rank 1 with connection det(E^g)."""
-    conn = tuple(KMatrix(((m.det(),),), e.backend) for m in e.conn)
-    return Equation(e.group, e.backend, 1, conn)
+    dets = linalg.det_array(e.array, e.backend)
+    return Equation(e.group, e.backend, 1, dets[..., None, None],
+                    e.denom ** e.rank)

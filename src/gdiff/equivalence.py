@@ -15,7 +15,7 @@ from typing import Dict, List
 import numpy as np
 
 from . import linalg
-from .equations import Equation, KMatrix, unstack
+from .equations import Equation, KMatrix
 from .errors import ElementNotInH, NoIsoFound
 from .scalars import Backend
 from .space import BASE_POINT, Subgroup, Transversal, stabilizer
@@ -137,17 +137,17 @@ def intertwiner_dim(u: HModule, v: HModule) -> int:
 def fiber(eq: Equation) -> HModule:
     """Evaluate the connection at the base point over the stabilizer."""
     sub = stabilizer(eq.group, BASE_POINT)
-    rho = {h: eq.conn[h].at_point(BASE_POINT) for h in sub.members}
-    return HModule(sub, eq.backend, eq.rank, rho)
+    mats = eq.scalars((list(sub.members), BASE_POINT))
+    return HModule(sub, eq.backend, eq.rank, dict(zip(sub.members, mats)))
 
 
 def induce(mod: HModule, sigma: Transversal) -> Equation:
     """Connection of the induced equation: K^g(y) = rho(sigma(y)^{-1} g sigma(g^{-1}y)).
 
     The stabilizer elements of all cells (g, y) are one (|G|, |S|) array of
-    products (``Group.mul_ids``), and the connection gathers the |H| rho
-    matrices, coerced once, by one index into it.  The gather is of object
-    references, so every cell shares the scalars of rho.
+    products (``Group.mul_ids``), and the connection array gathers the |H|
+    rho matrices, coerced once (over the rationals to ints over their
+    common denominator, ``Backend.integral``), by one index into it.
     """
     group = mod.subgroup.group
     members = np.array(mod.subgroup.members)
@@ -165,8 +165,9 @@ def induce(mod: HModule, sigma: Transversal) -> Equation:
     be = mod.backend
     rho = np.array([[[be.coerce(v) for v in row] for row in mod.rho[h]]
                     for h in mod.subgroup.members], dtype=object)
-    conn = rho.reshape(len(members), mod.dim, mod.dim)[cells]
-    return Equation(group, be, mod.dim, unstack(conn, be))
+    rho, d = be.integral(rho.reshape(len(members), mod.dim, mod.dim)
+                         .astype(be.dtype))
+    return Equation(group, be, mod.dim, rho[cells], d)
 
 
 def transversal_independence(mod: HModule, sig1: Transversal, sig2: Transversal):

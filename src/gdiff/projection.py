@@ -86,10 +86,10 @@ def frobenius_projection(eq: Equation, chi: Character) -> Morphism:
         s = sig.sigma[y]
         sinv = group.inv[s]
         acc = linalg.zeros(eq.rank, eq.rank, be)
-        for h in sub.members:
-            h_y = group.mul(s, h, sinv)
+        conjugates = eq.scalars(([group.mul(s, h, sinv) for h in sub.members], y))
+        for h, mat in zip(sub.members, conjugates):
             w = coeff * _chi_scalar(chi.values[sub.inv(h)], be)
-            acc = linalg.mat_add(acc, linalg.mat_scale(w, eq.conn[h_y].at_point(y)))
+            acc = linalg.mat_add(acc, linalg.mat_scale(w, mat))
         mats.append(acc)
     pi = Morphism(eq, eq, KMatrix.from_point_matrices(mats, be))
     pi.validate()
@@ -113,8 +113,8 @@ def fiber_projection_route(eq: Equation, chi: Character) -> Morphism:
         w = coeff * _chi_scalar(chi.values[sub.inv(h)], be)
         p = linalg.mat_add(p, linalg.mat_scale(w, fib.rho[h]))
     mats = []
-    for y in range(group.space.size):
-        t = eq.conn[sig.sigma[y]].at_point(y)
+    for y, t in enumerate(eq.scalars((list(sig.sigma),
+                                      list(range(group.space.size))))):
         tinv = linalg.inv(t, be)
         mats.append(linalg.mat_mul(tinv, linalg.mat_mul(p, t, be), be))
     pi = Morphism(eq, eq, KMatrix.from_point_matrices(mats, be))
@@ -159,7 +159,7 @@ def factor_solution(eq: Equation, simple: Equation, psi: Morphism) -> Morphism:
     img, emb = image(pi)
     cores = factor_through_image(pi, img, emb)
     # psi may come from hom_space on an equal-connection copy of the image
-    if psi.source is not img and psi.source.conn != img.conn:
+    if psi.source is not img and psi.source != img:
         raise ValueError("psi is not defined on the isotypic image")
     out = compose(cores, Morphism(img, psi.target, psi.matrix))
     out.validate()

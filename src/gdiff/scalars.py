@@ -37,11 +37,15 @@ class Backend:
     ``RowSpace`` and ``solve`` residual tests (1e3 * eps * scale), and
     ``solver._eigenvalue_split`` (max(1e3 * eps, 1e-7) * scale).
 
-    Arrays: ``dtype`` is complex, or object over the rationals, where the
-    entries are ``Fraction`` objects.  ``integral`` writes an exact array as
-    integers over one common denominator, so that batched products and
-    comparisons multiply Python ints, never ``Fraction`` objects; a complex
-    array passes through it unchanged.
+    Arrays: ``dtype`` is complex, or object over the rationals.  An exact
+    array is kept as Python ints over one common denominator d, so that
+    batched products and comparisons multiply ints, never ``Fraction``
+    objects: ``integral`` writes an array of ``Fraction`` objects in that
+    form, with d least, ``reduce`` brings any (ints, d) pair to the same
+    form, so equal arrays of values have equal (ints, d), and ``to_scalars``
+    turns (ints, d) back into ``Fraction`` objects.  A connection is stored
+    in that form (``equations.Equation``).  Complex arrays pass through all
+    three unchanged, with d = 1.
     """
 
     name: str
@@ -98,6 +102,27 @@ class Backend:
         d = math.lcm(*(x.denominator for x in flat))
         ints = [x.numerator * (d // x.denominator) for x in flat]
         return np.array(ints, dtype=object).reshape(arr.shape), d
+
+    def reduce(self, arr: np.ndarray, d: int = 1) -> Tuple[np.ndarray, int]:
+        """(A, d') with A / d' == arr / d and d' least, for an object array
+        of Python ints over the rationals: the greatest common divisor of d
+        and every entry divided out.  On the complex backend (arr, d)."""
+        if not self.exact or d == 1:
+            return arr, d
+        common = math.gcd(d, *arr.ravel().tolist())
+        if common == 1:
+            return arr, d
+        return arr // common, d // common
+
+    def to_scalars(self, arr: np.ndarray, d: int = 1) -> list:
+        """arr / d as nested lists of scalars: ``Fraction`` objects for an
+        array of Python ints over the rationals, Python complex numbers for
+        a complex array (d = 1)."""
+        if not self.exact:
+            return arr.tolist()
+        # one Fraction per distinct value: connections repeat a few values
+        memo = {x: Fraction(x, d) for x in set(arr.ravel().tolist())}
+        return np.frompyfunc(memo.__getitem__, 1, 1)(arr).tolist()
 
     def eq(self, a, b) -> bool:
         if self.exact:

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .equations import Equation, KMatrix, first_mismatch, stack
+from .equations import Equation, KMatrix, first_mismatch, point_array
 from .equivalence import HModule, fiber, induce, intertwiner_space
 from .errors import NotASolution, SplittingInconclusive
 from .scalars import Backend, Fn
@@ -45,20 +45,18 @@ class Morphism:
         then holds for every group element.
 
         One batched comparison of E^g . phi with g(phi) . F^g for all
-        generators g at once, on arrays of the generator connections only
-        (see ``equations.stack``).  Each array is written as A / d by
+        generators g at once, on the generator rows of the connection
+        arrays (see ``equations.Equation``).  phi is written as A / d by
         ``Backend.integral``, so over the rationals the check is
         (E^g . phi) d_F == (g(phi) . F^g) d_E on Python ints (phi's
         denominator cancels).  A failure names the first generator.
         """
         group, be = self.source.group, self.source.backend
         n, m, size = self.source.rank, self.target.rank, group.space.size
-        gens = group.generator_ids
-        phi, _ = be.integral(stack([self.matrix], n, m, size, be)[0])
-        src, d_src = be.integral(
-            stack([self.source.conn[g] for g in gens], n, n, size, be))
-        dst, d_dst = be.integral(
-            stack([self.target.conn[g] for g in gens], m, m, size, be))
+        gens = list(group.generator_ids)
+        phi, _ = be.integral(point_array(self.matrix, n, m, size))
+        src, d_src = self.source.array[gens], self.source.denom
+        dst, d_dst = self.target.array[gens], self.target.denom
         moved = phi[group.elements[[group.inv[g] for g in gens]]]
         i = first_mismatch((src @ phi) * d_dst, (moved @ dst) * d_src, be)
         if i is not None:
@@ -118,8 +116,9 @@ def hom_space(src: Equation, dst: Equation) -> List[Morphism]:
     phi(y) = T_src(y)^-1 . P . T_dst(y) with T(y) = E^{sigma(y)}(y), and
     T(y)^-1 = E^{sigma(y)^-1}(base) by the cocycle law.  The transport is
     one batched product of three arrays, T_src^-1 of shape (|S|, n, n), the
-    intertwiners (k, n, m) and T_dst (|S|, m, m), each written as A / d by
-    ``Backend.integral``: over the rationals the product runs on Python
+    intertwiners (k, n, m) and T_dst (|S|, m, m), each A / d (the first and
+    the last gathered from the connection arrays, the intertwiners written
+    so by ``Backend.integral``): over the rationals the product runs on Python
     ints and each entry becomes a ``Fraction`` over d1 d2 d3 afterwards;
     complex entries are used as the product gives them.  Over the
     rationals the basis is the one elimination of the intertwining system
@@ -131,14 +130,10 @@ def hom_space(src: Equation, dst: Equation) -> List[Morphism]:
     basis = intertwiner_space(fiber(src), fiber(dst))
     if not basis:
         return []
-    sigma = transversal(group).sigma
-    t_src_inv, d1 = be.integral(np.array(
-        [src.conn[group.inv[s]].at_point(BASE_POINT) for s in sigma],
-        dtype=be.dtype))
+    sigma = np.array(transversal(group).sigma)
+    t_src_inv, d1 = src.array[np.array(group.inv)[sigma], BASE_POINT], src.denom
     p, d2 = be.integral(np.array(basis, dtype=be.dtype))
-    t_dst, d3 = be.integral(np.array(
-        [dst.conn[s].at_point(y) for y, s in enumerate(sigma)],
-        dtype=be.dtype))
+    t_dst, d3 = dst.array[sigma, np.arange(len(sigma))], dst.denom
     # (k, |S|, n, m) -> one row per intertwiner, unknowns in (i, j, y) order
     moved = t_src_inv @ (p[:, None] @ t_dst)
     vecs = moved.transpose(0, 2, 3, 1).reshape(len(basis), -1).tolist()
@@ -198,8 +193,8 @@ def sub_equation(eq: Equation, basis_rows: Sequence[linalg.Vector]) -> Tuple[Equ
     sig = transversal(group)
     sub_eq = induce(sub, sig)
     mats = []
-    for y in range(group.space.size):
-        t = eq.conn[sig.sigma[y]].at_point(y)
+    transport = eq.scalars((list(sig.sigma), np.arange(group.space.size)))
+    for t in transport:
         mats.append(linalg.mat_mul([list(r) for r in basis_rows], t, be)
                     if basis_rows else [])
     emb = Morphism(sub_eq, eq, KMatrix.from_point_matrices(mats, be)

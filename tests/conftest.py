@@ -8,12 +8,14 @@ import os
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
 from gdiff import equivalence, linalg
 from gdiff.equations import (Equation, KMatrix, act, complete_connection,
-                             direct_sum, trivial_equation)
+                             direct_sum, sym2_basis, trivial_equation,
+                             wedge2_basis)
 from gdiff.errors import (ElementNotInH, InconsistentConnection,
                           SingularGeneratorMatrix)
 from gdiff.scalars import Backend, Fn
@@ -141,7 +143,7 @@ def pointwise_induce(mod, sigma):
                     f"transversal arithmetic left H at (g={g}, y={y})")
             mats.append(mod.rho[h])
         conn.append(KMatrix.from_point_matrices(mats, mod.backend))
-    return Equation(group, mod.backend, mod.dim, tuple(conn))
+    return Equation.from_kmatrices(group, mod.backend, mod.dim, tuple(conn))
 
 
 def pointwise_completion(group, backend, generator_matrices):
@@ -169,16 +171,103 @@ def pointwise_completion(group, backend, generator_matrices):
                     raise InconsistentConnection(
                         f"element {target} reached with conflicting matrices")
         frontier = nxt
-    return Equation(group, backend, rank, tuple(conn))
+    return Equation.from_kmatrices(group, backend, rank, tuple(conn))
 
 
 def scalar_bits(eq):
     """Every connection scalar as something that tells apart any two
     different bit patterns (the sign of a complex zero included)."""
+    return kmatrix_bits(eq.conn)
+
+
+def kmatrix_bits(mats):
+    """``scalar_bits`` of a sequence of KMatrix."""
     return [(v.real.hex(), v.imag.hex()) if isinstance(v, complex)
             else (type(v), v)
-            for m in eq.conn for row in m.entries for f in row
+            for m in mats for row in m.entries for f in row
             for v in f.values]
+
+
+def stack(mats, nrows, ncols, size, backend):
+    """nrows x ncols matrices over k gathered, scalar by scalar, into one
+    array of shape (len(mats), size, nrows, ncols) and dtype
+    ``backend.dtype``: entry [a, y] is the scalar matrix of mats[a] at y."""
+    flat = [f.values for m in mats for row in m.entries for f in row]
+    arr = np.array(flat, dtype=backend.dtype)
+    return arr.reshape(len(mats), nrows, ncols, size).transpose(0, 3, 1, 2)
+
+
+# -- the tensor constructions as they were before they worked on arrays: one
+# KMatrix per group element, built entry by entry from Fn products ------------
+
+def kron(a, b):
+    """Row (i,j), column (r,u): a_{ir} * b_{ju}, row-major."""
+    rows = []
+    for i in range(a.nrows):
+        for j in range(b.nrows):
+            rows.append(tuple(a.entries[i][r] * b.entries[j][u]
+                              for r in range(a.ncols) for u in range(b.ncols)))
+    return KMatrix(tuple(rows), a.backend)
+
+
+def block_diag(a, b):
+    z = Fn.zero(a.npoints or b.npoints, a.backend)
+    rows = [tuple(r) + (z,) * b.ncols for r in a.entries]
+    rows += [(z,) * a.ncols + tuple(r) for r in b.entries]
+    return KMatrix(tuple(rows), a.backend)
+
+
+def pointwise_det(m, size):
+    """det of a KMatrix, one ``linalg.det`` per point (the size is given:
+    a matrix without rows has no points to count)."""
+    return Fn(tuple(linalg.det(m.at_point(y), m.backend)
+                    for y in range(size)), m.backend)
+
+
+def pointwise_dual_matrix(eq, g):
+    """((E^g)^t)^-1 = (g(E^{g^-1}))^t by the cocycle law, on KMatrix."""
+    return eq.conn[eq.group.inv[g]].g_act(eq.group, g).transpose()
+
+
+def _pair_matrix(m, basis, entry):
+    return KMatrix(tuple(tuple(entry(m, i, j, k, l) for (k, l) in basis)
+                         for (i, j) in basis), m.backend)
+
+
+def _sym2_entry(m, i, j, k, l):
+    if k == l:
+        return m.entries[i][k] * m.entries[j][k]
+    return (m.entries[i][k] * m.entries[j][l]
+            + m.entries[i][l] * m.entries[j][k])
+
+
+def _wedge2_entry(m, i, j, k, l):
+    return (m.entries[i][k] * m.entries[j][l]
+            - m.entries[i][l] * m.entries[j][k])
+
+
+def pointwise_construction(name, e, f=None):
+    """The connection of a construction on e (and f), one KMatrix per
+    element: direct_sum, tensor, dual, hom, sym2, wedge2 or wedge_top."""
+    group = e.group
+    if name == "direct_sum":
+        conn = [block_diag(e.conn[g], f.conn[g]) for g in range(group.order)]
+    elif name == "tensor":
+        conn = [kron(e.conn[g], f.conn[g]) for g in range(group.order)]
+    elif name == "dual":
+        conn = [pointwise_dual_matrix(e, g) for g in range(group.order)]
+    elif name == "hom":
+        conn = [kron(f.conn[g], pointwise_dual_matrix(e, g))
+                for g in range(group.order)]
+    elif name in ("sym2", "wedge2"):
+        basis, entry = ((sym2_basis(e.rank), _sym2_entry) if name == "sym2"
+                        else (wedge2_basis(e.rank), _wedge2_entry))
+        conn = [_pair_matrix(e.conn[g], basis, entry)
+                for g in range(group.order)]
+    else:
+        conn = [KMatrix(((pointwise_det(m, group.space.size),),), e.backend)
+                for m in e.conn]
+    return conn
 
 
 # -- independent oracles (sympy elimination, full-group systems) -------------
@@ -331,7 +420,7 @@ def gauged_equation(rng, eq):
     tinv = t.inverse()
     conn = tuple(tinv.g_act(eq.group, g).mul(eq.conn[g]).mul(t)
                  for g in range(eq.group.order))
-    return Equation(eq.group, eq.backend, eq.rank, conn)
+    return Equation.from_kmatrices(eq.group, eq.backend, eq.rank, conn)
 
 
 # -- the operator quotient over every row -------------------------------------

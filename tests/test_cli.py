@@ -1,10 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gdiff import diffops, equivalence, problem
 from gdiff.cli import main
@@ -372,3 +379,88 @@ def test_gdiff_on_path_runs_basic_corpus():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.endswith("pass\n")
+
+
+# -- single random mutations of the two corpus files --------------------------
+
+FUZZ_POOL = ("x", "1/0", [[]], [["x"]], 10 ** 9)
+FUZZ_FILES = {}
+for _name in ("c3_basic.json", "c6_complex.json"):
+    with open(path(_name), encoding="utf-8") as _fh:
+        FUZZ_FILES[_name] = json.load(_fh)
+
+
+def _value_paths(node, prefix=()):
+    """The path of every value inside a JSON document, outer ones first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _value_paths(value, prefix + (key,))
+
+
+def _at(doc, where):
+    for key in where:
+        doc = doc[key]
+    return doc
+
+
+def _fuzz_sites(doc):
+    """Where each kind of mutation applies: a key to drop, a value to
+    replace by one of FUZZ_POOL, a generator cycle that can name a point
+    outside the space, a reference to a defined name."""
+    paths = list(_value_paths(doc))
+    names = {n for section in ("equations", "hmodules", "operators", "systems")
+             for n in doc.get(section, {})}
+    return {
+        "drop": [p for p in paths if isinstance(_at(doc, p[:-1]), dict)],
+        "retype": paths,
+        "point": [p for p in paths if p[:2] == ("group", "generators")
+                  and isinstance(_at(doc, p), str)],
+        "undefined": [p for p in paths if isinstance(_at(doc, p), str)
+                      and _at(doc, p) in names and p[0] != "backend"],
+    }
+
+
+@st.composite
+def fuzz_cases(draw):
+    name = draw(st.sampled_from(sorted(FUZZ_FILES)))
+    doc = copy.deepcopy(FUZZ_FILES[name])
+    sites = _fuzz_sites(doc)
+    kind = draw(st.sampled_from([k for k in sorted(sites) if sites[k]]))
+    where = draw(st.sampled_from(sites[kind]))
+    parent, key = _at(doc, where[:-1]), where[-1]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = copy.deepcopy(draw(st.sampled_from(FUZZ_POOL)))
+    elif kind == "point":
+        points = [int(x) for x in re.findall(r"\d+", parent[key])]
+        parent[key] = f"({points[0]} {doc['space']['cycle'] + 1})"
+    else:
+        parent[key] = "undefined_name"
+    return name, kind, where, doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fuzz_cases())
+def test_single_mutations_never_escape_the_cli_contract(case):
+    # whatever one mutation does to a corpus file, the CLI answers with an
+    # exit code of its contract and at most a one-line error, no traceback
+    name, kind, where, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, name)
+        with open(target, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", target])
+    assert code in (0, 1, 2), (kind, where)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (kind, where)

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import (cocycle_everywhere, equation_zoo, gauged_equation,
-                      mult_table, pointwise_completion, pointwise_validate,
+                      kmatrix_bits, kron, mult_table, pointwise_completion,
+                      pointwise_construction, pointwise_det,
+                      pointwise_validate,
                       random_involution, random_kmatrix, rank2_equation,
-                      scalar_bits, seeded_rng, sign_equation)
+                      scalar_bits, seeded_rng, sign_equation, stack)
 from gdiff import equations, equivalence
 from gdiff.equations import (Equation, KMatrix, act, complete_connection,
                              direct_sum, dual, hom, sym2, tensor,
                              trivial_equation, wedge2, wedge_top)
 from gdiff.errors import InconsistentConnection, SingularGeneratorMatrix
-from gdiff.scalars import Fn
+from gdiff.scalars import Backend, Fn
 from gdiff.space import stabilizer, transversal
 
 
@@ -71,7 +73,7 @@ def test_corrupting_any_element_fails_validate(g4, g6, rational, cplx):
                 for g in range(group.order):
                     conn = list(eq.conn)
                     conn[g] = conn[g].scale(2)
-                    bad = Equation(group, be, eq.rank, tuple(conn))
+                    bad = Equation.from_kmatrices(group, be, eq.rank, tuple(conn))
                     assert not cocycle_everywhere(bad)
                     with pytest.raises(InconsistentConnection):
                         bad.validate()
@@ -106,10 +108,10 @@ def test_batched_product_matches_kmatrix_mul(g4, g6, cplx, rational):
         for be in (cplx, rational):
             eq = gauged_equation(rng, rank2_equation(group, be))
             size = group.space.size
-            conn = equations.stack(eq.conn, 2, 2, size, be)
+            conn = stack(eq.conn, 2, 2, size, be)
             for g in group.generator_ids:
                 ginv_image = list(group.elements[group.inv[g]])
-                old = equations.stack(
+                old = stack(
                     [eq.conn[gp].g_act(group, g).mul(eq.conn[g])
                      for gp in range(group.order)], 2, 2, size, be)
                 new = conn[:, ginv_image] @ conn[g]
@@ -141,7 +143,7 @@ def test_single_entry_corruption_reports_first_pair(g4, g6, rational, cplx,
                 rows[i][j] = rows[i][j] + bump
                 conn = list(eq.conn)
                 conn[g] = KMatrix.from_rows(rows, be)
-                bad = Equation(group, be, eq.rank, tuple(conn))
+                bad = Equation.from_kmatrices(group, be, eq.rank, tuple(conn))
                 expected = pointwise_validate(bad)
                 assert expected is not None
                 assert validate_message(bad) == expected
@@ -179,7 +181,7 @@ def test_dual_and_hom_match_pointwise_inversion(g3, g4, g6, rational, cplx):
                 assert all(d.conn[g].eq(old[g]) for g in range(group.order))
                 for f in zoo.values():
                     h = hom(e, f)
-                    assert all(h.conn[g].eq(f.conn[g].kron(old[g]))
+                    assert all(h.conn[g].eq(kron(f.conn[g], old[g]))
                                for g in range(group.order))
 
 
@@ -217,7 +219,7 @@ def test_wedge_top_is_determinant(g3, rational):
     e = rank2_equation(g3, rational)
     top = wedge_top(e)
     for g in range(g3.order):
-        assert top.conn[g].entries[0][0].eq(e.conn[g].det())
+        assert top.conn[g].entries[0][0].eq(pointwise_det(e.conn[g], g3.space.size))
 
 
 def test_dual_pairing_invariance(g3, rational):
@@ -297,3 +299,42 @@ def test_completion_conflicts_match_the_kmatrix_pass(g3, g4, g6, rational,
                 assert str(got.value) == str(want.value)
                 seen.add(str(want.value))
     assert len(seen) > 2
+
+
+UNARY = {"dual": dual, "sym2": sym2, "wedge2": wedge2, "wedge_top": wedge_top}
+BINARY = {"direct_sum": direct_sum, "tensor": tensor, "hom": hom}
+
+
+def construction_inputs(group, be, rng):
+    """The zoo, gauged equations of rank 2 and 4 (their matrices are no
+    involutions and have non-dyadic entries) and a rank-0 equation."""
+    zoo = equation_zoo(group, be)
+    zoo["gauged"] = gauged_equation(rng, zoo["rank2"])
+    zoo["gauged4"] = gauged_equation(
+        rng, direct_sum(zoo["rank2"], zoo["both"]))
+    zoo["rank0"] = trivial_equation(group, be, 0)
+    return zoo
+
+
+@pytest.mark.parametrize("backend", [Backend.rational(), Backend.complex()],
+                         ids=["rational", "complex"])
+@pytest.mark.parametrize("name", sorted(UNARY) + sorted(BINARY))
+def test_array_construction_matches_pointwise_oracle(g3, g4, g6, name,
+                                                    backend):
+    # every scalar of every construction as the per-element KMatrix formula
+    # gives it: equal Fractions, and the same bits on the complex backend
+    # (numpy's complex product, which may fuse a multiply and an add, fails)
+    rng = seeded_rng(37)
+    for group in (g3, g4, g6):
+        eqs = construction_inputs(group, backend, rng)
+        if name in UNARY:
+            cases = [(e,) for e in eqs.values()]
+        else:
+            some = [eqs[k] for k in ("one", "rank2", "gauged", "gauged4",
+                                     "rank0")]
+            cases = [(e, f) for e in some for f in some]
+        for args in cases:
+            got = (UNARY.get(name) or BINARY[name])(*args)
+            want = pointwise_construction(name, *args)
+            assert got.rank == len(want[0].entries)
+            assert scalar_bits(got) == kmatrix_bits(want)

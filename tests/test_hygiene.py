@@ -4,6 +4,9 @@ Every module of the package (``__init__.py`` aside, whose imports are its
 re-exports) must use each name it imports.  A name counts as used when it
 appears in the code or inside a string annotation such as ``"KMatrix"``.
 
+No module but ``equations.py`` reads the attribute ``conn``: the package
+works on connection arrays, and ``Equation.conn`` is a view for oracles.
+
 Every function and method that the benchmark's traced mode wraps by dotted
 path (``perfbench/layers.py``) must exist in the package, and the benchmark's
 correctness oracle (``perfbench/oracle.py``), which reads groups and
@@ -73,6 +76,28 @@ def test_module_uses_every_import(module):
                     for name, line in imported_names(tree).items()
                     if name not in used)
     assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+def attribute_reads(tree, attr):
+    """Line numbers where the attribute ``attr`` of anything is read."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == attr)
+
+
+def test_attribute_reads_finds_chains():
+    tree = ast.parse("x = eq.conn[0]\ny = f(a.b).conn\nconn = 1\n")
+    assert attribute_reads(tree, "conn") == [1, 2]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "equations.py"])
+def test_only_equations_reads_the_kmatrix_view(module):
+    # Equation.conn is a view built on first use for code that reads scalars
+    # one at a time (the test oracles, the benchmark's oracle); the package
+    # itself reads the connection arrays
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    assert not attribute_reads(tree, "conn"), \
+        f"{module} reads .conn at lines {attribute_reads(tree, 'conn')}"
 
 
 @pytest.mark.parametrize(

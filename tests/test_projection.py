@@ -4,7 +4,7 @@ import pytest
 
 from conftest import equation_zoo, mult_table, sign_equation
 from gdiff import equivalence, solver
-from gdiff.equations import direct_sum, trivial_equation
+from gdiff.equations import Equation, direct_sum, trivial_equation
 from gdiff.errors import CharacterBackendMismatch
 from gdiff.projection import (Character, character, character_of_hmodule,
                               factor_solution, fiber_projection_route,
@@ -111,6 +111,32 @@ def test_factor_solution_dimensions(g3, rational):
     img2, _ = isotypic_image(ss, one)
     assert img2.rank == 0
     assert len(solver.hom_space(ss, one)) == 0
+
+
+@pytest.mark.parametrize("backend", ["rational", "complex"])
+def test_factor_solution_compares_connections(g3, g4, backend, request):
+    # psi may live on an equal-connection copy of the isotypic image; over
+    # the rationals also one written over another denominator
+    be = request.getfixturevalue("rational" if backend == "rational"
+                                 else "cplx")
+    for group in (g3, g4):
+        zoo = equation_zoo(group, be)
+        both, one, sign = zoo["both"], zoo["one"], zoo["sign"]
+        img, _ = isotypic_image(both, one)
+        psi = solver.hom_space(img, one)[0]
+        copies = [Equation(img.group, be, img.rank, img.array.copy(),
+                           img.denom)]
+        if be.exact:
+            copies.append(Equation(img.group, be, img.rank, img.array * 6,
+                                   img.denom * 6))
+        for copy in copies:
+            assert copy == img and hash(copy) == hash(img)
+            factor_solution(both, one, solver.Morphism(copy, one, psi.matrix)
+                            ).validate()
+        # the same rank and group, another connection
+        assert sign != img
+        with pytest.raises(ValueError):
+            factor_solution(both, one, solver.Morphism(sign, one, psi.matrix))
 
 
 def test_factor_solution_identity_case(g3, rational):

@@ -90,6 +90,50 @@ def test_inv_and_det(rational):
     assert linalg.det(singular, rational) == 0
 
 
+def test_batched_det_matches_pointwise(rational, cplx):
+    # sparse integer matrices, so that pivots are often zero and some
+    # matrices singular: Bareiss's batch over ints against the Fraction
+    # elimination of ``det``; complex batches bit for bit against one
+    # ``det`` per matrix
+    rng = seeded_rng(19)
+    for n in range(6):
+        ints = [[[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)]
+                 for _ in range(n)] for _ in range(40)]
+        got = linalg.det_array(np.array(ints, dtype=object).reshape(5, 8, n, n),
+                               rational)
+        assert got.shape == (5, 8)
+        want = [linalg.det([[Fraction(x) for x in row] for row in m], rational)
+                for m in ints]
+        assert [type(x) for x in got.ravel()] == [int] * 40
+        assert list(got.ravel()) == want
+        assert any(w == 0 for w in want) or n < 2
+        mats = [[[complex(rng.randint(-4, 4), rng.randint(-2, 2)) / 3
+                  for _ in range(n)] for _ in range(n)] for _ in range(40)]
+        got = linalg.det_array(np.array(mats, dtype=complex).reshape(5, 8, n, n),
+                               cplx)
+        want = [linalg.det(m, cplx) for m in mats]
+        assert [(z.real.hex(), z.imag.hex()) for z in got.ravel().tolist()] \
+            == [(z.real.hex(), z.imag.hex()) for z in want]
+
+
+def test_reduce_and_to_scalars_invert_integral(rational, cplx):
+    arr = np.array([[Fraction(1, 2), Fraction(-3, 4)], [Fraction(5), Fraction(0)]],
+                   dtype=object)
+    ints, d = rational.integral(arr)
+    assert d == 4 and ints.tolist() == [[2, -3], [20, 0]]
+    # any common multiple of the denominators reduces to the same form
+    again, d6 = rational.reduce(ints * 6, d * 6)
+    assert d6 == 4 and again.tolist() == ints.tolist()
+    assert rational.reduce(np.zeros((2, 0), dtype=object), 7)[1] == 1
+    back = rational.to_scalars(ints, d)
+    assert back == arr.tolist()
+    assert all(type(x) is Fraction for row in back for x in row)
+    z = np.array([[0.5 - 1j, -0.0]], dtype=complex)
+    same, d = cplx.reduce(z)
+    assert same is z and d == 1
+    assert cplx.to_scalars(z) == [[0.5 - 1j, -0.0 + 0j]]
+
+
 def test_solve_consistency(rational):
     a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert linalg.solve(a, [Fraction(1), Fraction(2)], rational) is not None
@@ -198,7 +242,7 @@ def test_connection_perturbation_against_tolerance(g4, cplx):
             rows[0][0] = rows[0][0] + Fn.delta(2, g4.space.size, cplx).scale(shift)
             conn = list(eq.conn)
             conn[g] = KMatrix.from_rows(rows, cplx)
-            moved = Equation(g4, cplx, eq.rank, tuple(conn))
+            moved = Equation.from_kmatrices(g4, cplx, eq.rank, tuple(conn))
             if passes:
                 moved.validate()
                 assert pointwise_validate(moved) is None
