@@ -230,15 +230,6 @@ class Equation:
         object.__setattr__(self, "array", arr)
         object.__setattr__(self, "denom", d)
 
-    @staticmethod
-    def from_kmatrices(group: Group, backend: Backend, rank: int,
-                       mats: Sequence[KMatrix]) -> "Equation":
-        """The equation with E^g = mats[g]."""
-        size = group.space.size
-        arr, d = backend.integral(np.stack(
-            [point_array(m, rank, rank, size) for m in mats]))
-        return Equation(group, backend, rank, arr, d)
-
     @cached_property
     def conn(self) -> Tuple[KMatrix, ...]:
         """The connection as one KMatrix per group element, built on first
@@ -538,7 +529,12 @@ def wedge2(e: Equation) -> Equation:
 
 
 def wedge_top(e: Equation) -> Equation:
-    """Top exterior power: rank 1 with connection det(E^g)."""
-    dets = linalg.det_array(e.array, e.backend)
-    return Equation(e.group, e.backend, 1, dets[..., None, None],
-                    e.denom ** e.rank)
+    """Top exterior power: rank 1 with connection det(E^g), one
+    ``linalg.det`` per point."""
+    be = e.backend
+    planes = e.array.shape[:2]
+    dets = np.empty(planes + (1, 1), dtype=be.dtype)
+    for g, y in np.ndindex(planes):
+        dets[g, y, 0, 0] = linalg.det(e.scalars((g, y)), be)
+    arr, d = be.integral(dets)
+    return Equation(e.group, be, 1, arr, d)

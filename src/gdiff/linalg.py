@@ -9,7 +9,6 @@ Matrices are lists of lists of backend scalars; vectors are lists.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -243,47 +242,6 @@ def det(a: Matrix, backend: Backend):
                 f = m[i][c] / pv
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return d
-
-
-def det_array(mats: np.ndarray, backend: Backend) -> np.ndarray:
-    """The determinant of every matrix of an array of shape (..., n, n),
-    as an array of shape (...), with the value ``det`` gives for each.
-
-    On the complex backend this is numpy's batched ``det``, which computes
-    every matrix as a single call does.  Over the rationals the entries
-    must be Python ints (see ``Backend.integral``): Bareiss's fraction-free
-    elimination, batched, with the first nonzero pivot of each matrix's
-    column, so every division is exact and every entry stays an int.  A
-    matrix without a pivot in some column has determinant 0; its pivot is
-    set to 1 so the batch divides by no zero.
-    """
-    if not backend.exact:
-        return np.linalg.det(mats)
-    n = mats.shape[-1]
-    m = mats.reshape((math.prod(mats.shape[:-2]), n, n)).copy()
-    batch = np.arange(len(m))
-    sign = np.ones(len(m), dtype=object)
-    singular = np.zeros(len(m), dtype=bool)
-    prev = np.ones(len(m), dtype=object)
-    for c in range(n):
-        nonzero = m[:, c:, c] != 0
-        found = nonzero.any(axis=1)
-        singular |= ~found
-        row = c + nonzero.argmax(axis=1)
-        swap = batch[row != c]
-        m[swap, c], m[swap, row[swap]] = m[swap, row[swap]], m[swap, c]
-        sign[swap] = -sign[swap]
-        m[~found, c, c] = 1
-        pivot = m[:, c, c]
-        if c + 1 < n:
-            m[:, c + 1:, c + 1:] = (
-                pivot[:, None, None] * m[:, c + 1:, c + 1:]
-                - m[:, c + 1:, c, None] * m[:, c, None, c + 1:]
-            ) // prev[:, None, None]
-        prev = pivot
-    dets = sign * m[:, n - 1, n - 1] if n else sign
-    dets[singular] = 0
-    return dets.reshape(mats.shape[:-2])
 
 
 def mat_pow(a: Matrix, k: int, backend: Backend) -> Matrix:

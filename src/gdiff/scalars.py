@@ -120,9 +120,7 @@ class Backend:
         a complex array (d = 1)."""
         if not self.exact:
             return arr.tolist()
-        # one Fraction per distinct value: connections repeat a few values
-        memo = {x: Fraction(x, d) for x in set(arr.ravel().tolist())}
-        return np.frompyfunc(memo.__getitem__, 1, 1)(arr).tolist()
+        return np.frompyfunc(lambda x: Fraction(x, d), 1, 1)(arr).tolist()
 
     def eq(self, a, b) -> bool:
         if self.exact:

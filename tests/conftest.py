@@ -14,8 +14,8 @@ import sympy
 
 from gdiff import equivalence, linalg
 from gdiff.equations import (Equation, KMatrix, act, complete_connection,
-                             direct_sum, sym2_basis, trivial_equation,
-                             wedge2_basis)
+                             direct_sum, point_array, sym2_basis,
+                             trivial_equation, wedge2_basis)
 from gdiff.errors import (ElementNotInH, InconsistentConnection,
                           SingularGeneratorMatrix)
 from gdiff.scalars import Backend, Fn
@@ -143,7 +143,7 @@ def pointwise_induce(mod, sigma):
                     f"transversal arithmetic left H at (g={g}, y={y})")
             mats.append(mod.rho[h])
         conn.append(KMatrix.from_point_matrices(mats, mod.backend))
-    return Equation.from_kmatrices(group, mod.backend, mod.dim, tuple(conn))
+    return equation_from_kmatrices(group, mod.backend, mod.dim, tuple(conn))
 
 
 def pointwise_completion(group, backend, generator_matrices):
@@ -171,7 +171,7 @@ def pointwise_completion(group, backend, generator_matrices):
                     raise InconsistentConnection(
                         f"element {target} reached with conflicting matrices")
         frontier = nxt
-    return Equation.from_kmatrices(group, backend, rank, tuple(conn))
+    return equation_from_kmatrices(group, backend, rank, tuple(conn))
 
 
 def scalar_bits(eq):
@@ -195,6 +195,15 @@ def stack(mats, nrows, ncols, size, backend):
     flat = [f.values for m in mats for row in m.entries for f in row]
     arr = np.array(flat, dtype=backend.dtype)
     return arr.reshape(len(mats), nrows, ncols, size).transpose(0, 3, 1, 2)
+
+
+def equation_from_kmatrices(group, backend, rank, mats):
+    """The equation with E^g = mats[g], for oracles that build a connection
+    one KMatrix per group element."""
+    size = group.space.size
+    arr, d = backend.integral(np.stack(
+        [point_array(m, rank, rank, size) for m in mats]))
+    return Equation(group, backend, rank, arr, d)
 
 
 # -- the tensor constructions as they were before they worked on arrays: one
@@ -420,7 +429,7 @@ def gauged_equation(rng, eq):
     tinv = t.inverse()
     conn = tuple(tinv.g_act(eq.group, g).mul(eq.conn[g]).mul(t)
                  for g in range(eq.group.order))
-    return Equation.from_kmatrices(eq.group, eq.backend, eq.rank, conn)
+    return equation_from_kmatrices(eq.group, eq.backend, eq.rank, conn)
 
 
 # -- the operator quotient over every row -------------------------------------

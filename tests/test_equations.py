@@ -3,16 +3,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (cocycle_everywhere, equation_zoo, gauged_equation,
-                      kmatrix_bits, kron, mult_table, pointwise_completion,
-                      pointwise_construction, pointwise_det,
-                      pointwise_validate,
-                      random_involution, random_kmatrix, rank2_equation,
-                      scalar_bits, seeded_rng, sign_equation, stack)
+from conftest import (cocycle_everywhere, equation_from_kmatrices,
+                      equation_zoo, gauged_equation, kmatrix_bits, kron,
+                      mult_table, pointwise_completion, pointwise_construction,
+                      pointwise_det, pointwise_validate, random_involution,
+                      random_kmatrix, rank2_equation, scalar_bits, seeded_rng,
+                      sign_equation, stack)
 from gdiff import equations, equivalence
-from gdiff.equations import (Equation, KMatrix, act, complete_connection,
-                             direct_sum, dual, hom, sym2, tensor,
-                             trivial_equation, wedge2, wedge_top)
+from gdiff.equations import (KMatrix, act, complete_connection, direct_sum,
+                             dual, hom, sym2, tensor, trivial_equation,
+                             wedge2, wedge_top)
 from gdiff.errors import InconsistentConnection, SingularGeneratorMatrix
 from gdiff.scalars import Backend, Fn
 from gdiff.space import stabilizer, transversal
@@ -73,7 +73,7 @@ def test_corrupting_any_element_fails_validate(g4, g6, rational, cplx):
                 for g in range(group.order):
                     conn = list(eq.conn)
                     conn[g] = conn[g].scale(2)
-                    bad = Equation.from_kmatrices(group, be, eq.rank, tuple(conn))
+                    bad = equation_from_kmatrices(group, be, eq.rank, tuple(conn))
                     assert not cocycle_everywhere(bad)
                     with pytest.raises(InconsistentConnection):
                         bad.validate()
@@ -143,7 +143,7 @@ def test_single_entry_corruption_reports_first_pair(g4, g6, rational, cplx,
                 rows[i][j] = rows[i][j] + bump
                 conn = list(eq.conn)
                 conn[g] = KMatrix.from_rows(rows, be)
-                bad = Equation.from_kmatrices(group, be, eq.rank, tuple(conn))
+                bad = equation_from_kmatrices(group, be, eq.rank, tuple(conn))
                 expected = pointwise_validate(bad)
                 assert expected is not None
                 assert validate_message(bad) == expected

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import pointwise_validate, rank2_equation, seeded_rng, sympy_nullity
+from conftest import (equation_from_kmatrices, pointwise_validate, rank2_equation,
+                      seeded_rng, sympy_nullity)
 from gdiff import linalg
-from gdiff.equations import Equation, KMatrix
+from gdiff.equations import KMatrix
 from gdiff.errors import BackendMismatch, InconsistentConnection
 from gdiff.scalars import Backend, Fn
 
@@ -88,32 +89,6 @@ def test_inv_and_det(rational):
     singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert linalg.inv(singular, rational) is None
     assert linalg.det(singular, rational) == 0
-
-
-def test_batched_det_matches_pointwise(rational, cplx):
-    # sparse integer matrices, so that pivots are often zero and some
-    # matrices singular: Bareiss's batch over ints against the Fraction
-    # elimination of ``det``; complex batches bit for bit against one
-    # ``det`` per matrix
-    rng = seeded_rng(19)
-    for n in range(6):
-        ints = [[[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)]
-                 for _ in range(n)] for _ in range(40)]
-        got = linalg.det_array(np.array(ints, dtype=object).reshape(5, 8, n, n),
-                               rational)
-        assert got.shape == (5, 8)
-        want = [linalg.det([[Fraction(x) for x in row] for row in m], rational)
-                for m in ints]
-        assert [type(x) for x in got.ravel()] == [int] * 40
-        assert list(got.ravel()) == want
-        assert any(w == 0 for w in want) or n < 2
-        mats = [[[complex(rng.randint(-4, 4), rng.randint(-2, 2)) / 3
-                  for _ in range(n)] for _ in range(n)] for _ in range(40)]
-        got = linalg.det_array(np.array(mats, dtype=complex).reshape(5, 8, n, n),
-                               cplx)
-        want = [linalg.det(m, cplx) for m in mats]
-        assert [(z.real.hex(), z.imag.hex()) for z in got.ravel().tolist()] \
-            == [(z.real.hex(), z.imag.hex()) for z in want]
 
 
 def test_reduce_and_to_scalars_invert_integral(rational, cplx):
@@ -242,7 +217,7 @@ def test_connection_perturbation_against_tolerance(g4, cplx):
             rows[0][0] = rows[0][0] + Fn.delta(2, g4.space.size, cplx).scale(shift)
             conn = list(eq.conn)
             conn[g] = KMatrix.from_rows(rows, cplx)
-            moved = Equation.from_kmatrices(g4, cplx, eq.rank, tuple(conn))
+            moved = equation_from_kmatrices(g4, cplx, eq.rank, tuple(conn))
             if passes:
                 moved.validate()
                 assert pointwise_validate(moved) is None
