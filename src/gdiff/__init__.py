@@ -22,7 +22,7 @@ from .scalars import Backend, Fn
 from .skewalg import SkewOp, skew_mul
 from .solver import (Morphism, decompose, find_isomorphism, hom_space, image,
                      is_injective, is_isomorphism, is_simple, is_surjective,
-                     kernel, pointwise_map, symmetries)
+                     kernel, symmetries)
 from .space import (FiniteSpace, Group, Subgroup, Transversal,
                     dihedral_on_cycle, enumerate_group, stabilizer,
                     transversal)

@@ -29,7 +29,7 @@ from .equivalence import HModule, induce, trivial_hmodule
 from .errors import GDiffError
 from .scalars import Backend, Fn
 from .skewalg import SkewOp
-from .solver import Morphism, hom_space
+from .solver import Morphism, constant_morphism, hom_space
 from .space import BASE_POINT, Group, stabilizer, transversal
 
 
@@ -272,10 +272,11 @@ def _quotient_module(op: DiffOperator) -> _QuotientData:
         space.add(row)
     units = linalg.identity(w1.ncols, be)
     columns = [c for c in range(w1.ncols) if space.add(units[c])]
-    for c in columns:
-        if space.coords(units[c]) is None:
-            raise GDiffError("operator module vector has no coordinates "
-                             "within the tolerance")
+    # exact arithmetic puts every added e_c in the span; only a tolerance
+    # can leave one without coordinates
+    if not be.exact and any(space.coords(units[c]) is None for c in columns):
+        raise GDiffError("operator module vector has no coordinates "
+                         "within the tolerance")
     mod = trivial_hmodule(stabilizer(group, BASE_POINT), be, len(columns))
     mod.validate()
     eq_delta = induce(mod, transversal(group))
@@ -294,11 +295,10 @@ def solution_morphism(data: _QuotientData, coords: Coords) -> Morphism:
     The class of e_c sends e to its coordinate c; (sigma(y).e_c)(e) evaluated
     at y collapses to that base-point value, so each entry is a constant."""
     be = data.source_module.be
-    size = data.source_module.size
     vec_e = [v for f in coords for v in f.values]
-    entries = tuple((Fn.constant(vec_e[c], size, be),) for c in data.columns)
     triv = trivial_equation(data.source_module.group, be)
-    phi = Morphism(data.equation, triv, KMatrix(entries, be))
+    phi = constant_morphism(data.equation, triv,
+                            [[be.coerce(vec_e[c])] for c in data.columns])
     phi.validate()
     return phi
 
@@ -308,11 +308,8 @@ def embed_solutions(op: DiffOperator) -> Dict[str, object]:
     data = _quotient_module(op)
     sols = classical_solutions(op)
     be = op.source.backend
-    size = op.source.group.space.size
-    flat = []
-    for coords in sols:
-        phi = solution_morphism(data, coords)
-        flat.append([v for row in phi.matrix.entries for f in row for v in f.values])
+    flat = [solution_morphism(data, coords).matrix.transpose(1, 2, 0)
+            .ravel().tolist() for coords in sols]
     injective = (linalg.rank(flat, be) == len(sols)) if sols else True
     triv = trivial_equation(op.source.group, be)
     hom_dim = len(hom_space(data.equation, triv))

@@ -15,9 +15,11 @@ Lambda^2, Lambda^top) is a few batched operations on such arrays, with the
 values of the pointwise matrix formulas, bit for bit: complex products go
 through ``cmul``, which rounds as Python's complex product does.
 ``KMatrix`` is a matrix over k as a tuple of functions, the form of
-morphisms and operator coefficients; ``Equation.conn`` is a read-only view
-of a connection as one KMatrix per element, built on first use, for code
-that reads it one scalar at a time.
+operator coefficients and parsed generator matrices; ``Equation.conn`` is
+a read-only view of a connection as one KMatrix per element, built on
+first use, for code that reads it one scalar at a time.  ``mul`` and
+``matmul`` multiply arrays of backend scalars, such as morphism matrices,
+with the same rounding.
 """
 
 from __future__ import annotations
@@ -65,17 +67,12 @@ class KMatrix:
                              for i in range(n)), backend)
 
     @staticmethod
-    def from_point_matrices(mats: Sequence[linalg.Matrix], backend: Backend) -> "KMatrix":
-        """Build from one scalar matrix per point."""
-        n = len(mats[0])
-        m = len(mats[0][0]) if n else 0
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                row.append(Fn(tuple(backend.coerce(mat[i][j]) for mat in mats), backend))
-            rows.append(tuple(row))
-        return KMatrix(tuple(rows), backend)
+    def from_array(points: np.ndarray, backend: Backend, denom: int = 1) -> "KMatrix":
+        """An (|S|, r, c) array, entry [y] the scalar matrix at y, as a
+        matrix over k: ``points / denom`` by ``Backend.to_scalars``."""
+        rows = backend.to_scalars(points.transpose(1, 2, 0), denom)
+        return KMatrix(tuple(tuple(Fn(tuple(v), backend) for v in row)
+                             for row in rows), backend)
 
     @staticmethod
     def from_scalar_matrix(mat: linalg.Matrix, size: int, backend: Backend) -> "KMatrix":
@@ -130,7 +127,8 @@ class KMatrix:
             if m is None:
                 return None
             mats.append(m)
-        return KMatrix.from_point_matrices(mats, self.backend)
+        return KMatrix.from_array(np.array(mats, dtype=self.backend.dtype),
+                                  self.backend)
 
     def eq(self, other: "KMatrix") -> bool:
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -176,9 +174,9 @@ def cmul(a: np.ndarray, b: np.ndarray,
     return out
 
 
-def _mul(a: np.ndarray, b: np.ndarray, backend: Backend,
-         out: Optional[np.ndarray] = None) -> np.ndarray:
-    """a * b elementwise: on Python ints over the rationals, else ``cmul``."""
+def mul(a: np.ndarray, b: np.ndarray, backend: Backend,
+        out: Optional[np.ndarray] = None) -> np.ndarray:
+    """a * b elementwise: exact over the rationals, else ``cmul``."""
     return np.multiply(a, b, out=out) if backend.exact else cmul(a, b, out)
 
 
@@ -192,6 +190,17 @@ def mul_in_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for t in range(a.shape[-1]):
         out += cmul(a[..., :, t, None], b[..., None, t, :])
     return out
+
+
+def matmul(a: np.ndarray, b: np.ndarray, backend: Backend) -> np.ndarray:
+    """a @ b over the last two axes of arrays of backend scalars, with the
+    values of ``linalg.mat_mul`` at every point: over the rationals exact,
+    on Python ints over the common denominators, as ``Fraction`` objects;
+    on the complex backend by ``mul_in_order``."""
+    if not backend.exact:
+        return mul_in_order(a, b)
+    (ia, da), (ib, db) = backend.integral(a), backend.integral(b)
+    return backend.scalar_array(ia @ ib, da * db)
 
 
 def first_mismatch(lhs: np.ndarray, rhs: np.ndarray,
@@ -242,22 +251,16 @@ class Equation:
         example ``scalars((g, y))`` is the scalar matrix E^g(y)."""
         return self.backend.to_scalars(self.array[index], self.denom)
 
-    def _kmatrix(self, points: np.ndarray) -> KMatrix:
-        """An (|S|, n, n) slice of ``array`` as a matrix over k."""
-        be = self.backend
-        rows = be.to_scalars(points.transpose(1, 2, 0), self.denom)
-        return KMatrix(tuple(tuple(Fn(tuple(v), be) for v in row)
-                             for row in rows), be)
-
     def matrix(self, g: int) -> KMatrix:
         """E^g as a matrix over k."""
-        return self._kmatrix(self.array[g])
+        return KMatrix.from_array(self.array[g], self.backend, self.denom)
 
     def inverse(self, g: int) -> KMatrix:
         """(E^g)^-1 = g(E^{g^-1}): the cocycle law at (g, g^-1), so it holds
         for every equation that validates; no pointwise inversion."""
-        group = self.group
-        return self._kmatrix(self.array[group.inv[g]][group.elements[group.inv[g]]])
+        ginv = self.group.inv[g]
+        return KMatrix.from_array(self.array[ginv][self.group.elements[ginv]],
+                                  self.backend, self.denom)
 
     def __eq__(self, other):
         """Equal groups and connections equal scalar for scalar: over the
@@ -448,7 +451,7 @@ def _kron(a: np.ndarray, b: np.ndarray, backend: Backend) -> np.ndarray:
         for j in range(m):
             for r in range(n2):
                 for u in range(m2):
-                    _mul(a[i, r], b[j, u], backend, out[i * m + j, r * m2 + u])
+                    mul(a[i, r], b[j, u], backend, out[i * m + j, r * m2 + u])
     return out
 
 
@@ -506,9 +509,9 @@ def _pair_power(e: Equation, basis: List[Tuple[int, int]],
     out = np.empty((len(basis), len(basis)) + m.shape[2:], dtype=be.dtype)
     for r, (i, j) in enumerate(basis):
         for c, (k, l) in enumerate(basis):
-            plane = _mul(m[i, k], m[j, l], be, out[r, c])
+            plane = mul(m[i, k], m[j, l], be, out[r, c])
             if k != l:
-                combine(plane, _mul(m[i, l], m[j, k], be), out=plane)
+                combine(plane, mul(m[i, l], m[j, k], be), out=plane)
     return out
 
 

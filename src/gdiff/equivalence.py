@@ -15,7 +15,7 @@ from typing import Dict, List
 import numpy as np
 
 from . import linalg
-from .equations import Equation, KMatrix
+from .equations import Equation
 from .errors import ElementNotInH, NoIsoFound
 from .scalars import Backend
 from .space import BASE_POINT, Subgroup, Transversal, stabilizer
@@ -141,6 +141,22 @@ def fiber(eq: Equation) -> HModule:
     return HModule(sub, eq.backend, eq.rank, dict(zip(sub.members, mats)))
 
 
+def _rho_array(mod: HModule) -> np.ndarray:
+    """The rho matrices, coerced, as one (|H|, dim, dim) array of backend
+    scalars in the order of ``subgroup.members``."""
+    be = mod.backend
+    rho = [[[be.coerce(v) for v in row] for row in mod.rho[h]]
+           for h in mod.subgroup.members]
+    return np.array(rho, dtype=be.dtype).reshape(len(rho), mod.dim, mod.dim)
+
+
+def _slots(sub: Subgroup, ids: np.ndarray) -> np.ndarray:
+    """The position of each element id in ``sub.members``, -1 outside H."""
+    slot = np.full(sub.group.order, -1)
+    slot[list(sub.members)] = np.arange(sub.order)
+    return slot[ids]
+
+
 def induce(mod: HModule, sigma: Transversal) -> Equation:
     """Connection of the induced equation: K^g(y) = rho(sigma(y)^{-1} g sigma(g^{-1}y)).
 
@@ -150,42 +166,32 @@ def induce(mod: HModule, sigma: Transversal) -> Equation:
     common denominator, ``Backend.integral``), by one index into it.
     """
     group = mod.subgroup.group
-    members = np.array(mod.subgroup.members)
     sig = np.array(sigma.sigma)
     inv = np.array(group.inv)
-    cells = group.mul_ids(inv[sig][None, :], np.arange(group.order)[:, None],
-                          sig[group.elements[inv]])
-    slot = np.full(group.order, -1)
-    slot[members] = np.arange(len(members))
-    cells = slot[cells]
+    cells = _slots(mod.subgroup, group.mul_ids(
+        inv[sig][None, :], np.arange(group.order)[:, None],
+        sig[group.elements[inv]]))
     outside = np.flatnonzero(cells < 0)
     if outside.size:
         g, y = divmod(int(outside[0]), group.space.size)
         raise ElementNotInH(f"transversal arithmetic left H at (g={g}, y={y})")
-    be = mod.backend
-    rho = np.array([[[be.coerce(v) for v in row] for row in mod.rho[h]]
-                    for h in mod.subgroup.members], dtype=object)
-    rho, d = be.integral(rho.reshape(len(members), mod.dim, mod.dim)
-                         .astype(be.dtype))
-    return Equation(group, be, mod.dim, rho[cells], d)
+    rho, d = mod.backend.integral(_rho_array(mod))
+    return Equation(group, mod.backend, mod.dim, rho[cells], d)
 
 
 def transversal_independence(mod: HModule, sig1: Transversal, sig2: Transversal):
     """Explicit isomorphism induce(mod, sig1) -> induce(mod, sig2) from the
-    gauge gamma(y) = sig2(y)^{-1} sig1(y) in H."""
+    gauge gamma(y) = sig2(y)^{-1} sig1(y) in H: its matrix at y is
+    rho(gamma(y)), one gather from the rho matrices."""
     from .solver import Morphism
 
     group = mod.subgroup.group
-    size = group.space.size
-    hset = set(mod.subgroup.members)
-    mats = []
-    for y in range(size):
-        gamma = group.mul(group.inv[sig2.sigma[y]], sig1.sigma[y])
-        if gamma not in hset:
-            raise ElementNotInH(f"gauge element not in H at point {y}")
-        mats.append(mod.rho[gamma])
-    phi = Morphism(induce(mod, sig1), induce(mod, sig2),
-                   KMatrix.from_point_matrices(mats, mod.backend))
+    gamma = _slots(mod.subgroup, group.mul_ids(
+        np.array(group.inv)[list(sig2.sigma)], np.array(sig1.sigma)))
+    outside = np.flatnonzero(gamma < 0)
+    if outside.size:
+        raise ElementNotInH(f"gauge element not in H at point {outside[0]}")
+    phi = Morphism(induce(mod, sig1), induce(mod, sig2), _rho_array(mod)[gamma])
     phi.validate()
     return phi
 

@@ -14,14 +14,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from . import linalg
-from .equations import (Coords, Equation, KMatrix, act, dual, sym2,
-                        sym2_basis, trivial_equation, wedge2, wedge2_basis)
+from .equations import (Coords, Equation, act, dual, hom, matmul, mul, sym2,
+                        sym2_basis, tensor, trivial_equation, wedge2,
+                        wedge2_basis, wedge_top)
 from .errors import NotASolution, NotInvariant
-from .scalars import Fn
-from .solver import Morphism, hom_space, is_isomorphism
+from .scalars import Backend, Fn
+from .solver import Morphism, hom_space, is_isomorphism, random_combination
 
 DEFAULT_RETRY_BUDGET = 8
 
@@ -29,8 +33,19 @@ DEFAULT_RETRY_BUDGET = 8
 def invariant_vectors(eq: Equation) -> List[Coords]:
     """F-basis of {alpha : g.alpha = alpha for all g}: the solutions
     Hom_A(1, eq), whose unknowns alpha_i(y) keep the order (i, y)."""
+    return [tuple(Fn(tuple(row), eq.backend) for row in vals.tolist())
+            for vals in _invariant_values(eq)]
+
+
+def _invariant_values(eq: Equation) -> List[np.ndarray]:
+    """``invariant_vectors`` as (n, |S|) arrays of scalars, row i alpha_i."""
     one = trivial_equation(eq.group, eq.backend)
-    return [phi.matrix.entries[0] for phi in hom_space(one, eq)]
+    return [phi.matrix[:, 0, :].T for phi in hom_space(one, eq)]
+
+
+def _values(coords: Coords, be: Backend) -> np.ndarray:
+    """The (n, |S|) array of scalars of coordinates, row i alpha_i."""
+    return np.array([f.values for f in coords], dtype=be.dtype)
 
 
 def is_invariant(eq: Equation, coords: Coords) -> bool:
@@ -61,29 +76,25 @@ def conserved_quantity_check(eq: Equation, alpha: Coords,
     for phi in solutions:
         _check_solution(phi)
     be = eq.backend
-    size = eq.group.space.size
     if power == "sym2":
         host = sym2(eq)
         if not is_invariant(host, alpha):
             raise NotInvariant("alpha is not an invariant of sym2(E)")
         phi = solutions[0]
         psi = solutions[1] if len(solutions) > 1 else solutions[0]
-        t = _form_from_sym2(eq, alpha)
-        value = phi.matrix.transpose().mul(t).mul(psi.matrix).entries[0][0]
+        t = _form_from_sym2(eq, _values(alpha, be))
+        value = matmul(matmul(phi.matrix.transpose(0, 2, 1), t, be),
+                       psi.matrix, be)[:, 0, 0]
+        value = Fn(tuple(value.tolist()), be)
     elif power == "wedge_top":
-        from .equations import wedge_top
         host = wedge_top(eq)
         if not is_invariant(host, alpha):
             raise NotInvariant("alpha is not an invariant of wedge_top(E)")
         if len(solutions) != eq.rank:
             raise NotASolution(f"wedge_top needs {eq.rank} solutions")
-        cols = [[phi.matrix.entries[i][0] for i in range(eq.rank)]
-                for phi in solutions]
-        mats = []
-        for y in range(size):
-            mats.append([[cols[k][i].values[y] for k in range(eq.rank)]
-                         for i in range(eq.rank)])
-        value = alpha[0] * Fn(tuple(linalg.det(m, be) for m in mats), be)
+        # column k at y: the first column of solution k
+        cols = np.stack([phi.matrix[:, :, 0] for phi in solutions], axis=2)
+        value = alpha[0] * Fn(tuple(linalg.det(m, be) for m in cols.tolist()), be)
     else:
         raise ValueError(f"unknown power {power!r}")
     return {
@@ -92,114 +103,99 @@ def conserved_quantity_check(eq: Equation, alpha: Coords,
     }
 
 
-def _form_from_sym2(eq: Equation, alpha: Coords) -> KMatrix:
-    """alpha in sym2(dual E) as a bilinear-form matrix t over k.
+def _form_from_sym2(eq: Equation, alpha: np.ndarray) -> np.ndarray:
+    """alpha in sym2(dual E), an (N, |S|) array of scalars, as the
+    (|S|, n, n) array of a bilinear form t.
 
     sym2 uses monomial coordinates, which sit in the tensor square as
     s_ii = e_i (x) e_i and s_ij = (e_i (x) e_j + e_j (x) e_i) / 2 for i < j;
     so t_ii = alpha_(ii) and t_ij = t_ji = alpha_(ij) / 2.
     """
-    n = eq.rank
-    z = Fn.zero(eq.group.space.size, eq.backend)
-    t = [[z for _ in range(n)] for _ in range(n)]
-    for a, (i, j) in zip(alpha, sym2_basis(n)):
+    be = eq.backend
+    half = np.array(be.coerce(Fraction(1, 2)), dtype=be.dtype)
+    t = _zero_form(eq)
+    for a, (i, j) in zip(alpha, sym2_basis(eq.rank)):
         if i == j:
-            t[i][i] = a
+            t[i, i] = a
         else:
-            t[i][j] = t[j][i] = a.scale(Fraction(1, 2))
-    return KMatrix.from_rows(t, eq.backend)
+            t[i, j] = t[j, i] = mul(half, a, be)
+    return np.moveaxis(t, 2, 0)
 
 
-def _form_from_wedge2(eq: Equation, alpha: Coords) -> KMatrix:
-    n = eq.rank
-    z = Fn.zero(eq.group.space.size, eq.backend)
-    t = [[z for _ in range(n)] for _ in range(n)]
-    for a, (i, j) in zip(alpha, wedge2_basis(n)):
-        t[i][j] = t[i][j] + a
-        t[j][i] = t[j][i] - a
-    return KMatrix.from_rows(t, eq.backend)
+def _form_from_wedge2(eq: Equation, alpha: np.ndarray) -> np.ndarray:
+    """alpha in wedge2(dual E), an (N, |S|) array of scalars, as the
+    (|S|, n, n) array of an antisymmetric form: t_ij = alpha_(ij) = -t_ji
+    for i < j."""
+    t = _zero_form(eq)
+    for a, (i, j) in zip(alpha, wedge2_basis(eq.rank)):
+        t[i, j] = t[i, j] + a
+        t[j, i] = t[j, i] - a
+    return np.moveaxis(t, 2, 0)
+
+
+def _zero_form(eq: Equation) -> np.ndarray:
+    """An (n, n, |S|) array of zeros: a form, entry-major."""
+    be = eq.backend
+    return np.full((eq.rank, eq.rank, eq.group.space.size), be.zero(),
+                   dtype=be.dtype)
 
 
 def self_dual_check(eq: Equation, seed: int = 0,
                     budget: int = DEFAULT_RETRY_BUDGET) -> Optional[Morphism]:
     """Search the invariant symmetric and antisymmetric forms on E for one
-    with everywhere-nonvanishing determinant; return F_alpha : E -> dual(E)."""
+    with everywhere-nonvanishing determinant; return F_alpha : E -> dual(E).
+    The basis forms are tried first, then random combinations within each
+    family (``random_combination``)."""
     be = eq.backend
     dual_eq = dual(eq)
-    candidates: List[Tuple[str, Coords]] = []
-    if eq.rank >= 1:
-        for a in invariant_vectors(sym2(dual_eq)):
-            candidates.append(("sym2", a))
-    if eq.rank >= 2:
-        for a in invariant_vectors(wedge2(dual_eq)):
-            candidates.append(("wedge2", a))
+    families = {_form_from_sym2: _invariant_values(sym2(dual_eq)),
+                _form_from_wedge2: _invariant_values(wedge2(dual_eq))}
 
-    def build(kind: str, alpha: Coords) -> Optional[Morphism]:
-        t = (_form_from_sym2 if kind == "sym2" else _form_from_wedge2)(eq, alpha)
+    def build(form, alpha: np.ndarray) -> Optional[Morphism]:
+        t = form(eq, alpha)
         # nondegeneracy audited at every point, not just the base point
-        for y in range(eq.group.space.size):
-            if be.is_zero(linalg.det(t.at_point(y), be)):
-                return None
+        if any(be.is_zero(linalg.det(m, be)) for m in t.tolist()):
+            return None
         phi = Morphism(eq, dual_eq, t)
         phi.validate()
         return phi if is_isomorphism(phi) else None
 
-    for kind, alpha in candidates:
-        found = build(kind, alpha)
-        if found is not None:
-            return found
-    # random combinations within each family
     rng = random.Random(seed)
-    for _ in range(budget):
-        for kind in ("sym2", "wedge2"):
-            fam = [a for k, a in candidates if k == kind]
-            if not fam:
-                continue
-            mix = fam[0]
-            mix = tuple(f.scale(be.random(rng)) for f in mix)
-            for extra in fam[1:]:
-                c = be.random(rng)
-                mix = tuple(m + f.scale(c) for m, f in zip(mix, extra))
-            found = build(kind, mix)
-            if found is not None:
-                return found
-    return None
-
-
-def _hom_coords(phi: Morphism) -> List[Fn]:
-    """Flatten a morphism into hom(E,F)-coordinates: index (i target, j
-    source) -> i*rank(E) + j."""
-    n = phi.source.rank
-    m = phi.target.rank
-    return [phi.matrix.entries[j][i] for i in range(m) for j in range(n)]
+    tries = chain(((form, alpha) for form, fam in families.items()
+                   for alpha in fam),
+                  ((form, random_combination(fam, rng, be))
+                   for _ in range(budget)
+                   for form, fam in families.items() if fam))
+    return next((phi for phi in (build(*t) for t in tries) if phi is not None),
+                None)
 
 
 def composition_principle(src: Equation, dst: Equation, alpha: Coords,
                           phi: Morphism, psi: Morphism) -> Morphism:
     """Contract two solutions through an invariant of
-    sym2(dual(hom(E,F))) (x) hom(E,F); the result is again a solution."""
-    from .equations import hom, tensor
+    sym2(dual(hom(E,F))) (x) hom(E,F); the result is again a solution.
 
+    A morphism's hom(E,F)-coordinates are its entries phi_ji, index
+    (i target, j source) -> i*rank(E) + j."""
     _check_solution(phi)
     _check_solution(psi)
     be = src.backend
     size = src.group.space.size
+    n, m = src.rank, dst.rank
     h = hom(src, dst)
     host = tensor(sym2(dual(h)), h)
     if not is_invariant(host, alpha):
         raise NotInvariant("alpha is not invariant in the composition host")
-    fa = _hom_coords(phi)
-    fb = _hom_coords(psi)
-    hrank = h.rank
-    sbasis = sym2_basis(hrank)
-    out = [Fn.zero(size, be) for _ in range(hrank)]
-    for s_idx, (a, b) in enumerate(sbasis):
-        pair = fa[a] * fb[a] if a == b else fa[a] * fb[b] + fa[b] * fb[a]
-        for c in range(hrank):
-            out[c] = out[c] + alpha[s_idx * hrank + c] * pair
-    n, m = src.rank, dst.rank
-    rows = [[out[i * n + j] for i in range(m)] for j in range(n)]
-    result = Morphism(src, dst, KMatrix.from_rows(rows, be))
+    fa = phi.matrix.transpose(2, 1, 0).reshape(m * n, size)
+    fb = psi.matrix.transpose(2, 1, 0).reshape(m * n, size)
+    coeffs = _values(alpha, be)
+    out = np.full((h.rank, size), be.zero(), dtype=be.dtype)
+    for s_idx, (a, b) in enumerate(sym2_basis(h.rank)):
+        pair = (mul(fa[a], fb[a], be) if a == b else
+                mul(fa[a], fb[b], be) + mul(fa[b], fb[a], be))
+        for c in range(h.rank):
+            out[c] = out[c] + mul(coeffs[s_idx * h.rank + c], pair, be)
+    result = Morphism(src, dst, out.reshape(m, n, size).transpose(2, 1, 0))
     try:
         result.validate()
     except NotASolution:

@@ -393,16 +393,16 @@ def load_problem(path: str, backend_override: Optional[str] = None,
 
 # -- task execution ----------------------------------------------------------
 
-def _ser_fn(f: Fn, be: Backend):
-    return [be.serialize(v) for v in f.values]
+def _ser(obj, be: Backend):
+    """Nested lists (or tuples) of scalars, each one ``Backend.serialize``d."""
+    if isinstance(obj, (list, tuple)):
+        return [_ser(x, be) for x in obj]
+    return be.serialize(obj)
 
 
-def _ser_kmatrix(m: KMatrix, be: Backend):
-    return [[_ser_fn(f, be) for f in row] for row in m.entries]
-
-
-def _ser_coords(coords, be: Backend):
-    return [_ser_fn(f, be) for f in coords]
+def _ser_morphism(phi: solver.Morphism, be: Backend):
+    """phi's matrix as lists [i][j][y], one function per entry."""
+    return _ser(phi.matrix.transpose(1, 2, 0).tolist(), be)
 
 
 # The references of each task kind: (key, kind of definition it names).
@@ -467,14 +467,11 @@ def run_task(prob: Problem, task: Dict[str, Any], seed: int) -> Dict[str, Any]:
         eq = refs["equation"]
         eq.validate()
         result["rank"] = eq.rank
-    elif kind == "solve":
-        basis = solver.hom_space(refs["source"], refs["target"])
+    elif kind in ("solve", "symmetries"):
+        src = refs.get("source", refs.get("equation"))
+        basis = solver.hom_space(src, refs.get("target", src))
         result["dimension"] = len(basis)
-        result["basis"] = [_ser_kmatrix(b.matrix, be) for b in basis]
-    elif kind == "symmetries":
-        basis = solver.symmetries(refs["equation"])
-        result["dimension"] = len(basis)
-        result["basis"] = [_ser_kmatrix(b.matrix, be) for b in basis]
+        result["basis"] = [_ser_morphism(b, be) for b in basis]
     elif kind == "decompose":
         parts = solver.decompose(refs["equation"], seed=seed)
         result["summand_ranks"] = sorted(p.rank for p, _ in parts)
@@ -483,8 +480,7 @@ def run_task(prob: Problem, task: Dict[str, Any], seed: int) -> Dict[str, Any]:
     elif kind == "fiber":
         mod = equivalence.fiber(refs["equation"])
         result["dim"] = mod.dim
-        result["rho"] = {str(h): [[be.serialize(v) for v in row]
-                                  for row in mod.rho[h]]
+        result["rho"] = {str(h): _ser(mod.rho[h], be)
                          for h in mod.subgroup.members}
     elif kind == "induce":
         eq = equivalence.induce(refs["hmodule"], transversal(prob.group))
@@ -492,21 +488,22 @@ def run_task(prob: Problem, task: Dict[str, Any], seed: int) -> Dict[str, Any]:
         result["rank"] = eq.rank
     elif kind == "roundtrip":
         iso = equivalence.roundtrip_iso(refs["equation"], seed=seed)
-        result["isomorphism"] = _ser_kmatrix(iso.matrix, be)
+        result["isomorphism"] = _ser_morphism(iso, be)
     elif kind == "project":
         chi = projection.character(refs["character_of"])
         pi = projection.frobenius_projection(refs["equation"], chi)
-        result["matrix"] = _ser_kmatrix(pi.matrix, be)
-        result["idempotent"] = pi.matrix.mul(pi.matrix).eq(pi.matrix)
+        result["matrix"] = _ser_morphism(pi, be)
+        result["idempotent"] = bool(be.eq_array(
+            eqmod.matmul(pi.matrix, pi.matrix, be), pi.matrix).all())
     elif kind == "invariants":
         basis = invariants.invariant_vectors(refs["equation"])
         result["dimension"] = len(basis)
-        result["basis"] = [_ser_coords(c, be) for c in basis]
+        result["basis"] = [_ser([f.values for f in c], be) for c in basis]
     elif kind == "selfdual":
         found = invariants.self_dual_check(refs["equation"], seed=seed)
         result["self_dual"] = found is not None
         if found is not None:
-            result["form"] = _ser_kmatrix(found.matrix, be)
+            result["form"] = _ser_morphism(found, be)
     elif kind in ("classical", "equation_of", "embed"):
         if "operator" in refs:
             op = diffops.canonicalize(refs["operator"])
@@ -515,7 +512,7 @@ def run_task(prob: Problem, task: Dict[str, Any], seed: int) -> Dict[str, Any]:
         if kind == "classical":
             sols = diffops.classical_solutions(op)
             result["dimension"] = len(sols)
-            result["basis"] = [_ser_coords(c, be) for c in sols]
+            result["basis"] = [_ser([f.values for f in c], be) for c in sols]
         elif kind == "equation_of":
             result["rank"] = diffops.equation_of(op).rank
         else:

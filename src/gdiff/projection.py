@@ -5,9 +5,9 @@ pointwise at y with sigma the transversal and d' = chi(e):
 
     Pi(y) = (d'/|H|) . sum_{h in H} chi(h^{-1}) . E^{sigma(y) h sigma(y)^{-1}}(y)
 
-which is an A-endomorphism of E.  An equivalent route conjugates the
-base-fiber projection by the transport matrix T(y) = E^{sigma(y)}(y); both
-are implemented so tests can compare them.
+which is an A-endomorphism of E.  (The tests compare it with a second
+route, which conjugates the base-fiber projection by the transport matrix
+T(y) = E^{sigma(y)}(y).)
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from . import linalg
-from .equations import Equation, KMatrix
+import numpy as np
+
+from .equations import Equation, matmul, mul
 from .equivalence import HModule, fiber
 from .errors import CharacterBackendMismatch
 from .scalars import Backend
@@ -73,82 +74,51 @@ def _chi_scalar(value, backend: Backend):
 
 def frobenius_projection(eq: Equation, chi: Character) -> Morphism:
     """The character-weighted average over the conjugated stabilizer at
-    each point, returned as a verified A-endomorphism."""
+    each point, returned as a verified A-endomorphism: one gather of the
+    conjugates' connection matrices at all points, then a sum over h in the
+    order of ``subgroup.members`` (on Python ints over the rationals)."""
     group = eq.group
     be = eq.backend
     sub = chi.subgroup
-    sig = transversal(group)
-    dprime = _chi_scalar(chi.dim, be)
-    coeff = dprime / _chi_scalar(sub.order, be)
-    size = group.space.size
-    mats = []
-    for y in range(size):
-        s = sig.sigma[y]
-        sinv = group.inv[s]
-        acc = linalg.zeros(eq.rank, eq.rank, be)
-        conjugates = eq.scalars(([group.mul(s, h, sinv) for h in sub.members], y))
-        for h, mat in zip(sub.members, conjugates):
-            w = coeff * _chi_scalar(chi.values[sub.inv(h)], be)
-            acc = linalg.mat_add(acc, linalg.mat_scale(w, mat))
-        mats.append(acc)
-    pi = Morphism(eq, eq, KMatrix.from_point_matrices(mats, be))
-    pi.validate()
-    return pi
-
-
-def fiber_projection_route(eq: Equation, chi: Character) -> Morphism:
-    """Independent route: project in the base fiber, conjugate by transport.
-
-    Pi(y) = T(y)^{-1} . P . T(y) with T(y) = E^{sigma(y)}(y) and P the
-    base-fiber isotypic projection.
-    """
-    group = eq.group
-    be = eq.backend
-    sub = chi.subgroup
-    sig = transversal(group)
-    fib = fiber(eq)
+    sigma = np.array(transversal(group).sigma)
     coeff = _chi_scalar(chi.dim, be) / _chi_scalar(sub.order, be)
-    p = linalg.zeros(eq.rank, eq.rank, be)
-    for h in sub.members:
-        w = coeff * _chi_scalar(chi.values[sub.inv(h)], be)
-        p = linalg.mat_add(p, linalg.mat_scale(w, fib.rho[h]))
-    mats = []
-    for y, t in enumerate(eq.scalars((list(sig.sigma),
-                                      list(range(group.space.size))))):
-        tinv = linalg.inv(t, be)
-        mats.append(linalg.mat_mul(tinv, linalg.mat_mul(p, t, be), be))
-    pi = Morphism(eq, eq, KMatrix.from_point_matrices(mats, be))
+    weights = np.array([coeff * _chi_scalar(chi.values[sub.inv(h)], be)
+                        for h in sub.members], dtype=be.dtype)
+    conj = group.mul_ids(sigma[:, None], np.array(sub.members)[None, :],
+                         np.array(group.inv)[sigma][:, None])
+    conjugates = eq.array[conj, np.arange(group.space.size)[:, None]]
+    weights, d = be.integral(weights)
+    acc = np.zeros(conjugates.shape[:1] + conjugates.shape[2:], dtype=be.dtype)
+    for k in range(len(sub.members)):
+        acc = acc + mul(weights[k], conjugates[:, k], be)
+    pi = Morphism(eq, eq, be.scalar_array(acc, d * eq.denom))
     pi.validate()
     return pi
-
-
-def _restriction_is_scalar(emb: Morphism, pi: Morphism, scalar) -> bool:
-    """emb . pi == scalar . emb as matrices over k."""
-    lhs = emb.matrix.mul(pi.matrix)
-    rhs = emb.matrix.scale(scalar)
-    return lhs.eq(rhs)
 
 
 def schur_check(amb: Equation, summands: List[Tuple[Equation, Morphism]]
                 ) -> Dict[str, bool]:
     """Orthogonality relations for the projections of the summand characters
     inside the ambient equation amb = (+) summands."""
-    projections = [frobenius_projection(amb, character(s)) for s, _ in summands]
+    be = amb.backend
+    projections = [frobenius_projection(amb, character(s)).matrix
+                   for s, _ in summands]
     report: Dict[str, bool] = {}
-    ident = identity_morphism(amb).matrix
     for i, pi in enumerate(projections):
-        report[f"idempotent_{i}"] = pi.matrix.mul(pi.matrix).eq(pi.matrix)
+        report[f"idempotent_{i}"] = bool(
+            be.eq_array(matmul(pi, pi, be), pi).all())
         for j, pj in enumerate(projections):
             if i != j:
-                report[f"orthogonal_{i}_{j}"] = pi.matrix.mul(pj.matrix).is_zero()
+                report[f"orthogonal_{i}_{j}"] = bool(
+                    be.is_zero(matmul(pi, pj, be)).all())
+    # emb_j . pi_i == delta_ij emb_j
     for i, pi in enumerate(projections):
         for j, (_, emb) in enumerate(summands):
-            want = amb.backend.one() if i == j else amb.backend.zero()
-            report[f"restriction_{i}_{j}"] = _restriction_is_scalar(emb, pi, want)
-    total = projections[0].matrix
-    for pi in projections[1:]:
-        total = total.add(pi.matrix)
-    report["complete"] = total.eq(ident)
+            want = np.array(be.one() if i == j else be.zero(), dtype=be.dtype)
+            report[f"restriction_{i}_{j}"] = bool(be.eq_array(
+                matmul(emb.matrix, pi, be), mul(want, emb.matrix, be)).all())
+    report["complete"] = bool(be.eq_array(
+        sum(projections[1:], projections[0]), identity_morphism(amb).matrix).all())
     return report
 
 

@@ -43,8 +43,10 @@ class Backend:
     objects: ``integral`` writes an array of ``Fraction`` objects in that
     form, with d least, ``reduce`` brings any (ints, d) pair to the same
     form, so equal arrays of values have equal (ints, d), and ``to_scalars``
-    turns (ints, d) back into ``Fraction`` objects.  A connection is stored
-    in that form (``equations.Equation``).  Complex arrays pass through all
+    turns (ints, d) back into ``Fraction`` objects (``scalar_array`` into
+    an array of them).  A connection is stored in that form
+    (``equations.Equation``); a morphism's matrix holds the scalars
+    themselves (``solver.Morphism``).  Complex arrays pass through all
     three unchanged, with d = 1.
     """
 
@@ -114,13 +116,19 @@ class Backend:
             return arr, d
         return arr // common, d // common
 
+    def scalar_array(self, arr: np.ndarray, d: int = 1) -> np.ndarray:
+        """arr / d as an array of ``dtype`` and arr's shape: ``Fraction``
+        objects for an array of Python ints over the rationals, a complex
+        array (d = 1) as it is."""
+        if not self.exact:
+            return arr
+        return np.frompyfunc(lambda x: Fraction(x, d), 1, 1)(arr)
+
     def to_scalars(self, arr: np.ndarray, d: int = 1) -> list:
         """arr / d as nested lists of scalars: ``Fraction`` objects for an
         array of Python ints over the rationals, Python complex numbers for
         a complex array (d = 1)."""
-        if not self.exact:
-            return arr.tolist()
-        return np.frompyfunc(lambda x: Fraction(x, d), 1, 1)(arr).tolist()
+        return self.scalar_array(arr, d).tolist()
 
     def eq(self, a, b) -> bool:
         if self.exact:
@@ -133,7 +141,9 @@ class Backend:
             return a == b
         return np.abs(a - b) <= self.eps * (1 + np.maximum(np.abs(a), np.abs(b)))
 
-    def is_zero(self, a) -> bool:
+    def is_zero(self, a):
+        """Whether a scalar is zero; elementwise, as a bool array, on an
+        array of ``dtype``."""
         if self.exact:
             return a == 0
         return abs(a) <= self.eps

@@ -15,16 +15,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg
-from .equations import Equation, KMatrix, first_mismatch, point_array
+from .equations import Equation, first_mismatch, matmul, mul
 from .equivalence import HModule, fiber, induce, intertwiner_space
 from .errors import NotASolution, SplittingInconclusive
-from .scalars import Backend, Fn
+from .scalars import Backend
 from .space import BASE_POINT, transversal
 
 SIMPLE = "simple"
@@ -34,11 +34,21 @@ UNDETERMINED = "undetermined"
 DEFAULT_RETRY_BUDGET = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Morphism:
+    """A morphism source -> target.  ``matrix`` is read-only, of shape
+    (|S|, rank(source), rank(target)) and dtype ``Backend.dtype``: entry [y]
+    is the scalar matrix phi(y), ``Fraction`` objects over the rationals,
+    complex128 on the complex backend.  A rank 0 is a zero in the shape."""
+
     source: Equation
     target: Equation
-    matrix: KMatrix  # rank(source) x rank(target)
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        mat = self.matrix.view()
+        mat.flags.writeable = False
+        object.__setattr__(self, "matrix", mat)
 
     def validate(self) -> None:
         """Intertwining on the generators; by induction on word length it
@@ -52,9 +62,8 @@ class Morphism:
         denominator cancels).  A failure names the first generator.
         """
         group, be = self.source.group, self.source.backend
-        n, m, size = self.source.rank, self.target.rank, group.space.size
         gens = list(group.generator_ids)
-        phi, _ = be.integral(point_array(self.matrix, n, m, size))
+        phi, _ = be.integral(self.matrix)
         src, d_src = self.source.array[gens], self.source.denom
         dst, d_dst = self.target.array[gens], self.target.denom
         moved = phi[group.elements[[group.inv[g] for g in gens]]]
@@ -70,43 +79,30 @@ class Morphism:
         return True
 
     def at_point(self, x: int) -> linalg.Matrix:
-        return self.matrix.at_point(x)
+        """The fiber map phi(x) as a scalar matrix."""
+        return self.matrix[x].tolist()
+
+
+def constant_morphism(src: Equation, dst: Equation, mat: linalg.Matrix) -> Morphism:
+    """The map src -> dst with the scalar matrix mat at every point."""
+    arr = np.array(mat, dtype=src.backend.dtype).reshape(src.rank, dst.rank)
+    return Morphism(src, dst, np.broadcast_to(arr, (src.group.space.size,) + arr.shape))
 
 
 def identity_morphism(eq: Equation) -> Morphism:
-    return Morphism(eq, eq, KMatrix.identity(eq.rank, eq.group.space.size, eq.backend))
+    return constant_morphism(eq, eq, linalg.identity(eq.rank, eq.backend))
 
 
 def zero_morphism(src: Equation, dst: Equation) -> Morphism:
-    z = Fn.zero(src.group.space.size, src.backend)
-    mat = KMatrix(tuple(tuple(z for _ in range(dst.rank)) for _ in range(src.rank)),
-                  src.backend)
-    return Morphism(src, dst, mat)
+    return constant_morphism(src, dst, linalg.zeros(src.rank, dst.rank, src.backend))
 
 
 def compose(first: Morphism, second: Morphism) -> Morphism:
     """first: E -> F, second: F -> G; result E -> G (apply first, then second)."""
     if first.target.rank != second.source.rank:
         raise ValueError("composition shape mismatch")
-    return Morphism(first.source, second.target, first.matrix.mul(second.matrix))
-
-
-def pointwise_map(phi: Morphism, x: int) -> linalg.Matrix:
-    """The fiber map F_phi^x of a morphism at the point x, as a scalar matrix."""
-    return phi.at_point(x)
-
-
-def _morphism_from_vector(src: Equation, dst: Equation, vec) -> Morphism:
-    n, m, size = src.rank, dst.rank, src.group.space.size
-    be = src.backend
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            base = (i * m + j) * size
-            row.append(Fn(tuple(vec[base + y] for y in range(size)), be))
-        rows.append(tuple(row))
-    return Morphism(src, dst, KMatrix(tuple(rows), be))
+    return Morphism(first.source, second.target,
+                    matmul(first.matrix, second.matrix, first.source.backend))
 
 
 def hom_space(src: Equation, dst: Equation) -> List[Morphism]:
@@ -118,11 +114,12 @@ def hom_space(src: Equation, dst: Equation) -> List[Morphism]:
     one batched product of three arrays, T_src^-1 of shape (|S|, n, n), the
     intertwiners (k, n, m) and T_dst (|S|, m, m), each A / d (the first and
     the last gathered from the connection arrays, the intertwiners written
-    so by ``Backend.integral``): over the rationals the product runs on Python
-    ints and each entry becomes a ``Fraction`` over d1 d2 d3 afterwards;
-    complex entries are used as the product gives them.  Over the
-    rationals the basis is the one elimination of the intertwining system
-    gives for the unknowns phi_ij(y) in the order (i, j, y).
+    so by ``Backend.integral``), giving the (k, |S|, n, m) matrices of the
+    basis.  Complex entries are used as the product gives them.  Over the
+    rationals the product runs on Python ints, and the basis is the one
+    elimination of the intertwining system gives for the unknowns
+    phi_ij(y) in the order (i, j, y): ``nullspace_form`` of the products,
+    each entry a ``Fraction`` over d1 d2 d3.
     """
     src.backend.check_same(dst.backend)
     group = src.group
@@ -134,14 +131,14 @@ def hom_space(src: Equation, dst: Equation) -> List[Morphism]:
     t_src_inv, d1 = src.array[np.array(group.inv)[sigma], BASE_POINT], src.denom
     p, d2 = be.integral(np.array(basis, dtype=be.dtype))
     t_dst, d3 = dst.array[sigma, np.arange(len(sigma))], dst.denom
-    # (k, |S|, n, m) -> one row per intertwiner, unknowns in (i, j, y) order
     moved = t_src_inv @ (p[:, None] @ t_dst)
-    vecs = moved.transpose(0, 2, 3, 1).reshape(len(basis), -1).tolist()
     if be.exact:
-        denom = d1 * d2 * d3
-        vecs = linalg.nullspace_form([[Fraction(x, denom) for x in vec]
-                                      for vec in vecs])
-    return [_morphism_from_vector(src, dst, vec) for vec in vecs]
+        k, size, n, m = moved.shape
+        vecs = be.scalar_array(moved.transpose(0, 2, 3, 1), d1 * d2 * d3)
+        vecs = linalg.nullspace_form(vecs.reshape(k, -1).tolist())
+        moved = np.array(vecs, dtype=object).reshape(k, n, m, size)
+        moved = moved.transpose(0, 3, 1, 2)
+    return [Morphism(src, dst, mat) for mat in moved]
 
 
 def symmetries(eq: Equation) -> List[Morphism]:
@@ -188,36 +185,29 @@ def sub_equation(eq: Equation, basis_rows: Sequence[linalg.Vector]) -> Tuple[Equ
     """
     group = eq.group
     be = eq.backend
-    fib = fiber(eq)
-    sub = _subfiber_module(fib, basis_rows)
+    sub = _subfiber_module(fiber(eq), basis_rows)
     sig = transversal(group)
     sub_eq = induce(sub, sig)
-    mats = []
-    transport = eq.scalars((list(sig.sigma), np.arange(group.space.size)))
-    for t in transport:
-        mats.append(linalg.mat_mul([list(r) for r in basis_rows], t, be)
-                    if basis_rows else [])
-    emb = Morphism(sub_eq, eq, KMatrix.from_point_matrices(mats, be)
-                   if basis_rows else KMatrix((), be))
+    rows = np.array(basis_rows, dtype=be.dtype).reshape(sub.dim, eq.rank)
+    transport = be.scalar_array(
+        eq.array[list(sig.sigma), np.arange(group.space.size)], eq.denom)
+    emb = Morphism(sub_eq, eq, matmul(rows[None], transport, be))
     emb.validate()
     return sub_eq, emb
 
 
 def kernel(phi: Morphism) -> Tuple[Equation, Morphism]:
     """The subobject {v : phi(v) = 0} of the source, with its embedding."""
-    p = phi.at_point(BASE_POINT)
-    be = phi.source.backend
-    # left nullspace: rows v with v . p = 0
-    basis = linalg.nullspace(linalg.transpose(p) if p else [],
-                             phi.source.rank, be)
+    # left nullspace: rows v with v . phi(base) = 0
+    basis = linalg.nullspace(phi.matrix[BASE_POINT].T.tolist(),
+                             phi.source.rank, phi.source.backend)
     return sub_equation(phi.source, basis)
 
 
 def image(phi: Morphism) -> Tuple[Equation, Morphism]:
     """The image subobject of the target, with its embedding."""
-    p = phi.at_point(BASE_POINT)
-    be = phi.source.backend
-    basis = linalg.row_space_basis(p, phi.target.rank, be)
+    basis = linalg.row_space_basis(phi.at_point(BASE_POINT), phi.target.rank,
+                                   phi.source.backend)
     return sub_equation(phi.target, basis)
 
 
@@ -225,52 +215,49 @@ def factor_through_image(phi: Morphism, img_eq: Equation, emb: Morphism) -> Morp
     """The corestriction pi with phi = pi . emb, solved pointwise."""
     be = phi.source.backend
     size = phi.source.group.space.size
-    d = img_eq.rank
-    mats = []
+    rows = []
     for y in range(size):
-        psi_t = linalg.transpose(emb.at_point(y)) if d else []
-        target = phi.at_point(y)
-        rows = []
-        for i in range(phi.source.rank):
-            x = linalg.solve(psi_t, list(target[i]), be) if d else []
+        psi_t = emb.matrix[y].T.tolist()
+        for target in phi.at_point(y):
+            x = linalg.solve(psi_t, target, be)
             if x is None:
                 raise NotASolution("morphism does not factor through the image")
             rows.append(x)
-        mats.append(rows)
-    pi = Morphism(phi.source, img_eq, KMatrix.from_point_matrices(mats, be)
-                  if phi.source.rank else KMatrix((), be))
+    pi = Morphism(phi.source, img_eq, np.array(rows, dtype=be.dtype)
+                  .reshape(size, phi.source.rank, img_eq.rank))
     pi.validate()
     return pi
 
 
+def random_combination(arrays: Sequence[np.ndarray], rng: random.Random,
+                       be: Backend) -> np.ndarray:
+    """sum_k c_k arrays[k], the c_k drawn by ``be.random`` in order and the
+    terms summed left to right, each product rounded as the product of two
+    scalars."""
+    out = None
+    for arr in arrays:
+        term = mul(np.array(be.random(rng), dtype=be.dtype), arr, be)
+        out = term if out is None else out + term
+    return out
+
+
 def find_isomorphism(src: Equation, dst: Equation, seed: int = 0,
                      budget: int = DEFAULT_RETRY_BUDGET) -> Optional[Morphism]:
-    """An explicit isomorphism src -> dst found inside hom_space, or None."""
+    """An explicit isomorphism src -> dst found inside hom_space, or None.
+    Between rank-0 equations that is the empty map, the basis being empty."""
     if src.rank != dst.rank:
         return None
+    if not src.rank:
+        return zero_morphism(src, dst)
     basis = hom_space(src, dst)
     if not basis:
-        return None if src.rank else identity_and_check(src, dst)
-    for phi in basis:
-        if is_isomorphism(phi):
-            return phi
+        return None
     rng = random.Random(seed)
-    be = src.backend
-    for _ in range(budget):
-        mat = basis[0].matrix.scale(be.random(rng))
-        for phi in basis[1:]:
-            mat = mat.add(phi.matrix.scale(be.random(rng)))
-        cand = Morphism(src, dst, mat)
-        if is_isomorphism(cand):
-            return cand
-    return None
-
-
-def identity_and_check(src: Equation, dst: Equation) -> Optional[Morphism]:
-    """Rank-0 corner: the empty morphism is the unique isomorphism."""
-    if src.rank == 0 and dst.rank == 0:
-        return Morphism(src, dst, KMatrix((), src.backend))
-    return None
+    mixed = (Morphism(src, dst, random_combination(
+        [phi.matrix for phi in basis], rng, src.backend))
+        for _ in range(budget))
+    return next((phi for phi in chain(basis, mixed) if is_isomorphism(phi)),
+                None)
 
 
 def _is_scalar_matrix(m: linalg.Matrix, be: Backend) -> bool:

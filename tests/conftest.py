@@ -1,8 +1,8 @@
 """Shared fixtures: small dihedral groups, the standard equation zoo,
 independent sympy-based oracles for dimensions computed by the package,
-full-group checks (the package itself checks generators only), and the
-multiplication table and per-cell constructions that the package's array
-code must reproduce exactly."""
+full-group checks (the package itself checks generators only), second
+routes to the package's results, and the multiplication table and per-cell
+constructions that the package's array code must reproduce exactly."""
 
 import os
 import random
@@ -18,7 +18,9 @@ from gdiff.equations import (Equation, KMatrix, act, complete_connection,
                              trivial_equation, wedge2_basis)
 from gdiff.errors import (ElementNotInH, InconsistentConnection,
                           SingularGeneratorMatrix)
+from gdiff.projection import _chi_scalar
 from gdiff.scalars import Backend, Fn
+from gdiff.solver import Morphism
 from gdiff.space import (BASE_POINT, dihedral_on_cycle, stabilizer,
                          transversal)
 
@@ -128,8 +130,8 @@ def mult_table(group):
 
 def pointwise_induce(mod, sigma):
     """induce as a loop over the cells (g, y), each stabilizer element read
-    from the table and each rho matrix put in by ``from_point_matrices``."""
-    group = mod.subgroup.group
+    from the table and each rho matrix put in point by point."""
+    group, be = mod.subgroup.group, mod.backend
     mult = mult_table(group)
     hset = set(mod.subgroup.members)
     conn = []
@@ -142,7 +144,9 @@ def pointwise_induce(mod, sigma):
                 raise ElementNotInH(
                     f"transversal arithmetic left H at (g={g}, y={y})")
             mats.append(mod.rho[h])
-        conn.append(KMatrix.from_point_matrices(mats, mod.backend))
+        conn.append(KMatrix(tuple(
+            tuple(Fn(tuple(be.coerce(mat[i][j]) for mat in mats), be)
+                  for j in range(mod.dim)) for i in range(mod.dim)), be))
     return equation_from_kmatrices(group, mod.backend, mod.dim, tuple(conn))
 
 
@@ -204,6 +208,21 @@ def equation_from_kmatrices(group, backend, rank, mats):
     arr, d = backend.integral(np.stack(
         [point_array(m, rank, rank, size) for m in mats]))
     return Equation(group, backend, rank, arr, d)
+
+
+def kmatrix_of(phi):
+    """A morphism's matrix in the pointwise form, one function per entry,
+    for oracles and assertions that read it as a KMatrix."""
+    be = phi.source.backend
+    return KMatrix(tuple(tuple(Fn(tuple(vals), be) for vals in row)
+                         for row in phi.matrix.transpose(1, 2, 0).tolist()),
+                   be)
+
+
+def morphism_from_kmatrix(src, dst, mat):
+    """The morphism src -> dst whose matrix is the KMatrix mat."""
+    return Morphism(src, dst, point_array(mat, src.rank, dst.rank,
+                                          src.group.space.size))
 
 
 # -- the tensor constructions as they were before they worked on arrays: one
@@ -342,8 +361,9 @@ def cocycle_everywhere(eq):
 def intertwines_everywhere(phi):
     """E^g . phi = g(phi) . F^g for every group element."""
     group = phi.source.group
-    return all(phi.source.conn[g].mul(phi.matrix).eq(
-                   phi.matrix.g_act(group, g).mul(phi.target.conn[g]))
+    mat = kmatrix_of(phi)
+    return all(phi.source.conn[g].mul(mat).eq(
+                   mat.g_act(group, g).mul(phi.target.conn[g]))
                for g in range(group.order))
 
 
@@ -370,9 +390,10 @@ def pointwise_intertwines(phi):
     """Morphism.validate as a loop over the generators, the way it ran
     before the batched check.  The message of the first failure, or None."""
     group = phi.source.group
+    mat = kmatrix_of(phi)
     for g in group.generator_ids:
-        lhs = phi.source.conn[g].mul(phi.matrix)
-        rhs = phi.matrix.g_act(group, g).mul(phi.target.conn[g])
+        lhs = phi.source.conn[g].mul(mat)
+        rhs = mat.g_act(group, g).mul(phi.target.conn[g])
         if not lhs.eq(rhs):
             return f"intertwining fails for group element {g}"
     return None
@@ -396,6 +417,32 @@ def pointwise_hom_space(src, dst):
         vecs.append([mats[y][i][j] for i in range(n) for j in range(m)
                      for y in range(size)])
     return linalg.nullspace_form(vecs) if be.exact else vecs
+
+
+def fiber_projection_route(eq, chi):
+    """frobenius_projection by a second route: project in the base fiber,
+    conjugate by transport.
+
+    Pi(y) = T(y)^{-1} . P . T(y) with T(y) = E^{sigma(y)}(y) and P the
+    base-fiber isotypic projection, one scalar matrix product at a time.
+    """
+    group = eq.group
+    be = eq.backend
+    sub = chi.subgroup
+    sig = transversal(group)
+    fib = equivalence.fiber(eq)
+    coeff = _chi_scalar(chi.dim, be) / _chi_scalar(sub.order, be)
+    p = linalg.zeros(eq.rank, eq.rank, be)
+    for h in sub.members:
+        w = coeff * _chi_scalar(chi.values[sub.inv(h)], be)
+        p = linalg.mat_add(p, linalg.mat_scale(w, fib.rho[h]))
+    mats = []
+    for t in eq.scalars((list(sig.sigma), list(range(group.space.size)))):
+        tinv = linalg.inv(t, be)
+        mats.append(linalg.mat_mul(tinv, linalg.mat_mul(p, t, be), be))
+    pi = Morphism(eq, eq, np.array(mats, dtype=be.dtype))
+    pi.validate()
+    return pi
 
 
 def fixed_everywhere(eq, coords):

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import (equation_zoo, mult_table, random_fn, random_involution,
-                      seeded_rng)
+from conftest import (equation_zoo, kmatrix_of, mult_table, random_fn,
+                      random_involution, seeded_rng)
 from gdiff import diffops, equivalence, linalg, projection, solver
 from gdiff.cli import main as cli_main
 from gdiff.equations import (KMatrix, complete_connection, direct_sum, sym2,
@@ -150,12 +150,13 @@ def test_criterion_05_schur_projection_suite(cplx):
         amb = direct_sum(one, sgn)
         p1 = projection.frobenius_projection(amb, projection.character(one))
         p2 = projection.frobenius_projection(amb, projection.character(sgn))
-        assert max_norm(p1.matrix.mul(p1.matrix).sub(p1.matrix)) <= tol
-        assert max_norm(p2.matrix.mul(p2.matrix).sub(p2.matrix)) <= tol
-        assert max_norm(p1.matrix.mul(p2.matrix)) <= tol
-        assert max_norm(p2.matrix.mul(p1.matrix)) <= tol
-        ident = solver.identity_morphism(amb).matrix
-        assert max_norm(p1.matrix.add(p2.matrix).sub(ident)) <= tol
+        p1, p2 = kmatrix_of(p1), kmatrix_of(p2)
+        assert max_norm(p1.mul(p1).sub(p1)) <= tol
+        assert max_norm(p2.mul(p2).sub(p2)) <= tol
+        assert max_norm(p1.mul(p2)) <= tol
+        assert max_norm(p2.mul(p1)) <= tol
+        ident = kmatrix_of(solver.identity_morphism(amb))
+        assert max_norm(p1.add(p2).sub(ident)) <= tol
         # factoring through the isotypic image loses no solutions
         img, _ = projection.isotypic_image(amb, one)
         assert len(solver.hom_space(img, one)) == len(solver.hom_space(amb, one))

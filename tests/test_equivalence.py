@@ -1,7 +1,8 @@
 import pytest
 
-from conftest import (equation_zoo, pointwise_induce, rank2_equation,
-                      scalar_bits, seeded_rng, random_involution)
+from conftest import (equation_zoo, kmatrix_of, pointwise_induce,
+                      rank2_equation, scalar_bits, seeded_rng,
+                      random_involution)
 from gdiff import scalars
 from gdiff import equivalence, solver
 from gdiff.equations import direct_sum, dual, tensor, trivial_equation
@@ -75,8 +76,8 @@ def test_transversal_independence(g3, rational):
     assert solver.is_isomorphism(phi)
     # inverse pairing composes to the identity
     back = transversal_independence(fam["sign"], sig2, sig1)
-    prod = phi.matrix.mul(back.matrix)
-    ident = solver.identity_morphism(induce(fam["sign"], sig1)).matrix
+    prod = kmatrix_of(phi).mul(kmatrix_of(back))
+    ident = kmatrix_of(solver.identity_morphism(induce(fam["sign"], sig1)))
     assert prod.eq(ident)
 
 
@@ -85,8 +86,8 @@ def test_transversal_independence_same_transversal_is_identity(g4, rational):
     sig = transversal(g4)
     mod = builtin_irreducibles(sub, rational)["sign"]
     phi = transversal_independence(mod, sig, sig)
-    ident = solver.identity_morphism(induce(mod, sig)).matrix
-    assert phi.matrix.eq(ident)
+    ident = kmatrix_of(solver.identity_morphism(induce(mod, sig)))
+    assert kmatrix_of(phi).eq(ident)
 
 
 def test_grothendieck_builtins(g3, rational):

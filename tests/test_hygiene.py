@@ -6,6 +6,9 @@ appears in the code or inside a string annotation such as ``"KMatrix"``.
 
 No module but ``equations.py`` reads the attribute ``conn``: the package
 works on connection arrays, and ``Equation.conn`` is a view for oracles.
+Likewise a morphism's matrix is one array: the modules that solve,
+project and induce use no ``KMatrix`` or ``Fn``, and no module builds a
+matrix from one scalar matrix per point.
 
 Every function and method that the benchmark's traced mode wraps by dotted
 path (``perfbench/layers.py``) must exist in the package, and the benchmark's
@@ -25,6 +28,11 @@ PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
                        "src", "gdiff")
 MODULES = sorted(f for f in os.listdir(PACKAGE)
                  if f.endswith(".py") and f != "__init__.py")
+
+
+def parse(module):
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=module)
 
 
 def imported_names(tree):
@@ -69,8 +77,7 @@ def test_used_names_resolve_string_annotations():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
-    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=module)
+    tree = parse(module)
     used = used_names(tree)
     unused = sorted(f"{name} (line {line})"
                     for name, line in imported_names(tree).items()
@@ -94,10 +101,25 @@ def test_only_equations_reads_the_kmatrix_view(module):
     # Equation.conn is a view built on first use for code that reads scalars
     # one at a time (the test oracles, the benchmark's oracle); the package
     # itself reads the connection arrays
-    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=module)
+    tree = parse(module)
     assert not attribute_reads(tree, "conn"), \
         f"{module} reads .conn at lines {attribute_reads(tree, 'conn')}"
+
+
+@pytest.mark.parametrize("module", ["solver.py", "projection.py",
+                                    "equivalence.py"])
+def test_morphism_modules_use_no_pointwise_matrices(module):
+    # a morphism's matrix is one array of scalars: solving, projecting and
+    # inducing build no matrix over k or function on the space
+    tree = parse(module)
+    for name in ("KMatrix", "Fn"):
+        assert name not in imported_names(tree), f"{module} imports {name}"
+        assert not attribute_reads(tree, name), f"{module} reads .{name}"
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_matrix_is_built_point_by_point(module):
+    assert not attribute_reads(parse(module), "from_point_matrices")
 
 
 @pytest.mark.parametrize(

@@ -2,15 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (equation_zoo, fixed_everywhere, intertwines_everywhere,
-                      rank2_equation)
+from conftest import (equation_zoo, fixed_everywhere, gauged_equation,
+                      intertwines_everywhere, kmatrix_of, morphism_from_kmatrix,
+                      rank2_equation, seeded_rng)
 from gdiff import equivalence, solver
 from gdiff.equations import (KMatrix, direct_sum, dual, sym2, trivial_equation,
                              wedge2, wedge_top)
 from gdiff.errors import NotASolution, NotInvariant
 from gdiff.invariants import (composition_principle, conserved_quantity_check,
                               invariant_vectors, is_invariant, self_dual_check,
-                              _form_from_wedge2)
+                              _form_from_wedge2, _values)
 from gdiff.scalars import Fn
 from gdiff.solver import Morphism, compose, hom_space, identity_morphism
 from gdiff.space import stabilizer, transversal
@@ -103,8 +104,8 @@ def test_conserved_quantity_sym2_values_use_monomial_weights(g3, rational):
     assert is_invariant(sym2(eq), alpha)
 
     def solution(a, b):
-        return Morphism(eq, one, KMatrix.from_scalar_matrix([[a], [b]], 3,
-                                                            rational))
+        return morphism_from_kmatrix(eq, one, KMatrix.from_scalar_matrix(
+            [[a], [b]], 3, rational))
     report = conserved_quantity_check(eq, alpha, [solution(1, 2), solution(3, 1)])
     assert report["constant"]
     assert report["values"] == [16, 16, 16]
@@ -127,10 +128,10 @@ def test_conserved_quantity_rejects_junk_solution(g3, rational):
     zoo = equation_zoo(g3, rational)
     both = zoo["both"]
     alpha = invariant_vectors(sym2(both))[0]
-    junk = Morphism(both, trivial_equation(g3, rational),
-                    KMatrix.from_rows(
-                        [[Fn.delta(0, 3, rational)], [Fn.one(3, rational)]],
-                        rational))
+    junk = morphism_from_kmatrix(both, trivial_equation(g3, rational),
+                                 KMatrix.from_rows(
+                                     [[Fn.delta(0, 3, rational)],
+                                      [Fn.one(3, rational)]], rational))
     with pytest.raises(NotASolution):
         conserved_quantity_check(both, alpha, [junk])
 
@@ -166,6 +167,20 @@ def test_self_dual_needs_random_mixing(g3, rational):
         assert linalg.det(phi.at_point(y), rational) != 0
 
 
+def test_self_dual_random_mixing_keeps_invariance(g4, rational, cplx):
+    # a gauged 1 (+) sign, plus sign: the search reaches the random
+    # combinations, and one scalar per candidate keeps a combination
+    # invariant (a scalar per coordinate did not, and the form failed to
+    # intertwine)
+    for be in (rational, cplx):
+        zoo = equation_zoo(g4, be)
+        eq = direct_sum(gauged_equation(seeded_rng(3), zoo["both"]),
+                        zoo["sign"])
+        phi = self_dual_check(eq)
+        assert phi is not None and solver.is_isomorphism(phi)
+        assert intertwines_everywhere(phi)
+
+
 def test_self_dual_rank2_intertwines_on_every_element(g3, g4, g6, rational,
                                                       cplx):
     # rank2 has an invariant form with an off-diagonal sym2 coordinate,
@@ -182,13 +197,14 @@ def test_symplectic_antisymmetric_form(g4, rational):
     host = wedge2(dual(eq))
     basis = invariant_vectors(host)
     assert len(basis) == 1
-    t = _form_from_wedge2(eq, basis[0])
+    phi = Morphism(eq, dual(eq), _form_from_wedge2(eq, _values(basis[0],
+                                                              rational)))
+    t = kmatrix_of(phi)
     # antisymmetric and nondegenerate at every point
     assert t.add(t.transpose()).is_zero()
     from gdiff import linalg
     for y in range(4):
         assert linalg.det(t.at_point(y), rational) != 0
-    phi = Morphism(eq, dual(eq), t)
     phi.validate()
     assert solver.is_isomorphism(phi)
     assert self_dual_check(eq) is not None
@@ -210,12 +226,12 @@ def test_composition_trivial_case_is_pointwise_product(g3, rational):
     alphas = invariant_vectors(host)
     assert len(alphas) == 1
     phi = identity_morphism(one)
-    psi = Morphism(one, one, KMatrix.from_rows(
+    psi = morphism_from_kmatrix(one, one, KMatrix.from_rows(
         [[Fn.from_values([1, 1, 1], rational).scale(3)]], rational))
     out = composition_principle(one, one, alphas[0], phi, psi)
-    want = (alphas[0][0] * phi.matrix.entries[0][0]
-            * psi.matrix.entries[0][0])
-    assert out.matrix.entries[0][0].eq(want)
+    want = (alphas[0][0] * kmatrix_of(phi).entries[0][0]
+            * kmatrix_of(psi).entries[0][0])
+    assert kmatrix_of(out).entries[0][0].eq(want)
 
 
 def test_composition_zero_invariant_gives_zero(g3, rational):
@@ -227,7 +243,7 @@ def test_composition_zero_invariant_gives_zero(g3, rational):
     zero_alpha = tuple(Fn.zero(3, rational) for _ in range(host.rank))
     phi = hom_space(both, one)[0]
     out = composition_principle(both, one, zero_alpha, phi, phi)
-    assert out.matrix.is_zero()
+    assert kmatrix_of(out).is_zero()
 
 
 def test_composition_all_invariants_give_solutions(g3, rational):
@@ -267,7 +283,7 @@ def test_composition_rejects_junk_inputs(g3, rational):
     h = hom(both, one)
     host = tensor(sym2(dual(h)), h)
     alpha = invariant_vectors(host)[0]
-    junk = Morphism(both, one, KMatrix.from_rows(
+    junk = morphism_from_kmatrix(both, one, KMatrix.from_rows(
         [[Fn.delta(1, 3, rational)], [Fn.one(3, rational)]], rational))
     with pytest.raises(NotASolution):
         composition_principle(both, one, alpha, junk, junk)

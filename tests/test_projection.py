@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import equation_zoo, mult_table, sign_equation
+from conftest import (equation_zoo, fiber_projection_route, kmatrix_of,
+                      mult_table, sign_equation)
 from gdiff import equivalence, solver
 from gdiff.equations import Equation, direct_sum, trivial_equation
 from gdiff.errors import CharacterBackendMismatch
 from gdiff.projection import (Character, character, character_of_hmodule,
-                              factor_solution, fiber_projection_route,
-                              frobenius_projection, isotypic_image,
-                              schur_check)
+                              factor_solution, frobenius_projection,
+                              isotypic_image, schur_check)
 from gdiff.space import stabilizer, transversal
 
 
@@ -52,7 +52,7 @@ def test_transport_law(g6, rational):
 def test_projection_on_trivial_is_identity(g3, rational):
     one = trivial_equation(g3, rational)
     pi = frobenius_projection(one, character(one))
-    assert pi.matrix.eq(solver.identity_morphism(one).matrix)
+    assert kmatrix_of(pi).eq(kmatrix_of(solver.identity_morphism(one)))
 
 
 def test_two_routes_agree(g3, g4, rational):
@@ -62,7 +62,7 @@ def test_two_routes_agree(g3, g4, rational):
             chi = character(zoo[target])
             a = frobenius_projection(zoo["both"], chi)
             b = fiber_projection_route(zoo["both"], chi)
-            assert a.matrix.eq(b.matrix)
+            assert kmatrix_of(a).eq(kmatrix_of(b))
 
 
 def test_complementary_idempotents(g3, rational):
@@ -70,11 +70,12 @@ def test_complementary_idempotents(g3, rational):
     both = zoo["both"]
     p1 = frobenius_projection(both, character(zoo["one"]))
     p2 = frobenius_projection(both, character(zoo["sign"]))
-    assert p1.matrix.mul(p1.matrix).eq(p1.matrix)
-    assert p2.matrix.mul(p2.matrix).eq(p2.matrix)
-    assert p1.matrix.mul(p2.matrix).is_zero()
-    total = p1.matrix.add(p2.matrix)
-    assert total.eq(solver.identity_morphism(both).matrix)
+    p1, p2 = kmatrix_of(p1), kmatrix_of(p2)
+    assert p1.mul(p1).eq(p1)
+    assert p2.mul(p2).eq(p2)
+    assert p1.mul(p2).is_zero()
+    total = p1.add(p2)
+    assert total.eq(kmatrix_of(solver.identity_morphism(both)))
 
 
 def test_schur_check_dihedral_family(g3, g4, g6, cplx):

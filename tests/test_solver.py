@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import (equation_zoo, full_hom_system, gauged_equation,
-                      hom_dim_oracle, intertwines_everywhere,
-                      pointwise_hom_space, pointwise_intertwines,
-                      random_kmatrix, seeded_rng, sympy_nullspace)
+                      hom_dim_oracle, intertwines_everywhere, kmatrix_of,
+                      morphism_from_kmatrix, pointwise_hom_space,
+                      pointwise_intertwines, random_kmatrix, seeded_rng,
+                      sympy_nullspace)
 from gdiff import equivalence, solver
 from gdiff.equations import KMatrix, act, direct_sum, trivial_equation
 from gdiff.errors import NotASolution
@@ -13,7 +14,7 @@ from gdiff.scalars import Fn
 from gdiff.solver import (NOT_SIMPLE, SIMPLE, compose, decompose, hom_space,
                           identity_morphism, image, is_injective,
                           is_isomorphism, is_simple, is_surjective, kernel,
-                          pointwise_map, symmetries, zero_morphism)
+                          symmetries, zero_morphism)
 
 
 def test_hom_dims_match_full_system_oracle(g3, rational):
@@ -43,16 +44,16 @@ def test_rational_hom_basis_is_the_full_system_nullspace(g3, g4, rational):
             for b in zoo.values():
                 n, m, size = a.rank, b.rank, group.space.size
                 want = sympy_nullspace(full_hom_system(a, b), n * m * size)
-                got = [[phi.matrix.entries[i][j].values[y]
+                got = [[km.entries[i][j].values[y]
                         for i in range(n) for j in range(m)
                         for y in range(size)]
-                       for phi in hom_space(a, b)]
+                       for km in map(kmatrix_of, hom_space(a, b))]
                 assert got == want
 
 
 def hom_vectors(basis):
     """The hom_space basis as vectors, unknowns in the order (i, j, y)."""
-    return [[f.values[y] for row in phi.matrix.entries for f in row
+    return [[f.values[y] for row in kmatrix_of(phi).entries for f in row
              for y in range(len(f))] for phi in basis]
 
 
@@ -144,7 +145,7 @@ def test_morphism_validate_matches_pointwise_oracle(g3, g4, g6, rational,
                     for phi in hom_space(a, b):
                         assert morphism_message(phi) is None
                         assert pointwise_intertwines(phi) is None
-                    junk = solver.Morphism(a, b, random_kmatrix(
+                    junk = morphism_from_kmatrix(a, b, random_kmatrix(
                         rng, a.rank, b.rank, group.space.size, be))
                     assert morphism_message(junk) == pointwise_intertwines(junk)
                     if a.rank and b.rank:
@@ -173,11 +174,11 @@ def test_corrupted_morphism_with_new_denominator(g4, g6, rational, cplx):
             assert basis
             for phi in basis:
                 assert morphism_message(phi) is None
-                rows = [list(r) for r in phi.matrix.entries]
+                rows = [list(r) for r in kmatrix_of(phi).entries]
                 i, j, y = rng.randrange(2), rng.randrange(2), rng.randrange(size)
                 rows[i][j] = rows[i][j] + Fn.delta(y, size, be).scale(
                     Fraction(1, 11))
-                bad = solver.Morphism(a, b, KMatrix.from_rows(rows, be))
+                bad = morphism_from_kmatrix(a, b, KMatrix.from_rows(rows, be))
                 assert morphism_message(bad) == pointwise_intertwines(bad)
                 assert morphism_message(bad) is not None
 
@@ -194,8 +195,8 @@ def test_pointwise_equivariance(g3, rational):
         ginv = g3.elements[g3.inv[g]]
         for y in range(3):
             lhs = linalg.mat_mul(e.conn[g].at_point(y),
-                                 pointwise_map(phi, y), rational)
-            rhs = linalg.mat_mul(pointwise_map(phi, ginv[y]),
+                                 phi.at_point(y), rational)
+            rhs = linalg.mat_mul(phi.at_point(ginv[y]),
                                  e.conn[g].at_point(y), rational)
             assert linalg.mat_eq(lhs, rhs, rational)
 
