@@ -3,13 +3,17 @@ operators, composition, the equation attached to an operator, and classical
 difference systems.
 
 A raw operator from E1 (rank n) to E2 (rank m) is a coefficient tensor
-theta^g (one n x m matrix of functions per group element); it acts on
-coordinates f by
+theta^g, one n x m matrix of functions per group element, stored as an
+(|S|, n, m) array of backend scalars (the layout of ``Morphism.matrix``);
+it acts on coordinates f, an (n, |S|) array, by
 
     (theta f)_j(y) = sum_{i,k,g} theta^g_{ij}(y) . f_k(g^{-1}y) . E1^g_{ki}(y)
 
 Two raw operators are the same difference operator exactly when their
-assembled F-linear action matrices agree (the quotient by ker mu).
+assembled F-linear action matrices agree (the quotient by ker mu).  Every
+product of matrices over k is one ``equations.matmul`` over the points,
+and g(C), the translate of a coefficient by g, is one gather along the
+point axis.
 
 The equation E_Delta of an operator Delta is fixed by its base fiber, like
 every equation.  That fiber is (F^{n|S|})^* / rowspace(mu(Delta)), of rank
@@ -21,13 +25,15 @@ the |S| x n|S| matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from . import linalg
-from .equations import Coords, Equation, KMatrix, trivial_equation
+from .equations import Equation, matmul, mul, trivial_equation
 from .equivalence import HModule, induce, trivial_hmodule
 from .errors import GDiffError
-from .scalars import Backend, Fn
+from .scalars import Backend
 from .skewalg import SkewOp
 from .solver import Morphism, constant_morphism, hom_space
 from .space import BASE_POINT, Group, stabilizer, transversal
@@ -35,24 +41,36 @@ from .space import BASE_POINT, Group, stabilizer, transversal
 
 @dataclass(frozen=True)
 class RawOperator:
+    """theta^g = terms[g], a read-only (|S|, rank(source), rank(target))
+    array of ``Backend.dtype`` scalars: ``Fraction`` objects over the
+    rationals, complex128 otherwise."""
+
     source: Equation
     target: Equation
-    terms: Dict[int, KMatrix]  # g -> theta^g, rank(source) x rank(target)
+    terms: Dict[int, np.ndarray]
+
+    def __post_init__(self):
+        frozen = {g: mat.view() for g, mat in self.terms.items()}
+        for mat in frozen.values():
+            mat.flags.writeable = False
+        object.__setattr__(self, "terms", frozen)
 
     def add(self, other: "RawOperator") -> "RawOperator":
         out = dict(self.terms)
         for g, mat in other.terms.items():
-            out[g] = out[g].add(mat) if g in out else mat
+            out[g] = out[g] + mat if g in out else mat
         return RawOperator(self.source, self.target, out)
 
-    def scale(self, c) -> "RawOperator":
-        return RawOperator(self.source, self.target,
-                           {g: m.scale(c) for g, m in self.terms.items()})
+
+def _identity(eq: Equation) -> np.ndarray:
+    """The identity matrix over k as an (|S|, n, n) array of scalars."""
+    n, be = eq.rank, eq.backend
+    eye = np.array(linalg.identity(n, be), dtype=be.dtype).reshape(n, n)
+    return np.broadcast_to(eye, (eq.group.space.size, n, n))
 
 
 def identity_raw(eq: Equation) -> RawOperator:
-    ident = KMatrix.identity(eq.rank, eq.group.space.size, eq.backend)
-    return RawOperator(eq, eq, {0: ident})
+    return RawOperator(eq, eq, {0: _identity(eq)})
 
 
 def zero_raw(src: Equation, dst: Equation) -> RawOperator:
@@ -60,42 +78,38 @@ def zero_raw(src: Equation, dst: Equation) -> RawOperator:
 
 
 def delta_op(a: SkewOp, eq: Equation) -> RawOperator:
-    """The operator Delta_a : e -> a.e on eq itself."""
-    size = eq.group.space.size
-    ident = KMatrix.identity(eq.rank, size, eq.backend)
-    return RawOperator(eq, eq, {g: ident.scale_fn(f) for g, f in a.terms})
+    """The operator Delta_a : e -> a.e on eq itself: theta^g = a_g . I."""
+    ident, be = _identity(eq), eq.backend
+    return RawOperator(eq, eq, {
+        g: mul(np.array(f.values, dtype=be.dtype)[:, None, None], ident, be)
+        for g, f in a.terms})
 
 
 def mu(theta: RawOperator) -> linalg.Matrix:
     """Action matrix from source coordinates (n|S| over F, index k|S|+p)
-    to target coordinates (m|S|, index j|S|+y)."""
+    to target coordinates (m|S|, index j|S|+y).
+
+    Term g puts (E^g(y) . theta^g(y))_kj at row (j, y) and column
+    (k, g^-1 y), one ``matmul`` and one scatter; the terms are added in the
+    order of ``theta.terms``, starting from zero."""
     src, dst = theta.source, theta.target
     group, be = src.group, src.backend
     n, m, size = src.rank, dst.rank, group.space.size
-    mat = linalg.zeros(m * size, n * size, be)
+    mat = np.full((m, size, n, size), be.zero(), dtype=be.dtype)
+    points = np.arange(size)
     for g, coef in theta.terms.items():
-        ginv_img = group.image(group.inv[g])
-        e_g = src.scalars(g)
-        for y in range(size):
-            p = ginv_img[y]
-            for j in range(m):
-                for k in range(n):
-                    acc = be.zero()
-                    for i in range(n):
-                        acc = acc + coef.entries[i][j].values[y] * e_g[y][k][i]
-                    mat[j * size + y][k * size + p] = mat[j * size + y][k * size + p] + acc
-    return mat
+        prod = matmul(src.scalars(g), coef, be)
+        ginv_img = group.elements[group.inv[g]]
+        mat[:, points, :, ginv_img] += prod.transpose(0, 2, 1)
+    return mat.reshape(m * size, n * size).tolist()
 
 
-def apply_action(action: linalg.Matrix, coords: Sequence[Fn],
-                 dst: Equation) -> Coords:
+def apply_action(action: linalg.Matrix, coords: np.ndarray,
+                 dst: Equation) -> np.ndarray:
     """Apply a flattened action matrix to module-element coordinates."""
-    be = dst.backend
-    size = dst.group.space.size
-    vec = [v for f in coords for v in f.values]
-    out = linalg.mat_vec(action, vec, be)
-    return tuple(Fn(tuple(out[j * size:(j + 1) * size]), be)
-                 for j in range(dst.rank))
+    be, size = dst.backend, dst.group.space.size
+    out = linalg.mat_vec(action, coords.ravel().tolist(), be)
+    return np.array(out, dtype=be.dtype).reshape(dst.rank, size)
 
 
 @dataclass(frozen=True)
@@ -110,7 +124,7 @@ class DiffOperator:
     def eq(self, other: "DiffOperator") -> bool:
         return linalg.mat_eq(self.action, other.action, self.source.backend)
 
-    def apply(self, coords: Sequence[Fn]) -> Coords:
+    def apply(self, coords: np.ndarray) -> np.ndarray:
         return apply_action(self.action, coords, self.target)
 
 
@@ -125,19 +139,22 @@ def identity_op(eq: Equation) -> DiffOperator:
 def compose_raw(theta2: RawOperator, theta1: RawOperator) -> RawOperator:
     """Representative of theta2 o theta1 (theta1 applied first) by the
     tensor formula: the g'g coefficient gains (E1^g')^{-1}.g'(C_g).E2^g'.D_g'
-    with C from theta1 and D from theta2."""
-    if theta1.target.rank != theta2.source.rank:
-        raise GDiffError("operator composition shape mismatch")
+    with C from theta1 and D from theta2.  theta1 must end at the equation
+    where theta2 starts."""
     e1, e2 = theta1.source, theta1.target
-    group = e1.group
-    out: Dict[int, KMatrix] = {}
+    if e2 is not theta2.source and e2 != theta2.source:
+        raise GDiffError("operator composition: the first operator's target "
+                         "is not the second operator's source")
+    group, be = e1.group, e1.backend
+    out: Dict[int, np.ndarray] = {}
     for gp, d_mat in theta2.terms.items():
         e1_inv = e1.inverse(gp)
-        right = e2.matrix(gp).mul(d_mat)
+        right = matmul(e2.scalars(gp), d_mat, be)
+        moved = group.elements[group.inv[gp]]  # g'(C)(y) = C(g'^-1 y)
         for g, c_mat in theta1.terms.items():
-            mat = e1_inv.mul(c_mat.g_act(group, gp)).mul(right)
+            mat = matmul(matmul(e1_inv, c_mat[moved], be), right, be)
             key = group.mul(gp, g)
-            out[key] = out[key].add(mat) if key in out else mat
+            out[key] = out[key] + mat if key in out else mat
     return RawOperator(e1, theta2.target, out)
 
 
@@ -152,15 +169,18 @@ def compose(second: DiffOperator, first: DiffOperator) -> DiffOperator:
 def skew_action(a: SkewOp, theta: RawOperator) -> RawOperator:
     """The left A-action a.theta (so that mu(a.theta) = mu(Delta_a) mu(theta))."""
     e1, e2 = theta.source, theta.target
-    group = theta.source.group
-    out: Dict[int, KMatrix] = {}
+    group, be = e1.group, e1.backend
+    out: Dict[int, np.ndarray] = {}
     for g, a_g in a.terms:
         e1_inv = e1.inverse(g)
-        e2_g = e2.matrix(g)
+        e2_g = e2.scalars(g)
+        coeff = np.array(a_g.values, dtype=be.dtype)[:, None, None]
+        moved = group.elements[group.inv[g]]  # g(C)(y) = C(g^-1 y)
         for gp, c_mat in theta.terms.items():
-            mat = e1_inv.mul(c_mat.g_act(group, g)).mul(e2_g).scale_fn(a_g)
+            mat = matmul(matmul(e1_inv, c_mat[moved], be), e2_g, be)
+            mat = mul(mat, coeff, be)
             key = group.mul(g, gp)
-            out[key] = out[key].add(mat) if key in out else mat
+            out[key] = out[key] + mat if key in out else mat
     return RawOperator(e1, e2, out)
 
 
@@ -176,7 +196,7 @@ def ker_mu_basis(src: Equation, dst: Equation) -> List[RawOperator]:
     rows = []
     for g in range(group.order):
         ginv_img = group.image(group.inv[g])
-        e_g = src.scalars(g)
+        e_g = src.scalars(g).tolist()
         for y in range(size):
             p = ginv_img[y]
             for j in range(m):
@@ -196,28 +216,23 @@ def ker_mu_basis(src: Equation, dst: Equation) -> List[RawOperator]:
         else:
             acc[key] = row
     system = [acc[k] for k in sorted(acc)]
-    basis = linalg.nullspace(system, nunk, be)
     out = []
-    for vec in basis:
-        terms = {}
-        for g in range(group.order):
-            ent = [[Fn(tuple(vec[uidx(i, j, g, y)] for y in range(size)), be)
-                    for j in range(m)] for i in range(n)]
-            km = KMatrix.from_rows(ent, be)
-            if not km.is_zero():
-                terms[g] = km
+    for vec in linalg.nullspace(system, nunk, be):
+        # unknown (i, j, g, y) -> theta^g_ij(y)
+        coeffs = np.array(vec, dtype=be.dtype).reshape(n, m, group.order, size)
+        terms = {g: mat for g, mat in enumerate(coeffs.transpose(2, 3, 0, 1))
+                 if not be.is_zero(mat).all()}
         out.append(RawOperator(src, dst, terms))
     return out
 
 
-def classical_solutions(op: DiffOperator) -> List[Coords]:
-    """F-basis of C(Delta) = {e : Delta(e) = 0} as coordinate vectors."""
+def classical_solutions(op: DiffOperator) -> List[np.ndarray]:
+    """F-basis of C(Delta) = {e : Delta(e) = 0}, each an (n, |S|) array of
+    coordinates."""
     be = op.source.backend
-    size = op.source.group.space.size
-    n = op.source.rank
-    basis = linalg.nullspace(op.action, n * size, be)
-    return [tuple(Fn(tuple(vec[k * size:(k + 1) * size]), be) for k in range(n))
-            for vec in basis]
+    n, size = op.source.rank, op.source.group.space.size
+    return [np.array(vec, dtype=be.dtype).reshape(n, size)
+            for vec in linalg.nullspace(op.action, n * size, be)]
 
 
 # -- Difn(E, 1) on the base fiber and the equation of an operator ----------
@@ -289,16 +304,15 @@ def equation_of(op: DiffOperator) -> Equation:
     return _quotient_module(op).equation
 
 
-def solution_morphism(data: _QuotientData, coords: Coords) -> Morphism:
-    """phi_e : E_Delta -> 1 attached to a classical solution e.
+def solution_morphism(data: _QuotientData, coords: np.ndarray) -> Morphism:
+    """phi_e : E_Delta -> 1 attached to a classical solution e, given by
+    its (n, |S|) coordinates.
 
     The class of e_c sends e to its coordinate c; (sigma(y).e_c)(e) evaluated
     at y collapses to that base-point value, so each entry is a constant."""
-    be = data.source_module.be
-    vec_e = [v for f in coords for v in f.values]
-    triv = trivial_equation(data.source_module.group, be)
+    triv = trivial_equation(data.source_module.group, data.source_module.be)
     phi = constant_morphism(data.equation, triv,
-                            [[be.coerce(vec_e[c])] for c in data.columns])
+                            coords.ravel()[data.columns, None])
     phi.validate()
     return phi
 
@@ -326,35 +340,29 @@ def embed_solutions(op: DiffOperator) -> Dict[str, object]:
 
 @dataclass(frozen=True)
 class ClassicalSystem:
-    """sum_k (sum_g c^j_{kg} g) f_k = 0 for j = 1..m, over n unknowns."""
+    """sum_k (sum_g c^j_{kg} g) f_k = 0 for j = 1..m, over n unknowns; each
+    coefficient c^j_{kg} is an (|S|,) array of backend scalars."""
 
     group: Group
     backend: Backend
     unknowns: int
-    coeffs: Dict[Tuple[int, int, int], Fn]  # (j, k, g) -> c^j_{kg}
+    coeffs: Dict[Tuple[int, int, int], np.ndarray]  # (j, k, g) -> c^j_{kg}
 
     @property
     def equations(self) -> int:
         return 1 + max((j for (j, _, _) in self.coeffs), default=-1)
 
 
-def ingest_classical(sys: ClassicalSystem, n_equations: Optional[int] = None
-                     ) -> DiffOperator:
+def ingest_classical(sys: ClassicalSystem) -> DiffOperator:
     """Canonical operator for a classical system: trivial connections on
-    both sides, theta^g_{kj} = c^j_{kg}."""
-    be = sys.backend
-    group = sys.group
-    size = group.space.size
-    m = n_equations if n_equations is not None else max(sys.equations, 0)
-    src = trivial_equation(group, be, sys.unknowns)
+    both sides, theta^g_{kj} = c^j_{kg}, the terms in ascending g."""
+    be, group = sys.backend, sys.group
+    n, m = sys.unknowns, sys.equations
+    src = trivial_equation(group, be, n)
     dst = trivial_equation(group, be, m)
-    z = Fn.zero(size, be)
-    terms: Dict[int, KMatrix] = {}
-    gs = sorted({g for (_, _, g) in sys.coeffs})
-    for g in gs:
-        rows = [[z] * m for _ in range(sys.unknowns)]
-        for (j, k, gg), fn in sys.coeffs.items():
-            if gg == g:
-                rows[k][j] = rows[k][j] + fn
-        terms[g] = KMatrix.from_rows(rows, be)
+    shape = (group.space.size, n, m)
+    terms = {g: np.full(shape, be.zero(), dtype=be.dtype)
+             for g in sorted({g for (_, _, g) in sys.coeffs})}
+    for (j, k, g), coeff in sys.coeffs.items():
+        terms[g][:, k, j] += coeff
     return canonicalize(RawOperator(src, dst, terms))

@@ -14,12 +14,17 @@ rationals.  Every construction (direct sum, tensor, dual, Hom, Sym^2,
 Lambda^2, Lambda^top) is a few batched operations on such arrays, with the
 values of the pointwise matrix formulas, bit for bit: complex products go
 through ``cmul``, which rounds as Python's complex product does.
-``KMatrix`` is a matrix over k as a tuple of functions, the form of
-operator coefficients and parsed generator matrices; ``Equation.conn`` is
-a read-only view of a connection as one KMatrix per element, built on
-first use, for code that reads it one scalar at a time.  ``mul`` and
-``matmul`` multiply arrays of backend scalars, such as morphism matrices,
-with the same rounding.
+
+Every other matrix over k is an array of shape (|S|, rows, cols), entry
+[y] its scalar matrix at y, of ``Backend.dtype`` scalars: ``Fraction``
+objects over the rationals, complex128 otherwise.  That holds for
+morphisms, operator coefficients and parsed generator matrices; the
+coordinates of a module element are one (n, |S|) array, row i the
+function f_i.  ``mul`` and ``matmul`` multiply such arrays with the same
+rounding.  ``KMatrix``, a matrix over k as a tuple of functions, is left
+only for ``Equation.conn``, a read-only view of a connection as one
+KMatrix per element, built on first use, for code that reads it one
+scalar at a time.
 """
 
 from __future__ import annotations
@@ -74,12 +79,6 @@ class KMatrix:
         return KMatrix(tuple(tuple(Fn(tuple(v), backend) for v in row)
                              for row in rows), backend)
 
-    @staticmethod
-    def from_scalar_matrix(mat: linalg.Matrix, size: int, backend: Backend) -> "KMatrix":
-        """Constant-in-space matrix."""
-        return KMatrix(tuple(tuple(Fn.constant(v, size, backend) for v in row)
-                             for row in mat), backend)
-
     def at_point(self, y: int) -> linalg.Matrix:
         return [[f.values[y] for f in row] for row in self.entries]
 
@@ -103,9 +102,6 @@ class KMatrix:
     def sub(self, other: "KMatrix") -> "KMatrix":
         return KMatrix(tuple(tuple(a - b for a, b in zip(ra, rb))
                              for ra, rb in zip(self.entries, other.entries)), self.backend)
-
-    def scale_fn(self, f: Fn) -> "KMatrix":
-        return KMatrix(tuple(tuple(f * a for a in row) for row in self.entries), self.backend)
 
     def scale(self, c) -> "KMatrix":
         return KMatrix(tuple(tuple(a.scale(c) for a in row) for row in self.entries),
@@ -140,21 +136,9 @@ class KMatrix:
         return all(f.is_zero() for row in self.entries for f in row)
 
 
-Coords = Tuple[Fn, ...]  # coordinates of a module element (row vector over k)
-
-
 # Scalars compared per batch in Equation.validate: the temporaries of one
 # batch stay at a few hundred KB, whatever |G| is.
 _BATCH_SCALARS = 1 << 12
-
-
-def point_array(mat: KMatrix, nrows: int, ncols: int, size: int) -> np.ndarray:
-    """A matrix over k as an array of shape (size, nrows, ncols) and dtype
-    ``backend.dtype``: entry [y] is its scalar matrix at the point y.  The
-    shape is given, since a matrix without rows has no column count."""
-    flat = [f.values for row in mat.entries for f in row]
-    arr = np.array(flat, dtype=mat.backend.dtype)
-    return arr.reshape(nrows, ncols, size).transpose(2, 0, 1)
 
 
 def cmul(a: np.ndarray, b: np.ndarray,
@@ -244,23 +228,21 @@ class Equation:
         """The connection as one KMatrix per group element, built on first
         use, for code that reads it one scalar at a time; the package works
         on ``array``."""
-        return tuple(self.matrix(g) for g in range(self.group.order))
+        return tuple(KMatrix.from_array(self.array[g], self.backend, self.denom)
+                     for g in range(self.group.order))
 
-    def scalars(self, index) -> list:
-        """``array[index] / denom`` as nested lists of backend scalars: for
-        example ``scalars((g, y))`` is the scalar matrix E^g(y)."""
-        return self.backend.to_scalars(self.array[index], self.denom)
+    def scalars(self, index) -> np.ndarray:
+        """``array[index] / denom`` as an array of backend scalars: for
+        example ``scalars(g)`` is E^g, of shape (|S|, n, n)."""
+        return self.backend.scalar_array(self.array[index], self.denom)
 
-    def matrix(self, g: int) -> KMatrix:
-        """E^g as a matrix over k."""
-        return KMatrix.from_array(self.array[g], self.backend, self.denom)
-
-    def inverse(self, g: int) -> KMatrix:
-        """(E^g)^-1 = g(E^{g^-1}): the cocycle law at (g, g^-1), so it holds
-        for every equation that validates; no pointwise inversion."""
+    def inverse(self, g: int) -> np.ndarray:
+        """(E^g)^-1 = g(E^{g^-1}), an (|S|, n, n) array of scalars: the
+        cocycle law at (g, g^-1), so it holds for every equation that
+        validates; no pointwise inversion, only the gather of
+        ``_dual_entries``."""
         ginv = self.group.inv[g]
-        return KMatrix.from_array(self.array[ginv][self.group.elements[ginv]],
-                                  self.backend, self.denom)
+        return self.scalars((ginv, self.group.elements[ginv]))
 
     def __eq__(self, other):
         """Equal groups and connections equal scalar for scalar: over the
@@ -322,11 +304,13 @@ def trivial_equation(group: Group, backend: Backend, rank: int = 1) -> Equation:
 
 
 def complete_connection(group: Group, backend: Backend,
-                        generator_matrices: Dict[str, KMatrix]) -> Equation:
+                        generator_matrices: Dict[str, np.ndarray]) -> Equation:
     """Extend generator connection data to all of G by the cocycle law.
 
-    Raises InconsistentConnection when an element reached by two words gets
-    conflicting matrices, SingularGeneratorMatrix for non-invertible input.
+    ``generator_matrices`` maps each generator name to E^s, an (|S|, n, n)
+    array of backend scalars.  Raises InconsistentConnection when an
+    element reached by two words gets conflicting matrices,
+    SingularGeneratorMatrix for non-invertible input.
     Breadth first from E^e = I: each level sets E^{s g'} = s(E^{g'}) . E^s
     for every element g' of the level before (in order) and generator s
     (in the order of ``group.generators``).  An element keeps the matrix of
@@ -348,16 +332,14 @@ def complete_connection(group: Group, backend: Backend,
         raise InconsistentConnection(
             f"need one matrix per generator {sorted(group.generators)}")
     size = group.space.size
-    rank = next(iter(generator_matrices.values())).nrows
-    points = {}
+    rank = next(iter(generator_matrices.values())).shape[1]
     for name, mat in generator_matrices.items():
-        if mat.nrows != rank or mat.ncols != rank:
+        if mat.shape != (size, rank, rank):
             raise InconsistentConnection(f"generator {name!r} has wrong shape")
-        points[name] = point_array(mat, rank, rank, size)
-        if linalg.any_singular(points[name], backend):
+        if linalg.any_singular(mat, backend):
             raise SingularGeneratorMatrix(f"generator {name!r} singular at some point")
 
-    mats, d = backend.integral(np.stack([points[name]
+    mats, d = backend.integral(np.stack([generator_matrices[name]
                                          for name in group.generators]))
     gens = np.array(list(group.generators.values()))
     gens_inv_images = group.elements[[group.inv[s] for s in gens]]
@@ -402,20 +384,12 @@ def complete_connection(group: Group, backend: Backend,
     return Equation(group, backend, rank, conn, d ** top)
 
 
-def act(eq: Equation, g: int, coords: Sequence[Fn]) -> Coords:
-    """Coordinates transform as f |-> g(f) . E^g: at every point the row
-    vector of g(f) times E^g, summed in order as ``KMatrix.mul`` sums."""
-    if not eq.rank:
-        return ()
-    be = eq.backend
-    ginv_image = eq.group.elements[eq.group.inv[g]]
-    vals = np.array([f.values for f in coords], dtype=be.dtype)
-    shifted = vals[:, ginv_image].T[:, None, :]
-    if be.exact:
-        out = shifted @ np.array(eq.scalars(g), dtype=object)
-    else:
-        out = mul_in_order(shifted, eq.array[g])
-    return tuple(Fn(tuple(col), be) for col in out[:, 0].T.tolist())
+def act(eq: Equation, g: int, coords: np.ndarray) -> np.ndarray:
+    """Coordinates, an (n, |S|) array, transform as f |-> g(f) . E^g: at
+    every point the row vector of g(f) times E^g, summed in order as
+    ``KMatrix.mul`` sums."""
+    shifted = coords[:, eq.group.elements[eq.group.inv[g]]].T[:, None, :]
+    return matmul(shifted, eq.scalars(g), eq.backend)[:, 0].T
 
 
 def _check_compatible(e: Equation, f: Equation) -> None:
@@ -538,6 +512,6 @@ def wedge_top(e: Equation) -> Equation:
     planes = e.array.shape[:2]
     dets = np.empty(planes + (1, 1), dtype=be.dtype)
     for g, y in np.ndindex(planes):
-        dets[g, y, 0, 0] = linalg.det(e.scalars((g, y)), be)
+        dets[g, y, 0, 0] = linalg.det(e.scalars((g, y)).tolist(), be)
     arr, d = be.integral(dets)
     return Equation(e.group, be, 1, arr, d)

@@ -137,7 +137,7 @@ def intertwiner_dim(u: HModule, v: HModule) -> int:
 def fiber(eq: Equation) -> HModule:
     """Evaluate the connection at the base point over the stabilizer."""
     sub = stabilizer(eq.group, BASE_POINT)
-    mats = eq.scalars((list(sub.members), BASE_POINT))
+    mats = eq.scalars((list(sub.members), BASE_POINT)).tolist()
     return HModule(sub, eq.backend, eq.rank, dict(zip(sub.members, mats)))
 
 

@@ -5,9 +5,11 @@ A vector alpha in an equation is invariant when g.alpha = alpha for every
 group element; symmetric/antisymmetric forms on E live as invariant
 vectors of sym2/wedge2 of the dual equation.
 
-Invariant vectors are the solutions Hom_A(1, E), so they are solved in the
-base fiber like every hom space.  Invariance is checked on the generators
-only: the action is a group action, so that covers the whole group.
+A vector is given by its coordinates, an (n, |S|) array of backend
+scalars, row i the function alpha_i.  Invariant vectors are the solutions
+Hom_A(1, E), so they are solved in the base fiber like every hom space.
+Invariance is checked on the generators only: the action is a group
+action, so that covers the whole group.
 """
 
 from __future__ import annotations
@@ -20,37 +22,27 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .equations import (Coords, Equation, act, dual, hom, matmul, mul, sym2,
+from .equations import (Equation, act, dual, hom, matmul, mul, sym2,
                         sym2_basis, tensor, trivial_equation, wedge2,
                         wedge2_basis, wedge_top)
 from .errors import NotASolution, NotInvariant
-from .scalars import Backend, Fn
-from .solver import Morphism, hom_space, is_isomorphism, random_combination
-
-DEFAULT_RETRY_BUDGET = 8
+from .solver import (DEFAULT_RETRY_BUDGET, Morphism, hom_space,
+                     is_isomorphism, random_combination)
 
 
-def invariant_vectors(eq: Equation) -> List[Coords]:
-    """F-basis of {alpha : g.alpha = alpha for all g}: the solutions
-    Hom_A(1, eq), whose unknowns alpha_i(y) keep the order (i, y)."""
-    return [tuple(Fn(tuple(row), eq.backend) for row in vals.tolist())
-            for vals in _invariant_values(eq)]
-
-
-def _invariant_values(eq: Equation) -> List[np.ndarray]:
-    """``invariant_vectors`` as (n, |S|) arrays of scalars, row i alpha_i."""
+def invariant_vectors(eq: Equation) -> List[np.ndarray]:
+    """F-basis of {alpha : g.alpha = alpha for all g}, each an (n, |S|)
+    array: the solutions Hom_A(1, eq), whose unknowns alpha_i(y) keep the
+    order (i, y)."""
     one = trivial_equation(eq.group, eq.backend)
     return [phi.matrix[:, 0, :].T for phi in hom_space(one, eq)]
 
 
-def _values(coords: Coords, be: Backend) -> np.ndarray:
-    """The (n, |S|) array of scalars of coordinates, row i alpha_i."""
-    return np.array([f.values for f in coords], dtype=be.dtype)
-
-
-def is_invariant(eq: Equation, coords: Coords) -> bool:
-    """g.alpha = alpha on the generators, hence on the whole group."""
-    return all(all(a.eq(b) for a, b in zip(act(eq, g, coords), coords))
+def is_invariant(eq: Equation, alpha: np.ndarray) -> bool:
+    """g.alpha = alpha on the generators, hence on the whole group: one
+    batched comparison per generator."""
+    be = eq.backend
+    return all(be.eq_array(act(eq, g, alpha), alpha).all()
                for g in eq.group.generator_ids)
 
 
@@ -59,7 +51,7 @@ def _check_solution(phi: Morphism) -> None:
         raise NotASolution("the supplied map does not intertwine the connections")
 
 
-def conserved_quantity_check(eq: Equation, alpha: Coords,
+def conserved_quantity_check(eq: Equation, alpha: np.ndarray,
                              solutions: Sequence[Morphism],
                              power: str = "sym2") -> Dict[str, object]:
     """Push an invariant structure forward along solutions of type 1 and
@@ -82,10 +74,9 @@ def conserved_quantity_check(eq: Equation, alpha: Coords,
             raise NotInvariant("alpha is not an invariant of sym2(E)")
         phi = solutions[0]
         psi = solutions[1] if len(solutions) > 1 else solutions[0]
-        t = _form_from_sym2(eq, _values(alpha, be))
+        t = _form_from_sym2(eq, alpha)
         value = matmul(matmul(phi.matrix.transpose(0, 2, 1), t, be),
                        psi.matrix, be)[:, 0, 0]
-        value = Fn(tuple(value.tolist()), be)
     elif power == "wedge_top":
         host = wedge_top(eq)
         if not is_invariant(host, alpha):
@@ -94,12 +85,14 @@ def conserved_quantity_check(eq: Equation, alpha: Coords,
             raise NotASolution(f"wedge_top needs {eq.rank} solutions")
         # column k at y: the first column of solution k
         cols = np.stack([phi.matrix[:, :, 0] for phi in solutions], axis=2)
-        value = alpha[0] * Fn(tuple(linalg.det(m, be) for m in cols.tolist()), be)
+        dets = np.array([linalg.det(m, be) for m in cols.tolist()],
+                        dtype=be.dtype)
+        value = mul(alpha[0], dets, be)
     else:
         raise ValueError(f"unknown power {power!r}")
     return {
-        "constant": value.is_constant(),
-        "values": list(value.values),
+        "constant": bool(be.eq_array(value, value[0]).all()),
+        "values": value.tolist(),
     }
 
 
@@ -140,16 +133,15 @@ def _zero_form(eq: Equation) -> np.ndarray:
                    dtype=be.dtype)
 
 
-def self_dual_check(eq: Equation, seed: int = 0,
-                    budget: int = DEFAULT_RETRY_BUDGET) -> Optional[Morphism]:
+def self_dual_check(eq: Equation, seed: int = 0) -> Optional[Morphism]:
     """Search the invariant symmetric and antisymmetric forms on E for one
     with everywhere-nonvanishing determinant; return F_alpha : E -> dual(E).
     The basis forms are tried first, then random combinations within each
     family (``random_combination``)."""
     be = eq.backend
     dual_eq = dual(eq)
-    families = {_form_from_sym2: _invariant_values(sym2(dual_eq)),
-                _form_from_wedge2: _invariant_values(wedge2(dual_eq))}
+    families = {_form_from_sym2: invariant_vectors(sym2(dual_eq)),
+                _form_from_wedge2: invariant_vectors(wedge2(dual_eq))}
 
     def build(form, alpha: np.ndarray) -> Optional[Morphism]:
         t = form(eq, alpha)
@@ -164,13 +156,13 @@ def self_dual_check(eq: Equation, seed: int = 0,
     tries = chain(((form, alpha) for form, fam in families.items()
                    for alpha in fam),
                   ((form, random_combination(fam, rng, be))
-                   for _ in range(budget)
+                   for _ in range(DEFAULT_RETRY_BUDGET)
                    for form, fam in families.items() if fam))
     return next((phi for phi in (build(*t) for t in tries) if phi is not None),
                 None)
 
 
-def composition_principle(src: Equation, dst: Equation, alpha: Coords,
+def composition_principle(src: Equation, dst: Equation, alpha: np.ndarray,
                           phi: Morphism, psi: Morphism) -> Morphism:
     """Contract two solutions through an invariant of
     sym2(dual(hom(E,F))) (x) hom(E,F); the result is again a solution.
@@ -188,13 +180,12 @@ def composition_principle(src: Equation, dst: Equation, alpha: Coords,
         raise NotInvariant("alpha is not invariant in the composition host")
     fa = phi.matrix.transpose(2, 1, 0).reshape(m * n, size)
     fb = psi.matrix.transpose(2, 1, 0).reshape(m * n, size)
-    coeffs = _values(alpha, be)
     out = np.full((h.rank, size), be.zero(), dtype=be.dtype)
     for s_idx, (a, b) in enumerate(sym2_basis(h.rank)):
         pair = (mul(fa[a], fb[a], be) if a == b else
                 mul(fa[a], fb[b], be) + mul(fa[b], fb[a], be))
         for c in range(h.rank):
-            out[c] = out[c] + mul(coeffs[s_idx * h.rank + c], pair, be)
+            out[c] = out[c] + mul(alpha[s_idx * h.rank + c], pair, be)
     result = Morphism(src, dst, out.reshape(m, n, size).transpose(2, 1, 0))
     try:
         result.validate()

@@ -14,11 +14,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from . import (diffops, equations as eqmod, equivalence, invariants, linalg,
                projection, solver)
-from .equations import Equation, KMatrix, complete_connection, trivial_equation
+from .equations import Equation, complete_connection, trivial_equation
 from .errors import GDiffError, ProblemFileError
-from .scalars import Backend, Fn
+from .scalars import Backend
 from .space import (BASE_POINT, DEFAULT_ENTRY_CAP, FiniteSpace, Group,
                     dihedral_on_cycle, enumerate_group, parse_cycles,
                     stabilizer, transversal)
@@ -108,14 +110,23 @@ def _ref(table: Dict[str, Any], kind: str, obj: Dict[str, Any], key: str,
     return table[name]
 
 
-def _parse_fn(obj: Any, size: int, be: Backend, where: str) -> Fn:
+def _parse_fn(obj: Any, size: int, be: Backend, where: str) -> np.ndarray:
+    """A function on the space, as an (|S|,) array of backend scalars."""
+    out = np.empty(size, dtype=be.dtype)
+    out[:] = _parse_values(obj, size, be, where)
+    return out
+
+
+def _parse_values(obj: Any, size: int, be: Backend, where: str):
+    """The values of a function on the space: one scalar for a constant,
+    else the list of its |S| scalars."""
     if isinstance(obj, dict):
         _check_object(obj, {"values"}, "function entry")
         vals = obj.get("values")
         if not isinstance(vals, list) or len(vals) != size:
             raise ProblemFileError(f"pointwise entry needs {size} values")
-        return Fn(tuple(_scalar(v, be, where) for v in vals), be)
-    return Fn.constant(_scalar(obj, be, where), size, be)
+        return [_scalar(v, be, where) for v in vals]
+    return _scalar(obj, be, where)
 
 
 def _check_matrix(obj: Any) -> None:
@@ -125,10 +136,15 @@ def _check_matrix(obj: Any) -> None:
                                "of equal length")
 
 
-def _parse_kmatrix(obj: Any, size: int, be: Backend, where: str) -> KMatrix:
+def _parse_kmatrix(obj: Any, size: int, be: Backend,
+                   where: str) -> np.ndarray:
+    """A matrix over k, as an (|S|, rows, cols) array of backend scalars."""
     _check_matrix(obj)
-    return KMatrix.from_rows([[_parse_fn(v, size, be, where) for v in row]
-                              for row in obj], be)
+    out = np.empty((size, len(obj), len(obj[0])), dtype=be.dtype)
+    for i, row in enumerate(obj):
+        for j, v in enumerate(row):
+            out[:, i, j] = _parse_values(v, size, be, where)
+    return out
 
 
 def _cycle_size(value: Any, where: str) -> int:
@@ -303,7 +319,7 @@ def _build_system(name: str, obj: Dict[str, Any], prob: Problem
     if not isinstance(obj.get("equations"), list):
         raise ProblemFileError(f"system {name!r} needs a list of 'equations'")
     unknowns = _rank(obj.get("unknowns"), f"system {name!r}", prob)
-    coeffs: Dict[tuple, Fn] = {}
+    coeffs: Dict[tuple, np.ndarray] = {}
     for j, terms in enumerate(obj["equations"]):
         where = f"system {name!r} equation {j}"
         if not isinstance(terms, list):
@@ -328,17 +344,18 @@ def _build_operator(name: str, obj: Dict[str, Any], prob: Problem
     dst = _ref(prob.equations, "equation", obj, "target", f"operator {name!r}")
     if not isinstance(obj.get("terms"), list):
         raise ProblemFileError(f"operator {name!r} needs a list of 'terms'")
-    terms: Dict[int, KMatrix] = {}
+    terms: Dict[int, np.ndarray] = {}
     for item in obj["terms"]:
         where = f"operator {name!r} term"
         _check_object(item, {"word", "matrix"}, where)
         g = _word(prob, item.get("word"), where)
         mat = _parse_kmatrix(item.get("matrix"), prob.space.size, prob.backend,
                              where)
-        if (mat.nrows, mat.ncols) != (src.rank, dst.rank):
-            raise ProblemFileError(f"{where}: matrix is {mat.nrows} x "
-                                   f"{mat.ncols}, not {src.rank} x {dst.rank}")
-        terms[g] = terms[g].add(mat) if g in terms else mat
+        rows, cols = mat.shape[1:]
+        if (rows, cols) != (src.rank, dst.rank):
+            raise ProblemFileError(f"{where}: matrix is {rows} x {cols}, "
+                                   f"not {src.rank} x {dst.rank}")
+        terms[g] = terms[g] + mat if g in terms else mat
     return diffops.RawOperator(src, dst, terms)
 
 
@@ -498,7 +515,7 @@ def run_task(prob: Problem, task: Dict[str, Any], seed: int) -> Dict[str, Any]:
     elif kind == "invariants":
         basis = invariants.invariant_vectors(refs["equation"])
         result["dimension"] = len(basis)
-        result["basis"] = [_ser([f.values for f in c], be) for c in basis]
+        result["basis"] = [_ser(c.tolist(), be) for c in basis]
     elif kind == "selfdual":
         found = invariants.self_dual_check(refs["equation"], seed=seed)
         result["self_dual"] = found is not None
@@ -512,7 +529,7 @@ def run_task(prob: Problem, task: Dict[str, Any], seed: int) -> Dict[str, Any]:
         if kind == "classical":
             sols = diffops.classical_solutions(op)
             result["dimension"] = len(sols)
-            result["basis"] = [_ser([f.values for f in c], be) for c in sols]
+            result["basis"] = [_ser(c.tolist(), be) for c in sols]
         elif kind == "equation_of":
             result["rank"] = diffops.equation_of(op).rank
         else:

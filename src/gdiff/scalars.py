@@ -243,8 +243,3 @@ class Fn:
 
     def eq(self, other: "Fn") -> bool:
         return all(self.backend.eq(a, b) for a, b in zip(self.values, other.values))
-
-    def is_constant(self) -> bool:
-        """Pointwise spread within tolerance of a single value."""
-        first = self.values[0]
-        return all(self.backend.eq(v, first) for v in self.values)

@@ -99,8 +99,9 @@ def zero_morphism(src: Equation, dst: Equation) -> Morphism:
 
 def compose(first: Morphism, second: Morphism) -> Morphism:
     """first: E -> F, second: F -> G; result E -> G (apply first, then second)."""
-    if first.target.rank != second.source.rank:
-        raise ValueError("composition shape mismatch")
+    if first.target is not second.source and first.target != second.source:
+        raise ValueError("composition mismatch: the first morphism's target "
+                         "is not the second morphism's source")
     return Morphism(first.source, second.target,
                     matmul(first.matrix, second.matrix, first.source.backend))
 
@@ -241,8 +242,8 @@ def random_combination(arrays: Sequence[np.ndarray], rng: random.Random,
     return out
 
 
-def find_isomorphism(src: Equation, dst: Equation, seed: int = 0,
-                     budget: int = DEFAULT_RETRY_BUDGET) -> Optional[Morphism]:
+def find_isomorphism(src: Equation, dst: Equation,
+                     seed: int = 0) -> Optional[Morphism]:
     """An explicit isomorphism src -> dst found inside hom_space, or None.
     Between rank-0 equations that is the empty map, the basis being empty."""
     if src.rank != dst.rank:
@@ -255,7 +256,7 @@ def find_isomorphism(src: Equation, dst: Equation, seed: int = 0,
     rng = random.Random(seed)
     mixed = (Morphism(src, dst, random_combination(
         [phi.matrix for phi in basis], rng, src.backend))
-        for _ in range(budget))
+        for _ in range(DEFAULT_RETRY_BUDGET))
     return next((phi for phi in chain(basis, mixed) if is_isomorphism(phi)),
                 None)
 
@@ -333,13 +334,12 @@ def _eigenvalue_split(m: linalg.Matrix, be: Backend) -> Optional[List[List[linal
 
 
 def _find_stable_splitting(fib: HModule, comm: List[linalg.Matrix],
-                           seed: int, budget: int = DEFAULT_RETRY_BUDGET
-                           ) -> Optional[List[List[linalg.Vector]]]:
+                           seed: int) -> Optional[List[List[linalg.Vector]]]:
     """Generalized eigenspaces of a random commutant element, if separating."""
     be = fib.backend
     rng = random.Random(seed)
     candidates = [c for c in comm if not _is_scalar_matrix(c, be)]
-    for _ in range(budget):
+    for _ in range(DEFAULT_RETRY_BUDGET):
         for m in candidates:
             split = _eigenvalue_split(m, be)
             if split is not None:
@@ -351,8 +351,7 @@ def _find_stable_splitting(fib: HModule, comm: List[linalg.Matrix],
     return None
 
 
-def decompose(eq: Equation, seed: int = 0,
-              budget: int = DEFAULT_RETRY_BUDGET) -> List[Tuple[Equation, Morphism]]:
+def decompose(eq: Equation, seed: int = 0) -> List[Tuple[Equation, Morphism]]:
     """Split into indecomposable summands with embeddings, by recursive
     random-endomorphism eigenspace splitting at the fiber level."""
     fib = fiber(eq)
@@ -366,7 +365,7 @@ def decompose(eq: Equation, seed: int = 0,
         if len(comm) <= 1:
             leaves.append(basis_rows)
             return
-        split = _find_stable_splitting(sub, comm, seed + depth, budget)
+        split = _find_stable_splitting(sub, comm, seed + depth)
         if split is None:
             raise SplittingInconclusive(
                 "no separating endomorphism found within the retry budget")

@@ -1,8 +1,9 @@
 """Shared fixtures: small dihedral groups, the standard equation zoo,
 independent sympy-based oracles for dimensions computed by the package,
 full-group checks (the package itself checks generators only), second
-routes to the package's results, and the multiplication table and per-cell
-constructions that the package's array code must reproduce exactly."""
+routes to the package's results, and the multiplication table, per-cell
+constructions and pointwise operator calculus that the package's array code
+must reproduce exactly."""
 
 import os
 import random
@@ -13,8 +14,7 @@ import pytest
 import sympy
 
 from gdiff import equivalence, linalg
-from gdiff.equations import (Equation, KMatrix, act, complete_connection,
-                             direct_sum, point_array, sym2_basis,
+from gdiff.equations import (Equation, KMatrix, act, direct_sum, sym2_basis,
                              trivial_equation, wedge2_basis)
 from gdiff.errors import (ElementNotInH, InconsistentConnection,
                           SingularGeneratorMatrix)
@@ -152,8 +152,12 @@ def pointwise_induce(mod, sigma):
 
 def pointwise_completion(group, backend, generator_matrices):
     """complete_connection as a breadth-first pass over single elements,
-    each product a ``KMatrix.mul`` and each comparison a ``KMatrix.eq``."""
+    each product a ``KMatrix.mul`` and each comparison a ``KMatrix.eq``.
+    The generator matrices are (|S|, n, n) arrays, as the package takes
+    them."""
     mult = mult_table(group)
+    generator_matrices = {name: KMatrix.from_array(mat, backend)
+                          for name, mat in generator_matrices.items()}
     rank = next(iter(generator_matrices.values())).nrows
     for name, mat in generator_matrices.items():
         if mat.inverse() is None:
@@ -178,18 +182,28 @@ def pointwise_completion(group, backend, generator_matrices):
     return equation_from_kmatrices(group, backend, rank, tuple(conn))
 
 
+def bits(v):
+    """A scalar as something that tells apart any two different bit
+    patterns (the sign of a complex zero included), and a ``Fraction``
+    from an int."""
+    return (v.real.hex(), v.imag.hex()) if isinstance(v, complex) else (type(v), v)
+
+
 def scalar_bits(eq):
-    """Every connection scalar as something that tells apart any two
-    different bit patterns (the sign of a complex zero included)."""
+    """``bits`` of every connection scalar."""
     return kmatrix_bits(eq.conn)
 
 
 def kmatrix_bits(mats):
-    """``scalar_bits`` of a sequence of KMatrix."""
-    return [(v.real.hex(), v.imag.hex()) if isinstance(v, complex)
-            else (type(v), v)
-            for m in mats for row in m.entries for f in row
+    """``bits`` of every scalar of a sequence of KMatrix, entry by entry,
+    point after point."""
+    return [bits(v) for m in mats for row in m.entries for f in row
             for v in f.values]
+
+
+def array_bits(arr):
+    """``bits`` of every scalar of an array, in its order."""
+    return [bits(v) for v in np.asarray(arr).ravel().tolist()]
 
 
 def stack(mats, nrows, ncols, size, backend):
@@ -204,9 +218,8 @@ def stack(mats, nrows, ncols, size, backend):
 def equation_from_kmatrices(group, backend, rank, mats):
     """The equation with E^g = mats[g], for oracles that build a connection
     one KMatrix per group element."""
-    size = group.space.size
-    arr, d = backend.integral(np.stack(
-        [point_array(m, rank, rank, size) for m in mats]))
+    arr, d = backend.integral(stack(mats, rank, rank, group.space.size,
+                                    backend))
     return Equation(group, backend, rank, arr, d)
 
 
@@ -221,8 +234,8 @@ def kmatrix_of(phi):
 
 def morphism_from_kmatrix(src, dst, mat):
     """The morphism src -> dst whose matrix is the KMatrix mat."""
-    return Morphism(src, dst, point_array(mat, src.rank, dst.rank,
-                                          src.group.space.size))
+    return Morphism(src, dst, stack([mat], src.rank, dst.rank,
+                                    src.group.space.size, src.backend)[0])
 
 
 # -- the tensor constructions as they were before they worked on arrays: one
@@ -437,7 +450,8 @@ def fiber_projection_route(eq, chi):
         w = coeff * _chi_scalar(chi.values[sub.inv(h)], be)
         p = linalg.mat_add(p, linalg.mat_scale(w, fib.rho[h]))
     mats = []
-    for t in eq.scalars((list(sig.sigma), list(range(group.space.size)))):
+    for t in eq.scalars((list(sig.sigma),
+                         list(range(group.space.size)))).tolist():
         tinv = linalg.inv(t, be)
         mats.append(linalg.mat_mul(tinv, linalg.mat_mul(p, t, be), be))
     pi = Morphism(eq, eq, np.array(mats, dtype=be.dtype))
@@ -445,9 +459,9 @@ def fiber_projection_route(eq, chi):
     return pi
 
 
-def fixed_everywhere(eq, coords):
+def fixed_everywhere(eq, alpha):
     """g.alpha = alpha for every group element."""
-    return all(all(a.eq(b) for a, b in zip(act(eq, g, coords), coords))
+    return all(eq.backend.eq_array(act(eq, g, alpha), alpha).all()
                for g in range(eq.group.order))
 
 
@@ -459,9 +473,20 @@ def random_fn(rng, size, be):
     return Fn(tuple(be.random(rng) for _ in range(size)), be)
 
 
+def random_values(rng, shape, be):
+    """An array of random scalars of the given shape, drawn in its order."""
+    vals = [be.random(rng) for _ in range(int(np.prod(shape)))]
+    return np.array(vals, dtype=be.dtype).reshape(shape)
+
+
+def random_matrix(rng, nrows, ncols, size, be):
+    """A random matrix over k as a (size, nrows, ncols) array, drawn entry
+    by entry, point after point."""
+    return random_values(rng, (nrows, ncols, size), be).transpose(2, 0, 1)
+
+
 def random_kmatrix(rng, nrows, ncols, size, be):
-    return KMatrix.from_rows(
-        [[random_fn(rng, size, be) for _ in range(ncols)] for _ in range(nrows)], be)
+    return KMatrix.from_array(random_matrix(rng, nrows, ncols, size, be), be)
 
 
 def gauged_equation(rng, eq):
@@ -538,8 +563,89 @@ def difn_quotient_oracle(op, solutions):
     lifts = [linalg.unflatten(q_lift(c), size, ncols) for c in fiber_basis]
     mats = []
     for coords in solutions:
-        vec_e = [v for f in coords for v in f.values]
+        vec_e = coords.ravel().tolist()
         mats.append(KMatrix(tuple(
             (Fn.constant(linalg.mat_vec(lift, vec_e, be)[BASE_POINT], size,
                          be),) for lift in lifts), be))
     return mod, mats
+
+
+# -- the operator calculus as it ran on KMatrix coefficients and Fn
+# coordinates, before it worked on arrays --------------------------------------
+
+def kmatrix_terms(theta):
+    """An operator's coefficients, one KMatrix per group element."""
+    be = theta.source.backend
+    return {g: KMatrix.from_array(mat, be) for g, mat in theta.terms.items()}
+
+
+def pointwise_inverse(eq, g):
+    """(E^g)^-1 = g(E^{g^-1}) by the cocycle law, on KMatrix."""
+    return eq.conn[eq.group.inv[g]].g_act(eq.group, g)
+
+
+def pointwise_mu(theta):
+    """mu, one scalar at a time: entry (j, y), (k, g^-1 y) of term g sums
+    theta^g_ij(y) E^g_ki(y) over i from zero, and the terms are added in
+    dict order."""
+    src, dst = theta.source, theta.target
+    group, be = src.group, src.backend
+    n, m, size = src.rank, dst.rank, group.space.size
+    mat = linalg.zeros(m * size, n * size, be)
+    for g, coef in kmatrix_terms(theta).items():
+        ginv_img = group.image(group.inv[g])
+        e_g = src.conn[g]
+        for y in range(size):
+            p = ginv_img[y]
+            for j in range(m):
+                for k in range(n):
+                    acc = be.zero()
+                    for i in range(n):
+                        acc = acc + (coef.entries[i][j].values[y]
+                                     * e_g.entries[k][i].values[y])
+                    mat[j * size + y][k * size + p] = \
+                        mat[j * size + y][k * size + p] + acc
+    return mat
+
+
+def pointwise_compose_raw(theta2, theta1):
+    """compose_raw's coefficients, one KMatrix per element: the g'g
+    coefficient gains (E1^g')^-1 . g'(C_g) . (E2^g' . D_g')."""
+    e1, e2 = theta1.source, theta1.target
+    group = e1.group
+    out = {}
+    for gp, d_mat in kmatrix_terms(theta2).items():
+        e1_inv = pointwise_inverse(e1, gp)
+        right = e2.conn[gp].mul(d_mat)
+        for g, c_mat in kmatrix_terms(theta1).items():
+            mat = e1_inv.mul(c_mat.g_act(group, gp)).mul(right)
+            key = group.mul(gp, g)
+            out[key] = out[key].add(mat) if key in out else mat
+    return out
+
+
+def pointwise_skew_action(a, theta):
+    """skew_action's coefficients, one KMatrix per element: the g g'
+    coefficient gains a_g . ((E1^g)^-1 . g(C_g') . E2^g)."""
+    e1, e2 = theta.source, theta.target
+    group, be = e1.group, e1.backend
+    out = {}
+    for g, a_g in a.terms:
+        e1_inv = pointwise_inverse(e1, g)
+        for gp, c_mat in kmatrix_terms(theta).items():
+            mat = e1_inv.mul(c_mat.g_act(group, g)).mul(e2.conn[g])
+            mat = KMatrix(tuple(tuple(a_g * f for f in row)
+                                for row in mat.entries), be)
+            key = group.mul(g, gp)
+            out[key] = out[key].add(mat) if key in out else mat
+    return out
+
+
+def pointwise_act(eq, g, coords):
+    """g.f = g(f) . E^g for coordinates given as an (n, |S|) array: the row
+    of translated functions times E^g by ``KMatrix.mul``.  One Fn per
+    coordinate."""
+    be = eq.backend
+    ginv_img = eq.group.image(eq.group.inv[g])
+    row = tuple(Fn(tuple(f), be).translate(ginv_img) for f in coords.tolist())
+    return KMatrix((row,), be).mul(eq.conn[g]).entries[0]

@@ -196,6 +196,26 @@ def test_undefined_task_reference_fails_the_task(tmp_path, capsys, index,
             f"references undefined {key} 'zz'\n") in capsys.readouterr().out
 
 
+def test_composing_operators_between_other_equations_fails(tmp_path,
+                                                           capsys):
+    # o ends at sign and alt starts at one: equal ranks, but no composition
+    added = []
+
+    def add_mismatch(data):
+        data["operators"]["o"] = {"source": "one", "target": "sign", "terms": [
+            {"word": "e", "matrix": [[1]]}]}
+        added.append(len(data["tasks"]))
+        data["tasks"].append({"task": "compose", "first": "o",
+                              "second": "alt"})
+
+    assert main(["run", _write_mutated(tmp_path, add_mismatch)]) == 1
+    out = capsys.readouterr().out
+    assert re.findall(r"^task .*error=.*$", out, re.M) == [
+        f"task {added[0]} compose: FAIL error=GDiffError: operator "
+        "composition: the first operator's target is not the second "
+        "operator's source"]
+
+
 def test_empty_generator_map_exits_two(tmp_path, capsys):
     # on one point the group may have no generators; the equation still
     # needs its matrices

@@ -1,19 +1,23 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
-from conftest import (difn_quotient_oracle, equation_zoo, gauged_equation,
-                      kmatrix_of, perfbench_module, random_fn, random_kmatrix,
-                      seeded_rng, sympy_nullity)
+from conftest import (array_bits, bits, difn_quotient_oracle, equation_zoo,
+                      gauged_equation, kmatrix_bits, kmatrix_of,
+                      perfbench_module, pointwise_act, pointwise_compose_raw,
+                      pointwise_mu, pointwise_skew_action, random_fn,
+                      random_matrix, random_values, seeded_rng, sympy_nullity)
 from gdiff import diffops, linalg
 from gdiff.diffops import (ClassicalSystem, RawOperator,
                            canonicalize, classical_solutions, compose,
-                           delta_op, embed_solutions, equation_of,
+                           compose_raw, delta_op, embed_solutions, equation_of,
                            identity_op, ingest_classical, ker_mu_basis, mu,
                            skew_action, zero_raw)
-from gdiff.equations import KMatrix, act, trivial_equation
+from gdiff.equations import act, trivial_equation
+from gdiff.errors import GDiffError
 from gdiff.problem import load_problem
 from gdiff.scalars import Backend, Fn
 from gdiff.skewalg import SkewOp
@@ -37,8 +41,9 @@ def perm_sign(p):
 
 def alternating_raw(group, be):
     one = trivial_equation(group, be)
-    ident = KMatrix.identity(1, group.space.size, be)
-    terms = {g: ident.scale(perm_sign(group.elements[g]))
+    shape = (group.space.size, 1, 1)
+    terms = {g: np.full(shape, be.coerce(perm_sign(group.elements[g])),
+                        dtype=be.dtype)
              for g in range(group.order)}
     return RawOperator(one, one, terms)
 
@@ -47,10 +52,15 @@ def random_raw(rng, src, dst, nterms=3):
     terms = {}
     for _ in range(nterms):
         g = rng.randrange(src.group.order)
-        m = random_kmatrix(rng, src.rank, dst.rank, src.group.space.size,
-                           src.backend)
-        terms[g] = terms[g].add(m) if g in terms else m
+        m = random_matrix(rng, src.rank, dst.rank, src.group.space.size,
+                          src.backend)
+        terms[g] = terms[g] + m if g in terms else m
     return RawOperator(src, dst, terms)
+
+
+def function(values, be):
+    """A function on the space as an array of backend scalars."""
+    return np.array([be.coerce(v) for v in values], dtype=be.dtype)
 
 
 def test_identity_operator_action(g3, rational):
@@ -67,12 +77,12 @@ def test_intro_operator_action(g6, rational):
         s: Fn.one(6, rational), 0: Fn.constant(-2, 6, rational),
         g6.inv[s]: Fn.one(6, rational)})
     op = canonicalize(delta_op(a, one))
-    f = Fn.from_values([0, 1, 4, 9, 16, 25], rational)
-    out = op.apply((f,))[0]
+    f = function([0, 1, 4, 9, 16, 25], rational)
+    out = op.apply(f[None])[0]
     sinv = g6.elements[g6.inv[s]]
     simg = g6.elements[s]
-    want = f.translate(sinv) + f.scale(-2) + f.translate(simg)
-    assert out.eq(want)
+    want = f[sinv] + f * -2 + f[simg]
+    assert (out == want).all()
 
 
 def test_mu_matches_brute_application(g3, rational):
@@ -80,19 +90,19 @@ def test_mu_matches_brute_application(g3, rational):
     zoo = equation_zoo(g3, rational)
     e, f = zoo["rank2"], zoo["both"]
     theta = random_raw(rng, e, f)
-    coords = tuple(random_fn(rng, 3, rational) for _ in range(e.rank))
+    coords = random_values(rng, (e.rank, 3), rational)
     got = diffops.apply_action(mu(theta), coords, f)
     # brute force: sum_g theta-contraction of the translated coordinates
-    want = [Fn.zero(3, rational) for _ in range(f.rank)]
+    want = np.full((f.rank, 3), Fraction(0), dtype=object)
     for g, coef in theta.terms.items():
         ginv = g3.elements[g3.inv[g]]
         for j in range(f.rank):
             for i in range(e.rank):
                 for k in range(e.rank):
-                    want[j] = want[j] + (coef.entries[i][j]
-                                         * coords[k].translate(ginv)
-                                         * e.conn[g].entries[k][i])
-    assert all(a.eq(b) for a, b in zip(got, want))
+                    want[j] = want[j] + (coef[:, i, j] * coords[k][ginv]
+                                         * function(e.conn[g].entries[k][i]
+                                                    .values, rational))
+    assert (got == want).all()
 
 
 def test_alternating_sum_is_zero_operator(g3, rational):
@@ -108,7 +118,7 @@ def test_ker_mu_contains_alternating_element(g3, rational):
         out = []
         for g in range(g3.order):
             if g in theta.terms:
-                out.extend(theta.terms[g].entries[0][0].values)
+                out.extend(theta.terms[g][:, 0, 0].tolist())
             else:
                 out.extend([Fraction(0)] * 3)
         return out
@@ -125,8 +135,8 @@ def test_ker_mu_dimension_against_rank_oracle(g3, rational):
     rows = []
     for i in range(18):
         g, y = divmod(i, 3)
-        theta = RawOperator(one, one, {
-            g: KMatrix(((Fn.delta(y, 3, rational),),), rational)})
+        delta = function([int(x == y) for x in range(3)], rational)
+        theta = RawOperator(one, one, {g: delta.reshape(3, 1, 1)})
         rows.append([x for r in mu(theta) for x in r])
     m = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows])
     assert len(basis) == 18 - m.rank()
@@ -202,13 +212,13 @@ def test_mu_is_a_module_morphism(g3, rational):
     zoo = equation_zoo(g3, rational)
     e1, e2 = zoo["rank2"], zoo["both"]
     theta = random_raw(rng, e1, e2)
-    coords = tuple(random_fn(rng, 3, rational) for _ in range(e1.rank))
+    coords = random_values(rng, (e1.rank, 3), rational)
     for g in range(g3.order):
         a = SkewOp.of_element(g3, rational, g)
         lhs = diffops.apply_action(mu(skew_action(a, theta)), coords, e2)
         inner = diffops.apply_action(mu(theta), coords, e2)
         rhs = act(e2, g, inner)
-        assert all(x.eq(y) for x, y in zip(lhs, rhs))
+        assert rational.eq_array(lhs, rhs).all()
 
 
 def laplacian_op(group, be):
@@ -226,7 +236,7 @@ def test_laplacian_solutions_constants(g6, rational):
     sols = classical_solutions(op)
     assert len(sols) == 1
     f = sols[0][0]
-    assert f.is_constant() and f.values[0] != 0
+    assert (f == f[0]).all() and f[0] != 0
     # independent circulant oracle
     circ = sympy.Matrix(6, 6, lambda i, j: 1 if (j - i) % 6 in (1, 5)
                         else (-2 if i == j else 0))
@@ -243,9 +253,9 @@ def single_term_images(eq):
     for i in range(eq.rank):
         for g in range(eq.group.order):
             for y in range(size):
-                ent = [[Fn.zero(size, be)] for _ in range(eq.rank)]
-                ent[i][0] = Fn.delta(y, size, be)
-                theta = RawOperator(eq, one, {g: KMatrix.from_rows(ent, be)})
+                mat = np.full((size, eq.rank, 1), be.zero(), dtype=be.dtype)
+                mat[y, i, 0] = be.one()
+                theta = RawOperator(eq, one, {g: mat})
                 rows.append(linalg.flatten(mu(theta)))
     return rows
 
@@ -345,17 +355,17 @@ def test_embed_solutions_identity_complex(g3, cplx):
 def test_ingest_classical_intro_equation(g6, rational):
     # a f_{i+1} + b f_i + c f_{i-1} = 0 with a = c = 1, b = -2
     s = g6.generators["s"]
-    one6 = Fn.one(6, rational)
+    one6 = function([1] * 6, rational)
     sysm = ClassicalSystem(g6, rational, 1, {
         (0, 0, s): one6,
-        (0, 0, 0): Fn.constant(-2, 6, rational),
+        (0, 0, 0): function([-2] * 6, rational),
         (0, 0, g6.inv[s]): one6,
     })
     op = ingest_classical(sysm)
     assert linalg.mat_eq(op.action, laplacian_op(g6, rational).action, rational)
     # compatibility relation with the trivial connection choice
     for (j, k, g), c in sysm.coeffs.items():
-        assert op.rep.terms[g].entries[k][j].eq(c)
+        assert (op.rep.terms[g][:, k, j] == c).all()
 
 
 def test_ingest_classical_empty_system(g3, rational):
@@ -371,7 +381,7 @@ def test_ingest_classical_random_2x2_on_c4(g4, rational):
     for j in range(2):
         for k in range(2):
             for g in (0, s, g4.inv[s]):
-                coeffs[(j, k, g)] = random_fn(rng, 4, rational)
+                coeffs[(j, k, g)] = random_values(rng, (4,), rational)
     sysm = ClassicalSystem(g4, rational, 2, coeffs)
     op = ingest_classical(sysm)
     sols = classical_solutions(op)
@@ -380,7 +390,7 @@ def test_ingest_classical_random_2x2_on_c4(g4, rational):
     for (j, k, g), c in coeffs.items():
         ginv = g4.elements[g4.inv[g]]
         for y in range(4):
-            dense[j * 4 + y][k * 4 + ginv[y]] += c.values[y]
+            dense[j * 4 + y][k * 4 + ginv[y]] += c[y]
     m = sympy.Matrix([[sympy.Rational(x) for x in r] for r in dense])
     assert len(sols) == 8 - m.rank()
 
@@ -420,3 +430,60 @@ def test_quotient_module_matches_full_row_oracle(n, backend, tmp_path):
             assert kmatrix_of(diffops.solution_morphism(data, coords)).eq(mat)
             compared += 1
     assert len(ops) == 5 and compared >= 4
+
+
+@pytest.mark.parametrize("backend", ["rational", "complex"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_array_calculus_matches_pointwise_oracle(n, backend):
+    # mu, compose_raw, skew_action and act on arrays against the KMatrix
+    # and Fn formulas: equal Fractions (never ints) over the rationals, the
+    # same bits on the complex backend, signs of zeros included, and the
+    # same terms in the same order
+    group = dihedral_on_cycle(n)
+    be = getattr(Backend, backend)()
+    size = group.space.size
+    rng = seeded_rng(41)
+    zoo = equation_zoo(group, be)
+    zoo["gauged"] = gauged_equation(rng, zoo["rank2"])
+    eqs = list(zoo.values())
+
+    def same_terms(got, want):
+        assert list(got.terms) == list(want)
+        for g, mat in want.items():
+            assert array_bits(got.terms[g].transpose(1, 2, 0)) == \
+                kmatrix_bits([mat])
+
+    for e1 in eqs:
+        for e2 in eqs:
+            theta = random_raw(rng, e1, e2)
+            assert array_bits(mu(theta)) == \
+                [bits(v) for row in pointwise_mu(theta) for v in row]
+            after = random_raw(rng, e2, rng.choice(eqs))
+            same_terms(compose_raw(after, theta),
+                       pointwise_compose_raw(after, theta))
+            a = SkewOp.from_terms(group, be, {
+                rng.randrange(group.order): random_fn(rng, size, be)
+                for _ in range(2)})
+            same_terms(skew_action(a, theta), pointwise_skew_action(a, theta))
+        coords = random_values(rng, (e1.rank, size), be)
+        for g in range(group.order):
+            assert array_bits(act(e1, g, coords)) == \
+                [bits(v) for f in pointwise_act(e1, g, coords)
+                 for v in f.values]
+
+
+def test_compose_rejects_mismatched_middle_equations(g3, rational):
+    # equal ranks are not enough: theta1 must end where theta2 starts
+    zoo = equation_zoo(g3, rational)
+    rng = seeded_rng(42)
+    into_sign = random_raw(rng, zoo["one"], zoo["sign"])
+    from_one = random_raw(rng, zoo["one"], zoo["one"])
+    with pytest.raises(GDiffError):
+        compose_raw(from_one, into_sign)
+    with pytest.raises(GDiffError):
+        compose(canonicalize(from_one), canonicalize(into_sign))
+    # an equal equation built apart composes
+    twin = trivial_equation(g3, rational)
+    assert twin is not zoo["one"]
+    compose_raw(RawOperator(twin, twin, from_one.terms),
+                random_raw(rng, zoo["sign"], zoo["one"]))

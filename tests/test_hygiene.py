@@ -6,9 +6,10 @@ appears in the code or inside a string annotation such as ``"KMatrix"``.
 
 No module but ``equations.py`` reads the attribute ``conn``: the package
 works on connection arrays, and ``Equation.conn`` is a view for oracles.
-Likewise a morphism's matrix is one array: the modules that solve,
-project and induce use no ``KMatrix`` or ``Fn``, and no module builds a
-matrix from one scalar matrix per point.
+Likewise every matrix over k but the connection view is one array: the
+modules that solve, project, induce, compute with operators and
+invariants, and parse problem files neither import nor read ``KMatrix``
+or ``Fn``, and no module builds a matrix from one scalar matrix per point.
 
 Every function and method that the benchmark's traced mode wraps by dotted
 path (``perfbench/layers.py``) must exist in the package, and the benchmark's
@@ -107,10 +108,12 @@ def test_only_equations_reads_the_kmatrix_view(module):
 
 
 @pytest.mark.parametrize("module", ["solver.py", "projection.py",
-                                    "equivalence.py"])
+                                    "equivalence.py", "diffops.py",
+                                    "invariants.py", "problem.py"])
 def test_morphism_modules_use_no_pointwise_matrices(module):
-    # a morphism's matrix is one array of scalars: solving, projecting and
-    # inducing build no matrix over k or function on the space
+    # morphisms, operator coefficients, coordinates and parsed matrices are
+    # arrays of scalars: these modules build no matrix over k or function
+    # on the space
     tree = parse(module)
     for name in ("KMatrix", "Fn"):
         assert name not in imported_names(tree), f"{module} imports {name}"

@@ -4,13 +4,14 @@ sympy oracle over the whole group."""
 
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (cocycle_everywhere, hom_dim_oracle,
                       intertwines_everywhere)
 from gdiff import equivalence
-from gdiff.equations import KMatrix, complete_connection
+from gdiff.equations import complete_connection
 from gdiff.scalars import Backend
 from gdiff.solver import hom_space
 from gdiff.space import dihedral_on_cycle, stabilizer, transversal
@@ -49,9 +50,13 @@ def test_complete_connection_closes_the_cocycle(n, m, s_sign):
     if n % 2:
         s_sign = 1  # s has odd order, so s -> -I is no connection
     size = group.space.size
-    gens = {"s": KMatrix.from_scalar_matrix([[s_sign, 0], [0, s_sign]],
-                                            size, RATIONAL),
-            "t": KMatrix.from_scalar_matrix(m, size, RATIONAL)}
+
+    def constant(mat):
+        arr = np.array([[Fraction(v) for v in row] for row in mat],
+                       dtype=object)
+        return np.broadcast_to(arr, (size, 2, 2))
+
+    gens = {"s": constant([[s_sign, 0], [0, s_sign]]), "t": constant(m)}
     eq = complete_connection(group, RATIONAL, gens)
     eq.validate()
     assert cocycle_everywhere(eq)

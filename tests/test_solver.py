@@ -113,6 +113,18 @@ def test_symmetries_contains_identity_and_closes(g3, rational):
             composed.validate()  # closure under composition
 
 
+def test_compose_rejects_mismatched_middle_equations(g3, rational):
+    # equal ranks are not enough: the first map must end where the second
+    # starts, the same equation or an equal one built apart
+    zoo = equation_zoo(g3, rational)
+    with pytest.raises(ValueError):
+        compose(zero_morphism(zoo["one"], zoo["sign"]),
+                identity_morphism(zoo["one"]))
+    twin = trivial_equation(g3, rational)
+    assert twin is not zoo["one"]
+    compose(identity_morphism(zoo["one"]), identity_morphism(twin)).validate()
+
+
 def test_morphism_validation_rejects_junk(g3, rational):
     zoo = equation_zoo(g3, rational)
     one, sign = zoo["one"], zoo["sign"]
