@@ -64,9 +64,8 @@ class RawOperator:
 
 def _identity(eq: Equation) -> np.ndarray:
     """The identity matrix over k as an (|S|, n, n) array of scalars."""
-    n, be = eq.rank, eq.backend
-    eye = np.array(linalg.identity(n, be), dtype=be.dtype).reshape(n, n)
-    return np.broadcast_to(eye, (eq.group.space.size, n, n))
+    n = eq.rank
+    return np.broadcast_to(eq.backend.eye(n), (eq.group.space.size, n, n))
 
 
 def identity_raw(eq: Equation) -> RawOperator:
@@ -85,9 +84,10 @@ def delta_op(a: SkewOp, eq: Equation) -> RawOperator:
         for g, f in a.terms})
 
 
-def mu(theta: RawOperator) -> linalg.Matrix:
+def mu(theta: RawOperator) -> np.ndarray:
     """Action matrix from source coordinates (n|S| over F, index k|S|+p)
-    to target coordinates (m|S|, index j|S|+y).
+    to target coordinates (m|S|, index j|S|+y): an (m|S|, n|S|) array of
+    backend scalars.
 
     Term g puts (E^g(y) . theta^g(y))_kj at row (j, y) and column
     (k, g^-1 y), one ``matmul`` and one scatter; the terms are added in the
@@ -101,28 +101,29 @@ def mu(theta: RawOperator) -> linalg.Matrix:
         prod = matmul(src.scalars(g), coef, be)
         ginv_img = group.elements[group.inv[g]]
         mat[:, points, :, ginv_img] += prod.transpose(0, 2, 1)
-    return mat.reshape(m * size, n * size).tolist()
+    return mat.reshape(m * size, n * size)
 
 
-def apply_action(action: linalg.Matrix, coords: np.ndarray,
+def apply_action(action: np.ndarray, coords: np.ndarray,
                  dst: Equation) -> np.ndarray:
-    """Apply a flattened action matrix to module-element coordinates."""
-    be, size = dst.backend, dst.group.space.size
-    out = linalg.mat_vec(action, coords.ravel().tolist(), be)
-    return np.array(out, dtype=be.dtype).reshape(dst.rank, size)
+    """Apply an action matrix to module-element coordinates."""
+    out = matmul(action, coords.reshape(-1, 1), dst.backend)
+    return out.reshape(dst.rank, dst.group.space.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffOperator:
-    """Canonical form (the mu-image matrix) plus one representative."""
+    """Canonical form (the mu-image matrix, an array) plus one
+    representative."""
 
     source: Equation
     target: Equation
-    action: linalg.Matrix
+    action: np.ndarray
     rep: RawOperator
 
     def eq(self, other: "DiffOperator") -> bool:
-        return linalg.mat_eq(self.action, other.action, self.source.backend)
+        return (self.action.shape == other.action.shape and bool(
+            self.source.backend.eq_array(self.action, other.action).all()))
 
     def apply(self, coords: np.ndarray) -> np.ndarray:
         return apply_action(self.action, coords, self.target)
@@ -136,15 +137,20 @@ def identity_op(eq: Equation) -> DiffOperator:
     return canonicalize(identity_raw(eq))
 
 
+def check_composable(theta1: RawOperator, theta2: RawOperator) -> None:
+    """Raise GDiffError unless theta2 o theta1 is defined: theta1 ends at
+    the equation where theta2 starts."""
+    if theta1.target is not theta2.source and theta1.target != theta2.source:
+        raise GDiffError("operator composition: the first operator's target "
+                         "is not the second operator's source")
+
+
 def compose_raw(theta2: RawOperator, theta1: RawOperator) -> RawOperator:
     """Representative of theta2 o theta1 (theta1 applied first) by the
     tensor formula: the g'g coefficient gains (E1^g')^{-1}.g'(C_g).E2^g'.D_g'
-    with C from theta1 and D from theta2.  theta1 must end at the equation
-    where theta2 starts."""
+    with C from theta1 and D from theta2."""
+    check_composable(theta1, theta2)
     e1, e2 = theta1.source, theta1.target
-    if e2 is not theta2.source and e2 != theta2.source:
-        raise GDiffError("operator composition: the first operator's target "
-                         "is not the second operator's source")
     group, be = e1.group, e1.backend
     out: Dict[int, np.ndarray] = {}
     for gp, d_mat in theta2.terms.items():
@@ -162,7 +168,7 @@ def compose(second: DiffOperator, first: DiffOperator) -> DiffOperator:
     """second o first: the product of the canonical action matrices, with the
     tensor-formula representative (mu of it is that product)."""
     rep = compose_raw(second.rep, first.rep)
-    product = linalg.mat_mul(second.action, first.action, first.source.backend)
+    product = matmul(second.action, first.action, first.source.backend)
     return DiffOperator(first.source, second.target, product, rep)
 
 
@@ -232,7 +238,7 @@ def classical_solutions(op: DiffOperator) -> List[np.ndarray]:
     be = op.source.backend
     n, size = op.source.rank, op.source.group.space.size
     return [np.array(vec, dtype=be.dtype).reshape(n, size)
-            for vec in linalg.nullspace(op.action, n * size, be)]
+            for vec in linalg.nullspace(op.action.tolist(), n * size, be)]
 
 
 # -- Difn(E, 1) on the base fiber and the equation of an operator ----------
@@ -283,9 +289,9 @@ def _quotient_module(op: DiffOperator) -> _QuotientData:
     group = op.source.group
     w1 = _DifnModule(op.source)
     space = linalg.RowSpace(w1.ncols, be)
-    for row in op.action:
+    for row in op.action.tolist():
         space.add(row)
-    units = linalg.identity(w1.ncols, be)
+    units = be.eye(w1.ncols).tolist()
     columns = [c for c in range(w1.ncols) if space.add(units[c])]
     # exact arithmetic puts every added e_c in the span; only a tolerance
     # can leave one without coordinates

@@ -20,11 +20,13 @@ Every other matrix over k is an array of shape (|S|, rows, cols), entry
 objects over the rationals, complex128 otherwise.  That holds for
 morphisms, operator coefficients and parsed generator matrices; the
 coordinates of a module element are one (n, |S|) array, row i the
-function f_i.  ``mul`` and ``matmul`` multiply such arrays with the same
-rounding.  ``KMatrix``, a matrix over k as a tuple of functions, is left
-only for ``Equation.conn``, a read-only view of a connection as one
-KMatrix per element, built on first use, for code that reads it one
-scalar at a time.
+function f_i.  Matrices over F are arrays of the same scalars too: the
+(|H|, dim, dim) matrices of a stabilizer module (``equivalence.HModule``)
+and an operator's action matrix.  ``mul`` and ``matmul`` multiply such
+arrays with the same rounding.  ``KMatrix``, a matrix over k as a tuple
+of functions, is left only for ``Equation.conn``, a read-only view of a
+connection as one KMatrix per element, built on first use, for code that
+reads it one scalar at a time.
 """
 
 from __future__ import annotations
@@ -171,16 +173,18 @@ def mul_in_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``matmul`` may sum in another order, and so differ in the last bit.)"""
     shape = np.broadcast_shapes(a.shape[:-1] + (1,), b.shape[:-2] + (1, b.shape[-1]))
     out = np.zeros(shape, dtype=complex)
+    term = np.empty(shape, dtype=complex)
     for t in range(a.shape[-1]):
-        out += cmul(a[..., :, t, None], b[..., None, t, :])
+        out += cmul(a[..., :, t, None], b[..., None, t, :], term)
     return out
 
 
 def matmul(a: np.ndarray, b: np.ndarray, backend: Backend) -> np.ndarray:
     """a @ b over the last two axes of arrays of backend scalars, with the
-    values of ``linalg.mat_mul`` at every point: over the rationals exact,
-    on Python ints over the common denominators, as ``Fraction`` objects;
-    on the complex backend by ``mul_in_order``."""
+    values of a product of nested lists that sums every entry in order from
+    zero: over the rationals exact, on Python ints over the common
+    denominators, as ``Fraction`` objects; on the complex backend by
+    ``mul_in_order``."""
     if not backend.exact:
         return mul_in_order(a, b)
     (ia, da), (ib, db) = backend.integral(a), backend.integral(b)

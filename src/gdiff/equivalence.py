@@ -5,17 +5,22 @@ Orientation: fibers carry a row action v |-> v . rho(h), which makes rho an
 anti-homomorphism: rho(h1 h2) = rho(h2) . rho(h1).  The transversal always
 satisfies sigma(base) = e so that fiber(induce(V)) returns literally equal
 matrices.
+
+A module holds its matrices as one array, like every matrix of the package
+(see ``equations``), and every construction on it is a gather, a block
+assignment or a batched product, with the values of the per-element matrix
+formulas bit for bit: complex products go through ``equations.cmul``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
 from . import linalg
-from .equations import Equation
+from .equations import Equation, _kron, matmul
 from .errors import ElementNotInH, NoIsoFound
 from .scalars import Backend
 from .space import BASE_POINT, Subgroup, Transversal, stabilizer
@@ -23,111 +28,124 @@ from .space import BASE_POINT, Subgroup, Transversal, stabilizer
 IrredFamily = Dict[str, "HModule"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HModule:
-    """A module over the stabilizer subgroup, with row-action matrices."""
+    """A module over the stabilizer subgroup.  ``rho`` is read-only, of
+    shape (|H|, dim, dim) and dtype ``Backend.dtype`` (``Fraction`` objects
+    over the rationals, complex128 otherwise): rho[i] is the row-action
+    matrix of the element ``subgroup.members[i]``."""
 
     subgroup: Subgroup
     backend: Backend
     dim: int
-    rho: Dict[int, linalg.Matrix]  # keyed by parent-group element id
+    rho: np.ndarray
+
+    def __post_init__(self):
+        rho = self.rho.view()
+        rho.flags.writeable = False
+        object.__setattr__(self, "rho", rho)
 
     def validate(self) -> None:
-        be = self.backend
-        ident = linalg.identity(self.dim, be)
-        if not linalg.mat_eq(self.rho[0], ident, be):
+        """rho(e) = I, and for all pairs (a, b) rho(ab) = rho(b) . rho(a)
+        with every rho(a) invertible: one batched product and comparison
+        over the |H|^2 pairs, and one batched singularity test.  A failure
+        is the first of a scan over a in the order of the members that
+        tests rho(a) for singularity, then the pairs (a, b), b in order."""
+        be, sub, rho = self.backend, self.subgroup, self.rho
+        members = np.array(sub.members)
+        if not be.eq_array(rho[_slots(sub, 0)], be.eye(self.dim)).all():
             raise ValueError("rho(e) is not the identity")
-        for a in self.subgroup.members:
-            if linalg.inv(self.rho[a], be) is None:
-                raise ValueError(f"rho of element {a} is singular")
-            for b in self.subgroup.members:
-                lhs = self.rho[self.subgroup.mult(a, b)]
-                rhs = linalg.mat_mul(self.rho[b], self.rho[a], be)
-                if not linalg.mat_eq(lhs, rhs, be):
-                    raise ValueError(f"rho is not an anti-homomorphism at ({a},{b})")
-
-    def mat(self, h: int) -> linalg.Matrix:
-        if h not in self.rho:
-            raise ElementNotInH(f"element {h} is not in the stabilizer")
-        return self.rho[h]
+        ab = _slots(sub, sub.group.mul_ids(members[:, None], members))
+        # [a, b]: rho(ab) against rho(b) . rho(a)
+        same = be.eq_array(rho[ab], matmul(rho, rho[:, None], be))
+        same = same.all(axis=(2, 3))
+        bad = np.flatnonzero(~same.all(axis=1))
+        last = int(bad[0]) if bad.size else sub.order - 1
+        if linalg.any_singular(rho[:last + 1], be):
+            a = next(a for a in range(last + 1)
+                     if linalg.any_singular(rho[a:a + 1], be))
+            raise ValueError(f"rho of element {members[a]} is singular")
+        if bad.size:
+            b = int(np.flatnonzero(~same[last])[0])
+            raise ValueError("rho is not an anti-homomorphism at "
+                             f"({members[last]},{members[b]})")
 
 
 def trivial_hmodule(sub: Subgroup, backend: Backend, dim: int = 1) -> HModule:
-    ident = linalg.identity(dim, backend)
-    return HModule(sub, backend, dim, {h: ident for h in sub.members})
+    return HModule(sub, backend, dim,
+                   np.broadcast_to(backend.eye(dim), (sub.order, dim, dim)))
 
 
 def character_hmodule(sub: Subgroup, backend: Backend, values: Dict[int, object]) -> HModule:
     """One-dimensional module from scalar values per subgroup element."""
-    rho = {h: [[backend.coerce(values[h])]] for h in sub.members}
-    mod = HModule(sub, backend, 1, rho)
+    rho = np.array([backend.coerce(values[h]) for h in sub.members],
+                   dtype=backend.dtype)
+    mod = HModule(sub, backend, 1, rho.reshape(sub.order, 1, 1))
     mod.validate()
     return mod
 
 
 def hmodule_from_matrices(sub: Subgroup, backend: Backend,
                           mats: Dict[int, linalg.Matrix]) -> HModule:
+    """The module with rho(h) = mats[h] for every element id h of the
+    subgroup, each scalar coerced into the backend."""
     dim = len(next(iter(mats.values())))
-    rho = {h: [[backend.coerce(v) for v in row] for row in m] for h, m in mats.items()}
-    mod = HModule(sub, backend, dim, rho)
+    rho = np.array([[[backend.coerce(v) for v in row] for row in mats[h]]
+                    for h in sub.members], dtype=backend.dtype)
+    mod = HModule(sub, backend, dim, rho.reshape(sub.order, dim, dim))
     mod.validate()
     return mod
 
 
 def hmodule_direct_sum(u: HModule, v: HModule) -> HModule:
-    be = u.backend
-    rho = {}
-    for h in u.subgroup.members:
-        a, b = u.rho[h], v.rho[h]
-        top = [row + [be.zero()] * v.dim for row in a]
-        bot = [[be.zero()] * u.dim + row for row in b]
-        rho[h] = top + bot
-    return HModule(u.subgroup, be, u.dim + v.dim, rho)
-
-
-def _kron(a: linalg.Matrix, b: linalg.Matrix) -> linalg.Matrix:
-    return [[a[i][r] * b[j][u] for r in range(len(a[0])) for u in range(len(b[0]))]
-            for i in range(len(a)) for j in range(len(b))]
+    be, n, m = u.backend, u.dim, v.dim
+    rho = np.full((u.subgroup.order, n + m, n + m), be.zero(), dtype=be.dtype)
+    rho[:, :n, :n] = u.rho
+    rho[:, n:, n:] = v.rho
+    return HModule(u.subgroup, be, n + m, rho)
 
 
 def hmodule_tensor(u: HModule, v: HModule) -> HModule:
-    rho = {h: _kron(u.rho[h], v.rho[h]) for h in u.subgroup.members}
-    return HModule(u.subgroup, u.backend, u.dim * v.dim, rho)
+    """rho(h) = rho_U(h) (x) rho_V(h): ``equations._kron`` of the arrays
+    with the element axis last."""
+    kron = _kron(np.moveaxis(u.rho, 0, -1), np.moveaxis(v.rho, 0, -1),
+                 u.backend)
+    return HModule(u.subgroup, u.backend, u.dim * v.dim,
+                   np.moveaxis(kron, -1, 0))
 
 
 def hmodule_dual(u: HModule) -> HModule:
-    rho = {}
-    for h in u.subgroup.members:
-        m = linalg.inv(linalg.transpose(u.rho[h]), u.backend)
-        if m is None:
-            raise ValueError("singular rho in dual")
-        rho[h] = m
-    return HModule(u.subgroup, u.backend, u.dim, rho)
+    """rho*(h) = (rho(h)^t)^-1 = rho(h^-1)^t: one gather and a transpose,
+    as ``equations.dual``."""
+    sub = u.subgroup
+    inverses = _slots(sub, np.array(sub.group.inv)[list(sub.members)])
+    return HModule(sub, u.backend, u.dim, u.rho[inverses].swapaxes(1, 2))
 
 
-def intertwiner_space(u: HModule, v: HModule) -> List[linalg.Matrix]:
-    """Basis of {P : rho_U(h) P = P rho_V(h) for all h in H}.
-
-    P is the fiber matrix of a morphism U -> V (u.dim x v.dim).
-    """
+def intertwiner_rows(u: HModule, v: HModule) -> np.ndarray:
+    """The system of ``intertwiner_space``: one row per (h, i, k), h != e,
+    over the unknowns P_jl at column j m + l (m = v.dim), holding
+    rho_U(h)_ij at (j, k), then -rho_V(h)_lk at (i, l), each added to a
+    row of zeros in that order, which gives every scalar of a loop over the
+    rows."""
     be = u.backend
     n, m = u.dim, v.dim
-    rows = []
-    for h in u.subgroup.members:
-        if h == 0:
-            continue
-        ru, rv = u.rho[h], v.rho[h]
-        # unknowns P_{ik}, index i*m + k
-        for i in range(n):
-            for k in range(m):
-                row = [be.zero()] * (n * m)
-                for j in range(n):
-                    row[j * m + k] = row[j * m + k] + ru[i][j]
-                for j in range(m):
-                    row[i * m + j] = row[i * m + j] - rv[j][k]
-                rows.append(row)
-    basis = linalg.nullspace(rows, n * m, be)
-    return [linalg.unflatten(vec, n, m) for vec in basis]
+    keep = [a for a, h in enumerate(u.subgroup.members) if h != 0]
+    ru, rv = u.rho[keep], v.rho[keep]
+    rows = np.full((len(keep), n, m, n, m), be.zero(), dtype=be.dtype)
+    i, k = np.arange(n)[:, None], np.arange(m)
+    rows[:, i, k, :, k] += ru.transpose(1, 0, 2)[:, None]
+    rows[:, i, k, i, :] -= rv.transpose(0, 2, 1)[:, None]
+    return rows.reshape(len(keep) * n * m, n * m)
+
+
+def intertwiner_space(u: HModule, v: HModule) -> np.ndarray:
+    """Basis of {P : rho_U(h) P = P rho_V(h) for all h in H}, a (k, n, m)
+    array: P is the fiber matrix of a morphism U -> V (n = u.dim,
+    m = v.dim)."""
+    n, m = u.dim, v.dim
+    basis = linalg.nullspace(intertwiner_rows(u, v).tolist(), n * m, u.backend)
+    return np.array(basis, dtype=u.backend.dtype).reshape(len(basis), n, m)
 
 
 def intertwiner_dim(u: HModule, v: HModule) -> int:
@@ -137,17 +155,8 @@ def intertwiner_dim(u: HModule, v: HModule) -> int:
 def fiber(eq: Equation) -> HModule:
     """Evaluate the connection at the base point over the stabilizer."""
     sub = stabilizer(eq.group, BASE_POINT)
-    mats = eq.scalars((list(sub.members), BASE_POINT)).tolist()
-    return HModule(sub, eq.backend, eq.rank, dict(zip(sub.members, mats)))
-
-
-def _rho_array(mod: HModule) -> np.ndarray:
-    """The rho matrices, coerced, as one (|H|, dim, dim) array of backend
-    scalars in the order of ``subgroup.members``."""
-    be = mod.backend
-    rho = [[[be.coerce(v) for v in row] for row in mod.rho[h]]
-           for h in mod.subgroup.members]
-    return np.array(rho, dtype=be.dtype).reshape(len(rho), mod.dim, mod.dim)
+    return HModule(sub, eq.backend, eq.rank,
+                   eq.scalars((list(sub.members), BASE_POINT)))
 
 
 def _slots(sub: Subgroup, ids: np.ndarray) -> np.ndarray:
@@ -162,8 +171,8 @@ def induce(mod: HModule, sigma: Transversal) -> Equation:
 
     The stabilizer elements of all cells (g, y) are one (|G|, |S|) array of
     products (``Group.mul_ids``), and the connection array gathers the |H|
-    rho matrices, coerced once (over the rationals to ints over their
-    common denominator, ``Backend.integral``), by one index into it.
+    rho matrices (over the rationals as ints over their common denominator,
+    ``Backend.integral``) by one index into it.
     """
     group = mod.subgroup.group
     sig = np.array(sigma.sigma)
@@ -175,7 +184,7 @@ def induce(mod: HModule, sigma: Transversal) -> Equation:
     if outside.size:
         g, y = divmod(int(outside[0]), group.space.size)
         raise ElementNotInH(f"transversal arithmetic left H at (g={g}, y={y})")
-    rho, d = mod.backend.integral(_rho_array(mod))
+    rho, d = mod.backend.integral(mod.rho)
     return Equation(group, mod.backend, mod.dim, rho[cells], d)
 
 
@@ -191,7 +200,7 @@ def transversal_independence(mod: HModule, sig1: Transversal, sig2: Transversal)
     outside = np.flatnonzero(gamma < 0)
     if outside.size:
         raise ElementNotInH(f"gauge element not in H at point {outside[0]}")
-    phi = Morphism(induce(mod, sig1), induce(mod, sig2), _rho_array(mod)[gamma])
+    phi = Morphism(induce(mod, sig1), induce(mod, sig2), mod.rho[gamma])
     phi.validate()
     return phi
 
@@ -317,10 +326,8 @@ def builtin_irreducibles(sub: Subgroup, backend: Backend) -> IrredFamily:
                     k = power[hr]
                     rho[h] = [[0j, z ** (-k)], [z ** k, 0j]]
             if ok:
-                mod = HModule(sub, backend, 2, rho)
                 try:
-                    mod.validate()
-                    out[f"rot{j}"] = mod
+                    out[f"rot{j}"] = hmodule_from_matrices(sub, backend, rho)
                 except ValueError:
                     pass
     return out

@@ -4,7 +4,10 @@ Exact rational matrices are reduced with hand-rolled Gaussian elimination
 over ``Fraction``; the complex backend delegates rank-sensitive decisions
 to numpy SVD with a relative singular-value threshold.
 
-Matrices are lists of lists of backend scalars; vectors are lists.
+The kernels take and return nested lists: a matrix is a list of rows of
+backend scalars, a vector a list.  Every other matrix of the package is a
+numpy array; callers hand a kernel ``array.tolist()``.  ``any_singular``
+alone takes an array, to test a whole stack of matrices at once.
 """
 
 from __future__ import annotations
@@ -18,66 +21,6 @@ from .scalars import Backend
 
 Matrix = List[list]
 Vector = list
-
-
-def zeros(r: int, c: int, backend: Backend) -> Matrix:
-    z = backend.zero()
-    return [[z for _ in range(c)] for _ in range(r)]
-
-
-def identity(n: int, backend: Backend) -> Matrix:
-    m = zeros(n, n, backend)
-    one = backend.one()
-    for i in range(n):
-        m[i][i] = one
-    return m
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(row) for row in zip(*a)]
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
-def mat_mul(a: Matrix, b: Matrix, backend: Backend) -> Matrix:
-    bt = transpose(b)
-    z = backend.zero()
-    return [[sum((x * y for x, y in zip(row, col)), z) for col in bt] for row in a]
-
-
-def mat_vec(a: Matrix, v: Vector, backend: Backend) -> Vector:
-    z = backend.zero()
-    return [sum((x * y for x, y in zip(row, v)), z) for row in a]
-
-
-def vec_mat(v: Vector, a: Matrix, backend: Backend) -> Vector:
-    z = backend.zero()
-    cols = transpose(a)
-    return [sum((x * y for x, y in zip(v, col)), z) for col in cols]
-
-
-def mat_eq(a: Matrix, b: Matrix, backend: Backend) -> bool:
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
-        return False
-    return all(backend.eq(x, y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def mat_is_zero(a: Matrix, backend: Backend) -> bool:
-    return all(backend.is_zero(x) for row in a for x in row)
-
-
-def flatten(a: Matrix) -> Vector:
-    return [x for row in a for x in row]
-
-
-def unflatten(v: Vector, r: int, c: int) -> Matrix:
-    return [list(v[i * c:(i + 1) * c]) for i in range(r)]
 
 
 # -- exact elimination ------------------------------------------------------
@@ -126,10 +69,10 @@ def _to_np(a: Matrix) -> np.ndarray:
                     dtype=complex).reshape(len(a), cols)
 
 
-def _rank_tol(s: np.ndarray, backend: Backend) -> float:
-    if s.size == 0:
-        return 0.0
-    return max(backend.eps, 1e-8 * float(s.max()))
+def _rank_tol(s: np.ndarray, backend: Backend) -> np.ndarray:
+    """The singular values above which a matrix has rank: max(eps, 1e-8 *
+    largest singular value), along the last axis of ``s``."""
+    return np.maximum(backend.eps, 1e-8 * s.max(axis=-1, initial=0.0))
 
 
 def rank(a: Matrix, backend: Backend) -> int:
@@ -196,7 +139,8 @@ def solve(a: Matrix, b: Vector, backend: Backend) -> Optional[Vector]:
 def inv(a: Matrix, backend: Backend) -> Optional[Matrix]:
     n = len(a)
     if backend.exact:
-        m = [list(row) + list(idr) for row, idr in zip(a, identity(n, backend))]
+        m = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+             for i, row in enumerate(a)]
         pivots = _rref_exact(m)
         if pivots != list(range(n)):
             return None
@@ -213,11 +157,11 @@ def any_singular(mats: np.ndarray, backend: Backend) -> bool:
     shape (..., n, n) and dtype ``backend.dtype``.  On the complex backend
     this is one batched SVD with the tolerance of ``_rank_tol``."""
     if backend.exact:
-        flat = mats.reshape((-1,) + mats.shape[-2:]).tolist()
+        count = int(np.prod(mats.shape[:-2]))
+        flat = mats.reshape((count,) + mats.shape[-2:]).tolist()
         return any(inv(m, backend) is None for m in flat)
     s = np.linalg.svd(mats, compute_uv=False)
-    tol = np.maximum(backend.eps, 1e-8 * s.max(axis=-1))
-    return bool((s.min(axis=-1) <= tol).any())
+    return bool((s.min(axis=-1, initial=np.inf) <= _rank_tol(s, backend)).any())
 
 
 def det(a: Matrix, backend: Backend):
@@ -242,13 +186,6 @@ def det(a: Matrix, backend: Backend):
                 f = m[i][c] / pv
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return d
-
-
-def mat_pow(a: Matrix, k: int, backend: Backend) -> Matrix:
-    out = identity(len(a), backend)
-    for _ in range(k):
-        out = mat_mul(out, a, backend)
-    return out
 
 
 # -- incremental row spaces -------------------------------------------------
@@ -302,7 +239,7 @@ class RowSpace:
         """Coefficients expressing vec over self.rows, or None."""
         if not self.rows:
             return [] if self.contains(vec) else None
-        a = transpose(self.rows)
+        a = [list(col) for col in zip(*self.rows)]
         return solve(a, list(vec), self.backend)
 
 
@@ -318,22 +255,18 @@ def row_space_basis(rows: Sequence[Vector], ncols: int, backend: Backend) -> Lis
 def charpoly(a: Matrix) -> List[Fraction]:
     """Coefficients [c_0..c_n] of det(xI - A), ascending, exact input."""
     n = len(a)
-    be = Backend.rational()
+    a = np.array(a, dtype=object).reshape(n, n)
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    m = zeros(n, n, be)
+    m = np.full((n, n), Fraction(0), dtype=object)
+    diag = np.arange(n)
     c = Fraction(1)
     for k in range(1, n + 1):
         # Faddeev-LeVerrier iteration
-        m = mat_mul(a, m, be)
-        for i in range(n):
-            m[i][i] += c
-        m_a = mat_mul(a, m, be)
-        tr = sum(m_a[i][i] for i in range(n))
-        c = -tr / k
+        m = a @ m
+        m[diag, diag] += c
+        c = -np.trace(a @ m) / k
         coeffs[n - k] = c
-        if k < n:
-            m = [row[:] for row in m]
     return coeffs
 
 

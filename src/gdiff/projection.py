@@ -51,9 +51,13 @@ class Character:
 
 
 def character_of_hmodule(mod: HModule) -> Character:
-    vals = {h: sum((mod.rho[h][i][i] for i in range(mod.dim)),
-                   mod.backend.zero()) for h in mod.subgroup.members}
-    return Character(mod.subgroup, vals)
+    """The traces of the rho matrices, each summed from zero in order."""
+    be = mod.backend
+    traces = np.full(mod.subgroup.order, be.zero(), dtype=be.dtype)
+    for i in range(mod.dim):
+        traces = traces + mod.rho[:, i, i]
+    return Character(mod.subgroup, dict(zip(mod.subgroup.members,
+                                            traces.tolist())))
 
 
 def character(eq: Equation) -> Character:

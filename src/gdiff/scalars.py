@@ -33,9 +33,11 @@ class Backend:
     |a - b| <= eps * (1 + max(|a|, |b|)).  ``eq`` applies that formula to
     two scalars and ``eq_array`` elementwise to two arrays, so batched and
     pointwise checks agree.  Thresholds that are still separate from it:
-    ``linalg._rank_tol`` (max(eps, 1e-8 * largest singular value)), the
-    ``RowSpace`` and ``solve`` residual tests (1e3 * eps * scale), and
-    ``solver._eigenvalue_split`` (max(1e3 * eps, 1e-7) * scale).
+    ``linalg._rank_tol`` (max(eps, 1e-8 * largest singular value), the one
+    rank threshold of ``rank``, ``nullspace``, ``inv`` and
+    ``any_singular``), the ``RowSpace`` and ``solve`` residual tests
+    (1e3 * eps * scale), and ``solver._eigenvalue_split``
+    (max(1e3 * eps, 1e-7) * scale).
 
     Arrays: ``dtype`` is complex, or object over the rationals.  An exact
     array is kept as Python ints over one common denominator d, so that
@@ -123,6 +125,11 @@ class Backend:
         if not self.exact:
             return arr
         return np.frompyfunc(lambda x: Fraction(x, d), 1, 1)(arr)
+
+    def eye(self, n: int) -> np.ndarray:
+        """The n x n identity as an array of scalars: ``Fraction`` objects
+        over the rationals, complex128 otherwise."""
+        return self.scalar_array(np.eye(n, dtype=self.dtype))
 
     def to_scalars(self, arr: np.ndarray, d: int = 1) -> list:
         """arr / d as nested lists of scalars: ``Fraction`` objects for an

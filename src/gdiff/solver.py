@@ -83,18 +83,20 @@ class Morphism:
         return self.matrix[x].tolist()
 
 
-def constant_morphism(src: Equation, dst: Equation, mat: linalg.Matrix) -> Morphism:
-    """The map src -> dst with the scalar matrix mat at every point."""
-    arr = np.array(mat, dtype=src.backend.dtype).reshape(src.rank, dst.rank)
-    return Morphism(src, dst, np.broadcast_to(arr, (src.group.space.size,) + arr.shape))
+def constant_morphism(src: Equation, dst: Equation, mat: np.ndarray) -> Morphism:
+    """The map src -> dst with the scalar matrix mat, a (rank(src),
+    rank(dst)) array of backend scalars, at every point."""
+    return Morphism(src, dst, np.broadcast_to(mat, (src.group.space.size,) + mat.shape))
 
 
 def identity_morphism(eq: Equation) -> Morphism:
-    return constant_morphism(eq, eq, linalg.identity(eq.rank, eq.backend))
+    return constant_morphism(eq, eq, eq.backend.eye(eq.rank))
 
 
 def zero_morphism(src: Equation, dst: Equation) -> Morphism:
-    return constant_morphism(src, dst, linalg.zeros(src.rank, dst.rank, src.backend))
+    be = src.backend
+    return constant_morphism(src, dst, np.full((src.rank, dst.rank), be.zero(),
+                                               dtype=be.dtype))
 
 
 def compose(first: Morphism, second: Morphism) -> Morphism:
@@ -126,11 +128,11 @@ def hom_space(src: Equation, dst: Equation) -> List[Morphism]:
     group = src.group
     be = src.backend
     basis = intertwiner_space(fiber(src), fiber(dst))
-    if not basis:
+    if not len(basis):
         return []
     sigma = np.array(transversal(group).sigma)
     t_src_inv, d1 = src.array[np.array(group.inv)[sigma], BASE_POINT], src.denom
-    p, d2 = be.integral(np.array(basis, dtype=be.dtype))
+    p, d2 = be.integral(basis)
     t_dst, d3 = dst.array[sigma, np.arange(len(sigma))], dst.denom
     moved = t_src_inv @ (p[:, None] @ t_dst)
     if be.exact:
@@ -160,22 +162,23 @@ def is_isomorphism(phi: Morphism) -> bool:
     return phi.source.rank == phi.target.rank and is_injective(phi)
 
 
-def _subfiber_module(fib: HModule, basis_rows: Sequence[linalg.Vector]) -> HModule:
-    """The H-module carried by an H-stable row subspace of a fiber."""
+def _subfiber_module(fib: HModule, basis_rows) -> HModule:
+    """The H-module carried by an H-stable row subspace of a fiber: the
+    images B . rho(h) of the basis rows B, one product for all h, written
+    in coordinates over B."""
     be = fib.backend
-    d = len(basis_rows)
-    bt = linalg.transpose(list(basis_rows)) if d else []
-    rho = {}
-    for h in fib.subgroup.members:
-        mat = []
-        for row in basis_rows:
-            img = linalg.vec_mat(list(row), fib.rho[h], be)
-            coeffs = linalg.solve(bt, img, be)
-            if coeffs is None:
-                raise ValueError("subspace is not H-stable")
-            mat.append(coeffs)
-        rho[h] = mat
-    return HModule(fib.subgroup, be, d, rho)
+    d, order = len(basis_rows), fib.subgroup.order
+    rows = np.array(basis_rows, dtype=be.dtype).reshape(d, fib.dim)
+    images = matmul(rows, fib.rho, be).reshape(order * d, fib.dim)
+    bt = rows.T.tolist()
+    coords = []
+    for img in images.tolist():
+        coeffs = linalg.solve(bt, img, be)
+        if coeffs is None:
+            raise ValueError("subspace is not H-stable")
+        coords.append(coeffs)
+    return HModule(fib.subgroup, be, d, np.array(coords, dtype=be.dtype)
+                   .reshape(order, d, d))
 
 
 def sub_equation(eq: Equation, basis_rows: Sequence[linalg.Vector]) -> Tuple[Equation, Morphism]:
@@ -184,9 +187,14 @@ def sub_equation(eq: Equation, basis_rows: Sequence[linalg.Vector]) -> Tuple[Equ
     Returns the induced equation plus its embedding, whose matrix at y is
     B . E^{sigma(y)}(y) (transport of the fiber basis along the transversal).
     """
+    return _subobject(eq, _subfiber_module(fiber(eq), basis_rows), basis_rows)
+
+
+def _subobject(eq: Equation, sub: HModule,
+               basis_rows) -> Tuple[Equation, Morphism]:
+    """``sub_equation`` for the module ``sub`` the basis rows carry."""
     group = eq.group
     be = eq.backend
-    sub = _subfiber_module(fiber(eq), basis_rows)
     sig = transversal(group)
     sub_eq = induce(sub, sig)
     rows = np.array(basis_rows, dtype=be.dtype).reshape(sub.dim, eq.rank)
@@ -261,10 +269,12 @@ def find_isomorphism(src: Equation, dst: Equation,
                 None)
 
 
-def _is_scalar_matrix(m: linalg.Matrix, be: Backend) -> bool:
-    n = len(m)
-    return all(be.eq(m[i][j], m[0][0] if i == j else be.zero())
-               for i in range(n) for j in range(n))
+def _scalar_matrices(mats: np.ndarray, be: Backend) -> np.ndarray:
+    """Which matrices of a (k, n, n) array are multiples of the identity:
+    one comparison for all of them."""
+    eye = np.eye(mats.shape[-1], dtype=bool)
+    scalar = np.where(eye, mats[:, :1, :1], be.zero())
+    return be.eq_array(mats, scalar).all(axis=(1, 2))
 
 
 def is_simple(eq: Equation, seed: int = 0) -> str:
@@ -281,8 +291,8 @@ def is_simple(eq: Equation, seed: int = 0) -> str:
     if d == 0:
         return NOT_SIMPLE
     span = linalg.RowSpace(d * d, be)
-    for h in fib.subgroup.members:
-        span.add(linalg.flatten(fib.rho[h]))
+    for row in fib.rho.reshape(-1, d * d).tolist():
+        span.add(row)
     if span.dim == d * d:
         return SIMPLE
     if not be.exact:
@@ -296,23 +306,29 @@ def is_simple(eq: Equation, seed: int = 0) -> str:
     return UNDETERMINED
 
 
-def _generalized_eigenrows(m: linalg.Matrix, lam, d: int, be: Backend) -> List[linalg.Vector]:
-    """Rows v with v . (M - lam I)^d = 0."""
-    shifted = [row[:] for row in m]
-    for i in range(d):
-        shifted[i][i] = shifted[i][i] - lam
-    power = linalg.mat_pow(shifted, d, be)
-    return linalg.nullspace(linalg.transpose(power), d, be)
+def _generalized_eigenrows(m: np.ndarray, roots: list,
+                           be: Backend) -> List[List[linalg.Vector]]:
+    """For each root lam, the rows v with v . (M - lam I)^d = 0: the
+    powers of all the shifted matrices S, one batched product per step.
+    The first power is S + 0: I . S has the entries of S, its zeros made
+    positive by the sum from zero."""
+    d = len(m)
+    shifted = np.repeat(m[None], len(roots), axis=0)
+    diag = np.arange(d)
+    shifted[:, diag, diag] -= np.array(roots, dtype=be.dtype)[:, None]
+    power = shifted + be.zero()
+    for _ in range(d - 1):
+        power = matmul(power, shifted, be)
+    return [linalg.nullspace(p.T.tolist(), d, be) for p in power]
 
 
-def _eigenvalue_split(m: linalg.Matrix, be: Backend) -> Optional[List[List[linalg.Vector]]]:
+def _eigenvalue_split(m: np.ndarray, be: Backend) -> Optional[List[List[linalg.Vector]]]:
     """Partition of F^d (rows) into >= 2 generalized eigenspaces of M, or None."""
     d = len(m)
     if be.exact:
-        coeffs = linalg.charpoly(m)
-        roots = linalg.rational_roots(coeffs)
+        roots = linalg.rational_roots(linalg.charpoly(m.tolist()))
     else:
-        vals = np.linalg.eigvals(np.array([[complex(x) for x in row] for row in m]))
+        vals = np.linalg.eigvals(m)
         scale = 1 + max((abs(v) for v in vals), default=0.0)
         tol = max(be.eps * 1e3, 1e-7) * scale
         roots = []
@@ -321,33 +337,29 @@ def _eigenvalue_split(m: linalg.Matrix, be: Backend) -> Optional[List[List[linal
                 roots.append(complex(v))
     if len(roots) < 2:
         return None
-    spaces = []
-    total = 0
-    for lam in roots:
-        basis = _generalized_eigenrows(m, lam, d, be)
-        if basis:
-            spaces.append(basis)
-            total += len(basis)
-    if len(spaces) < 2 or total != d:
+    spaces = [basis for basis in _generalized_eigenrows(m, roots, be) if basis]
+    if len(spaces) < 2 or sum(map(len, spaces)) != d:
         return None
     return spaces
 
 
-def _find_stable_splitting(fib: HModule, comm: List[linalg.Matrix],
+def _find_stable_splitting(fib: HModule, comm: np.ndarray,
                            seed: int) -> Optional[List[List[linalg.Vector]]]:
-    """Generalized eigenspaces of a random commutant element, if separating."""
+    """Generalized eigenspaces of a random commutant element, if separating.
+
+    The element is a ``random_combination`` of the commutant basis plus
+    zero, which makes its zeros positive, as a sum that starts from zero
+    gives them."""
     be = fib.backend
     rng = random.Random(seed)
-    candidates = [c for c in comm if not _is_scalar_matrix(c, be)]
+    candidates = list(comm[~_scalar_matrices(comm, be)])
     for _ in range(DEFAULT_RETRY_BUDGET):
         for m in candidates:
             split = _eigenvalue_split(m, be)
             if split is not None:
                 return split
-        mixed = linalg.zeros(fib.dim, fib.dim, be)
-        for c in comm:
-            mixed = linalg.mat_add(mixed, linalg.mat_scale(be.random(rng), c))
-        candidates = [mixed] if not _is_scalar_matrix(mixed, be) else []
+        mixed = random_combination(comm, rng, be) + be.zero()
+        candidates = [] if _scalar_matrices(mixed[None], be)[0] else [mixed]
     return None
 
 
@@ -356,23 +368,21 @@ def decompose(eq: Equation, seed: int = 0) -> List[Tuple[Equation, Morphism]]:
     random-endomorphism eigenspace splitting at the fiber level."""
     fib = fiber(eq)
     be = eq.backend
-    ident = linalg.identity(eq.rank, be)
-    leaves: List[List[linalg.Vector]] = []
+    leaves: List[Tuple[HModule, np.ndarray]] = []
 
-    def recurse(basis_rows: List[linalg.Vector], depth: int) -> None:
+    def recurse(basis_rows: np.ndarray, depth: int) -> None:
         sub = _subfiber_module(fib, basis_rows)
         comm = intertwiner_space(sub, sub)
         if len(comm) <= 1:
-            leaves.append(basis_rows)
+            leaves.append((sub, basis_rows))
             return
         split = _find_stable_splitting(sub, comm, seed + depth)
         if split is None:
             raise SplittingInconclusive(
                 "no separating endomorphism found within the retry budget")
         for coeff_basis in split:
-            rows = [linalg.vec_mat(c, [list(r) for r in basis_rows], be)
-                    for c in coeff_basis]
-            recurse(rows, depth + 1)
+            coeffs = np.array(coeff_basis, dtype=be.dtype)
+            recurse(matmul(coeffs, basis_rows, be), depth + 1)
 
-    recurse([list(r) for r in ident], 0)
-    return [sub_equation(eq, rows) for rows in leaves]
+    recurse(be.eye(eq.rank), 0)
+    return [_subobject(eq, sub, rows) for sub, rows in leaves]

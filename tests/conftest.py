@@ -2,8 +2,8 @@
 independent sympy-based oracles for dimensions computed by the package,
 full-group checks (the package itself checks generators only), second
 routes to the package's results, and the multiplication table, per-cell
-constructions and pointwise operator calculus that the package's array code
-must reproduce exactly."""
+constructions, pointwise operator calculus and nested-list module code
+that the package's array code must reproduce exactly."""
 
 import os
 import random
@@ -27,6 +27,60 @@ from gdiff.space import (BASE_POINT, dihedral_on_cycle, stabilizer,
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
+
+
+# -- matrices as nested lists of scalars, the arithmetic the oracles use ------
+
+def zeros(r, c, backend):
+    z = backend.zero()
+    return [[z for _ in range(c)] for _ in range(r)]
+
+
+def identity(n, backend):
+    m = zeros(n, n, backend)
+    for i in range(n):
+        m[i][i] = backend.one()
+    return m
+
+
+def transpose(a):
+    return [list(row) for row in zip(*a)]
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(c, a):
+    return [[c * x for x in row] for row in a]
+
+
+def mat_mul(a, b, backend):
+    """a . b, every entry summed in order from zero."""
+    bt = transpose(b)
+    z = backend.zero()
+    return [[sum((x * y for x, y in zip(row, col)), z) for col in bt]
+            for row in a]
+
+
+def mat_vec(a, v, backend):
+    z = backend.zero()
+    return [sum((x * y for x, y in zip(row, v)), z) for row in a]
+
+
+def mat_eq(a, b, backend):
+    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
+        return False
+    return all(backend.eq(x, y) for ra, rb in zip(a, b)
+               for x, y in zip(ra, rb))
+
+
+def flatten(a):
+    return [x for row in a for x in row]
+
+
+def unflatten(v, r, c):
+    return [list(v[i * c:(i + 1) * c]) for i in range(r)]
 
 
 def perfbench_module(name):
@@ -133,17 +187,17 @@ def pointwise_induce(mod, sigma):
     from the table and each rho matrix put in point by point."""
     group, be = mod.subgroup.group, mod.backend
     mult = mult_table(group)
-    hset = set(mod.subgroup.members)
+    rho = list_rho(mod)
     conn = []
     for g in range(group.order):
         mats = []
         for y in range(group.space.size):
             gy = group.elements[group.inv[g]][y]
             h = mult[group.inv[sigma.sigma[y]]][mult[g][sigma.sigma[gy]]]
-            if h not in hset:
+            if h not in rho:
                 raise ElementNotInH(
                     f"transversal arithmetic left H at (g={g}, y={y})")
-            mats.append(mod.rho[h])
+            mats.append(rho[h])
         conn.append(KMatrix(tuple(
             tuple(Fn(tuple(be.coerce(mat[i][j]) for mat in mats), be)
                   for j in range(mod.dim)) for i in range(mod.dim)), be))
@@ -424,8 +478,8 @@ def pointwise_hom_space(src, dst):
     t_dst = [dst.conn[s].at_point(y) for y, s in enumerate(sigma)]
     vecs = []
     for p in equivalence.intertwiner_space(equivalence.fiber(src),
-                                           equivalence.fiber(dst)):
-        mats = [linalg.mat_mul(t_src_inv[y], linalg.mat_mul(p, t_dst[y], be), be)
+                                           equivalence.fiber(dst)).tolist():
+        mats = [mat_mul(t_src_inv[y], mat_mul(p, t_dst[y], be), be)
                 for y in range(size)]
         vecs.append([mats[y][i][j] for i in range(n) for j in range(m)
                      for y in range(size)])
@@ -443,17 +497,17 @@ def fiber_projection_route(eq, chi):
     be = eq.backend
     sub = chi.subgroup
     sig = transversal(group)
-    fib = equivalence.fiber(eq)
+    rho = list_rho(equivalence.fiber(eq))
     coeff = _chi_scalar(chi.dim, be) / _chi_scalar(sub.order, be)
-    p = linalg.zeros(eq.rank, eq.rank, be)
+    p = zeros(eq.rank, eq.rank, be)
     for h in sub.members:
         w = coeff * _chi_scalar(chi.values[sub.inv(h)], be)
-        p = linalg.mat_add(p, linalg.mat_scale(w, fib.rho[h]))
+        p = mat_add(p, mat_scale(w, rho[h]))
     mats = []
     for t in eq.scalars((list(sig.sigma),
                          list(range(group.space.size)))).tolist():
         tinv = linalg.inv(t, be)
-        mats.append(linalg.mat_mul(tinv, linalg.mat_mul(p, t, be), be))
+        mats.append(mat_mul(tinv, mat_mul(p, t, be), be))
     pi = Morphism(eq, eq, np.array(mats, dtype=be.dtype))
     pi.validate()
     return pi
@@ -520,13 +574,14 @@ def difn_quotient_oracle(op, solutions):
     ncols, tcols = op.source.rank * size, op.target.rank * size
     dim = size * ncols
     combined = linalg.RowSpace(dim, be)
+    action = op.action.tolist()
     for y in range(size):
         for c in range(tcols):
-            unit = linalg.zeros(size, tcols, be)
+            unit = zeros(size, tcols, be)
             unit[y][c] = be.one()
-            combined.add(linalg.flatten(linalg.mat_mul(unit, op.action, be)))
+            combined.add(flatten(mat_mul(unit, action, be)))
     im_dim = combined.dim
-    qreps = [b for b in linalg.identity(dim, be) if combined.add(b)]
+    qreps = [b for b in identity(dim, be) if combined.add(b)]
 
     def qcoords(vec):
         c = combined.coords(vec)
@@ -553,19 +608,21 @@ def difn_quotient_oracle(op, solutions):
     fiber_basis = linalg.row_space_basis(
         [qcoords(act_delta(rep)) for rep in qreps], len(qreps), be)
     sub = stabilizer(group, BASE_POINT)
-    ft = linalg.transpose(fiber_basis)
-    rho = {}
+    ft = transpose(fiber_basis)
+    rho = []
     for h in sub.members:
-        rho[h] = [linalg.solve(ft, qcoords(act_g(h, q_lift(c))), be)
-                  for c in fiber_basis]
-        assert all(row is not None for row in rho[h])
-    mod = equivalence.HModule(sub, be, len(fiber_basis), rho)
-    lifts = [linalg.unflatten(q_lift(c), size, ncols) for c in fiber_basis]
+        rho.append([linalg.solve(ft, qcoords(act_g(h, q_lift(c))), be)
+                    for c in fiber_basis])
+        assert all(row is not None for row in rho[-1])
+    dim = len(fiber_basis)
+    mod = equivalence.HModule(sub, be, dim, np.array(rho, dtype=be.dtype)
+                              .reshape(sub.order, dim, dim))
+    lifts = [unflatten(q_lift(c), size, ncols) for c in fiber_basis]
     mats = []
     for coords in solutions:
         vec_e = coords.ravel().tolist()
         mats.append(KMatrix(tuple(
-            (Fn.constant(linalg.mat_vec(lift, vec_e, be)[BASE_POINT], size,
+            (Fn.constant(mat_vec(lift, vec_e, be)[BASE_POINT], size,
                          be),) for lift in lifts), be))
     return mod, mats
 
@@ -591,7 +648,7 @@ def pointwise_mu(theta):
     src, dst = theta.source, theta.target
     group, be = src.group, src.backend
     n, m, size = src.rank, dst.rank, group.space.size
-    mat = linalg.zeros(m * size, n * size, be)
+    mat = zeros(m * size, n * size, be)
     for g, coef in kmatrix_terms(theta).items():
         ginv_img = group.image(group.inv[g])
         e_g = src.conn[g]
@@ -649,3 +706,96 @@ def pointwise_act(eq, g, coords):
     ginv_img = eq.group.image(eq.group.inv[g])
     row = tuple(Fn(tuple(f), be).translate(ginv_img) for f in coords.tolist())
     return KMatrix((row,), be).mul(eq.conn[g]).entries[0]
+
+
+# -- the module layer as it ran on nested lists, one matrix per element id,
+# before it worked on arrays ----------------------------------------------------
+
+def list_rho(mod):
+    """A module's matrices as nested lists of scalars, keyed by element id."""
+    return dict(zip(mod.subgroup.members, mod.rho.tolist()))
+
+
+def loop_intertwiner_rows(u, v):
+    """The intertwining system row by row: for h != e, i and k, a row of
+    zeros over the unknowns P_jl (column j m + l) gains rho_U(h)_ij at
+    (j, k) and then loses rho_V(h)_lk at (i, l)."""
+    be = u.backend
+    n, m = u.dim, v.dim
+    ru_all, rv_all = list_rho(u), list_rho(v)
+    rows = []
+    for h in u.subgroup.members:
+        if h == 0:
+            continue
+        ru, rv = ru_all[h], rv_all[h]
+        for i in range(n):
+            for k in range(m):
+                row = [be.zero()] * (n * m)
+                for j in range(n):
+                    row[j * m + k] = row[j * m + k] + ru[i][j]
+                for j in range(m):
+                    row[i * m + j] = row[i * m + j] - rv[j][k]
+                rows.append(row)
+    return rows
+
+
+def loop_direct_sum(u, v):
+    """The block-diagonal matrices, keyed by element id."""
+    be = u.backend
+    ru, rv = list_rho(u), list_rho(v)
+    return {h: [row + [be.zero()] * v.dim for row in ru[h]]
+            + [[be.zero()] * u.dim + row for row in rv[h]]
+            for h in u.subgroup.members}
+
+
+def loop_tensor(u, v):
+    """Row (i, j), column (r, s) of rho_U(h) (x) rho_V(h) is
+    rho_U(h)_ir * rho_V(h)_js, keyed by element id."""
+    ru, rv = list_rho(u), list_rho(v)
+
+    def kron(a, b):
+        return [[a[i][r] * b[j][c] for r in range(len(a[0]))
+                 for c in range(len(b[0]))]
+                for i in range(len(a)) for j in range(len(b))]
+    return {h: kron(ru[h], rv[h]) for h in u.subgroup.members}
+
+
+def loop_close_rho(sub, be, partial):
+    """The closure of generator matrices (nested lists) under
+    rho(ab) = rho(b) rho(a), one product at a time in dict order."""
+    dim = len(next(iter(partial.values())))
+    rho = {0: identity(dim, be)}
+    rho.update(partial)
+    changed = True
+    while changed:
+        changed = False
+        for a in list(rho):
+            for b in list(rho):
+                ab = sub.mult(a, b)
+                if ab not in rho:
+                    rho[ab] = mat_mul(rho[b], rho[a], be)
+                    changed = True
+    return rho
+
+
+def loop_character(mod):
+    """The trace of each matrix summed from zero, keyed by element id."""
+    return {h: sum((m[i][i] for i in range(mod.dim)), mod.backend.zero())
+            for h, m in list_rho(mod).items()}
+
+
+def loop_validate(mod):
+    """HModule.validate as a scan over the element ids: rho(e) = I, then for
+    each a a test of rho(a) for singularity and of rho(ab) = rho(b) rho(a)
+    for b in order.  The message of the first failure, or None."""
+    be, sub = mod.backend, mod.subgroup
+    rho = list_rho(mod)
+    if not mat_eq(rho[0], identity(mod.dim, be), be):
+        return "rho(e) is not the identity"
+    for a in sub.members:
+        if linalg.inv(rho[a], be) is None:
+            return f"rho of element {a} is singular"
+        for b in sub.members:
+            if not mat_eq(rho[sub.mult(a, b)], mat_mul(rho[b], rho[a], be), be):
+                return f"rho is not an anti-homomorphism at ({a},{b})"
+    return None

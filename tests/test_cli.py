@@ -216,6 +216,23 @@ def test_composing_operators_between_other_equations_fails(tmp_path,
         "operator's source"]
 
 
+def test_validate_refuses_operators_that_do_not_compose(tmp_path, capsys):
+    # the compose task above, alone: `run` can only fail it, so `validate`
+    # refuses the file with one error line
+    def mismatch_only(data):
+        data["operators"]["o"] = {"source": "one", "target": "sign", "terms": [
+            {"word": "e", "matrix": [[1]]}]}
+        data["tasks"] = [{"task": "compose", "first": "o", "second": "alt"}]
+
+    target = _write_mutated(tmp_path, mismatch_only)
+    assert main(["validate", target]) == 2
+    assert capsys.readouterr().err == (
+        "error: task 0: operator composition: the first operator's target "
+        "is not the second operator's source\n")
+    assert main(["run", target]) == 1
+    assert "task 0 compose: FAIL error=GDiffError" in capsys.readouterr().out
+
+
 def test_empty_generator_map_exits_two(tmp_path, capsys):
     # on one point the group may have no generators; the equation still
     # needs its matrices
@@ -264,7 +281,9 @@ def test_huge_rank_is_refused_before_anything_is_built(tmp_path, capsys,
     build = getattr(module, constructor)
 
     def guarded(*args, **kwargs):
-        if 10 ** 9 in args or 10 ** 9 in kwargs.values():
+        # arguments may be arrays, which have no truth value: compare ints
+        if any(isinstance(a, int) and a == 10 ** 9
+               for a in (*args, *kwargs.values())):
             raise AssertionError(f"{constructor} called for a huge rank")
         return build(*args, **kwargs)
 

@@ -1,36 +1,45 @@
+import numpy as np
 import pytest
 
-from conftest import (equation_zoo, kmatrix_of, pointwise_induce,
-                      rank2_equation, scalar_bits, seeded_rng,
-                      random_involution)
+from conftest import (array_bits, bits, equation_zoo, kmatrix_of, list_rho,
+                      loop_character, loop_close_rho, loop_direct_sum,
+                      loop_intertwiner_rows, loop_tensor, loop_validate,
+                      pointwise_induce, rank2_equation, scalar_bits,
+                      seeded_rng, random_involution)
 from gdiff import scalars
 from gdiff import equivalence, solver
 from gdiff.equations import direct_sum, dual, tensor, trivial_equation
-from gdiff.equivalence import (builtin_irreducibles, fiber, grothendieck_check,
-                               hmodule_direct_sum, hmodule_dual,
-                               hmodule_from_matrices, hmodule_tensor, induce,
+from gdiff.equivalence import (HModule, builtin_irreducibles, fiber,
+                               grothendieck_check, hmodule_direct_sum,
+                               hmodule_dual, hmodule_from_matrices,
+                               hmodule_tensor, induce, intertwiner_rows,
                                roundtrip_iso, transversal_independence,
                                trivial_hmodule)
 from gdiff.errors import ElementNotInH
-from gdiff.space import (Transversal, alternate_transversal, stabilizer,
-                         transversal)
+from gdiff.problem import _close_rho
+from gdiff.projection import character_of_hmodule
+from gdiff.space import (FiniteSpace, Transversal, alternate_transversal,
+                         dihedral_on_cycle, enumerate_group, parse_cycles,
+                         stabilizer, transversal)
+
+BACKENDS = [scalars.Backend.rational(), scalars.Backend.complex()]
 
 
 def test_fiber_of_trivial_and_sign(g3, rational):
     zoo = equation_zoo(g3, rational)
     sub = stabilizer(g3, 0)
-    t = next(h for h in sub.members if h != 0)
+    t = sub.members.index(next(h for h in sub.members if h != 0))
     f1 = fiber(zoo["one"])
-    assert f1.dim == 1 and f1.rho[t] == [[1]]
+    assert f1.dim == 1 and f1.rho[t].tolist() == [[1]]
     fs = fiber(zoo["sign"])
-    assert fs.rho[t] == [[-1]]
+    assert fs.rho[t].tolist() == [[-1]]
 
 
 def test_fiber_respects_direct_sum(g3, rational):
     zoo = equation_zoo(g3, rational)
     f = fiber(direct_sum(zoo["one"], zoo["sign"]))
     g = hmodule_direct_sum(fiber(zoo["one"]), fiber(zoo["sign"]))
-    assert f.rho == g.rho
+    assert f.rho.tolist() == g.rho.tolist()
 
 
 def test_rho_orientation_is_antihomomorphism(g4, rational):
@@ -47,7 +56,7 @@ def test_fiber_induce_literally_equal(g3, g4, g6, rational):
             sub, rational, {0: [[1, 0], [0, 1]], t: random_involution(rng)})
         eq = induce(mod, transversal(group))
         back = fiber(eq)
-        assert back.rho == mod.rho
+        assert back.rho.tolist() == mod.rho.tolist()
 
 
 def test_induce_stays_in_h(g3, rational):
@@ -132,16 +141,17 @@ def test_induced_simplicity_matches_fiber(g3, rational, cplx):
             # span criterion directly on the fiber
             from gdiff import linalg
             sp = linalg.RowSpace(mod.dim ** 2, be)
-            for h in sub.members:
-                sp.add(linalg.flatten(mod.rho[h]))
+            for mat in mod.rho.tolist():
+                sp.add([x for row in mat for x in row])
             assert span_simple == (sp.dim == mod.dim ** 2)
 
 
 def test_dual_tensor_functors_commute_with_fiber(g3, rational):
     zoo = equation_zoo(g3, rational)
     e, f = zoo["rank2"], zoo["sign"]
-    assert fiber(tensor(e, f)).rho == hmodule_tensor(fiber(e), fiber(f)).rho
-    assert fiber(dual(e)).rho == hmodule_dual(fiber(e)).rho
+    assert (fiber(tensor(e, f)).rho.tolist()
+            == hmodule_tensor(fiber(e), fiber(f)).rho.tolist())
+    assert fiber(dual(e)).rho.tolist() == hmodule_dual(fiber(e)).rho.tolist()
 
 
 @pytest.mark.parametrize("backend", [scalars.Backend.rational(),
@@ -169,3 +179,123 @@ def test_induce_leaves_h_where_the_per_cell_loop_does(g4, rational):
     with pytest.raises(ElementNotInH) as got:
         induce(mod, bad)
     assert str(got.value) == str(want.value)
+
+
+def module_zoo(group, backend, rng):
+    """The builtin irreducibles of the stabilizer, and a random rank-2
+    module: a random involution at its element t != e."""
+    sub = stabilizer(group, 0)
+    t = next(h for h in sub.members if h != 0)
+    mods = list(builtin_irreducibles(sub, backend).values())
+    mods.append(hmodule_from_matrices(
+        sub, backend, {0: [[1, 0], [0, 1]], t: random_involution(rng)}))
+    return mods
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_dual_module_is_the_fiber_of_the_dual(g3, g4, g6, backend):
+    # rho*(h) = rho(h^-1)^t gathers the very scalars of the dual connection
+    # at the base point
+    rng = seeded_rng(43)
+    for group in (g3, g4, g6):
+        for mod in module_zoo(group, backend, rng):
+            e = induce(mod, transversal(group))
+            assert (array_bits(hmodule_dual(fiber(e)).rho)
+                    == array_bits(fiber(dual(e)).rho))
+
+
+def s4_on_four_points():
+    """S4 on four points: the stabilizer of the first is S3, with a 2-dim
+    irreducible over the complex numbers."""
+    space = FiniteSpace(("1", "2", "3", "4"))
+    return enumerate_group(space, {name: parse_cycles(text, 4) for name, text
+                                   in (("a", "(1 2 3 4)"), ("b", "(2 3)"),
+                                       ("c", "(2 3 4)"))})
+
+
+def permutation_module(sub, backend):
+    """The stabilizer permuting the other points: rho(h)_ij = 1 when h takes
+    point i + 1 to point j + 1, an anti-homomorphism."""
+    images = sub.group.elements
+    return hmodule_from_matrices(sub, backend, {
+        h: [[int(images[h][i + 1] == j + 1) for j in range(3)]
+            for i in range(3)] for h in sub.members})
+
+
+def rho_bits(rho, members):
+    """``bits`` of nested-list matrices keyed by element id, in member order."""
+    return [bits(x) for h in members for row in rho[h] for x in row]
+
+
+def validate_message(mod):
+    try:
+        mod.validate()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def corrupted(mod):
+    """Copies of mod that fail validation: rho(e) off the identity, and for
+    each element a shifted entry and a zero matrix."""
+    be, sub, d = mod.backend, mod.subgroup, mod.dim
+    for a in range(sub.order):
+        for change in ("shift", "zero"):
+            rho = mod.rho.copy()
+            if change == "shift":
+                rho[a, 0, d - 1] = rho[a, 0, d - 1] + be.one()
+            else:
+                rho[a] = be.zero()
+            yield HModule(sub, be, d, rho)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("n", [3, 4, 6, "s4"])
+def test_module_layer_matches_the_nested_list_loops(n, backend):
+    # the array code against the loops it replaced: the same bits on the
+    # complex backend, signs of zeros included, equal Fractions (never
+    # ints) over the rationals, and the same first validation failure
+    rng = seeded_rng(44)
+    if n == "s4":
+        group = s4_on_four_points()
+        sub = stabilizer(group, 0)
+        mods = list(builtin_irreducibles(sub, backend).values())
+        mods.append(permutation_module(sub, backend))
+    else:
+        group = dihedral_on_cycle(n)
+        sub = stabilizer(group, 0)
+        mods = module_zoo(group, backend, rng)
+    members = sub.members
+    for u in mods:
+        assert validate_message(u) is None and loop_validate(u) is None
+        for bad in corrupted(u):
+            assert validate_message(bad) == loop_validate(bad) is not None
+        assert ([bits(v) for v in character_of_hmodule(u).values.values()]
+                == [bits(v) for v in loop_character(u).values()])
+        # the closure of the matrices at the non-identity generators
+        rho = list_rho(u)
+        gens = {h: rho[h] for h in members if h in group.generator_ids}
+        gens = gens or {h: rho[h] for h in members[1:]}
+        assert (array_bits(_close_rho(sub, backend, gens))
+                == rho_bits(loop_close_rho(sub, backend, gens), members))
+        for v in mods:
+            assert (array_bits(intertwiner_rows(u, v))
+                    == [bits(x) for row in loop_intertwiner_rows(u, v)
+                        for x in row])
+            assert (array_bits(hmodule_direct_sum(u, v).rho)
+                    == rho_bits(loop_direct_sum(u, v), members))
+            assert (array_bits(hmodule_tensor(u, v).rho)
+                    == rho_bits(loop_tensor(u, v), members))
+
+
+def test_validate_finds_a_singular_matrix_among_good_pairs(g3, cplx):
+    # [[1, x], [0, -1]] squares to the identity, but at x = 1e9 its singular
+    # values are 1e9 and 1e-9, below the rank tolerance: every pair agrees,
+    # and the scan still reports the singular matrix
+    sub = stabilizer(g3, 0)
+    t = sub.members.index(next(h for h in sub.members if h != 0))
+    rho = np.array([np.eye(2), np.eye(2)], dtype=complex)
+    rho[t] = [[1, 1e9], [0, -1]]
+    mod = HModule(sub, cplx, 2, rho)
+    assert validate_message(mod) == loop_validate(mod) == \
+        f"rho of element {sub.members[t]} is singular"

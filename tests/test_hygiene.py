@@ -11,6 +11,9 @@ modules that solve, project, induce, compute with operators and
 invariants, and parse problem files neither import nor read ``KMatrix``
 or ``Fn``, and no module builds a matrix from one scalar matrix per point.
 
+Outside ``linalg.py`` no module reads from ``linalg`` anything but the
+elimination kernels: every other matrix is an array.
+
 Every function and method that the benchmark's traced mode wraps by dotted
 path (``perfbench/layers.py``) must exist in the package, and the benchmark's
 correctness oracle (``perfbench/oracle.py``), which reads groups and
@@ -123,6 +126,39 @@ def test_morphism_modules_use_no_pointwise_matrices(module):
 @pytest.mark.parametrize("module", MODULES + ["__init__.py"])
 def test_no_matrix_is_built_point_by_point(module):
     assert not attribute_reads(parse(module), "from_point_matrices")
+
+
+# What ``linalg`` offers the rest of the package: the elimination kernels,
+# which take nested lists, the batched singularity test on arrays, and the
+# type names of the kernels' interface.
+LINALG_KERNELS = {"rank", "nullspace", "nullspace_form", "solve", "inv", "det",
+                  "RowSpace", "row_space_basis", "charpoly", "rational_roots",
+                  "any_singular", "Matrix", "Vector"}
+
+
+def linalg_names(tree):
+    """The names a module reads from ``linalg``: attributes of the name
+    ``linalg`` and names imported from it."""
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "linalg"}
+    return read | {alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module == "linalg" for alias in node.names}
+
+
+def test_linalg_names_ignore_numpy_linalg():
+    tree = ast.parse("from .linalg import solve\n"
+                     "x = linalg.rank(a) + np.linalg.norm(a)\n")
+    assert linalg_names(tree) == {"solve", "rank"}
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "linalg.py"])
+def test_only_linalg_kernels_are_read(module):
+    # every matrix outside the kernels is an array: no module does matrix
+    # arithmetic on nested lists through linalg
+    extra = linalg_names(parse(module)) - LINALG_KERNELS
+    assert not extra, f"{module} reads linalg.{sorted(extra)}"
 
 
 @pytest.mark.parametrize(

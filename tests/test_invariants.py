@@ -111,7 +111,7 @@ def test_conserved_quantity_sym2_values_use_monomial_weights(g3, rational):
     assert is_invariant(sym2(eq), alpha)
 
     def solution(a, b):
-        return constant_morphism(eq, one, [[Fraction(a)], [Fraction(b)]])
+        return constant_morphism(eq, one, np.array([[Fraction(a)], [Fraction(b)]]))
     report = conserved_quantity_check(eq, alpha, [solution(1, 2), solution(3, 1)])
     assert report["constant"]
     assert report["values"] == [16, 16, 16]

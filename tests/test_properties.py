@@ -71,7 +71,7 @@ def test_fiber_of_induced_module_is_the_module(n, m):
     mod, eq = induced(GROUPS[n], m)
     back = equivalence.fiber(eq)
     assert back.dim == mod.dim
-    assert back.rho == mod.rho
+    assert back.rho.tolist() == mod.rho.tolist()
 
 
 @small

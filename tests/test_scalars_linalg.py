@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import (equation_from_kmatrices, pointwise_validate, rank2_equation,
-                      seeded_rng, sympy_nullity)
+from conftest import (equation_from_kmatrices, identity, mat_eq, mat_mul,
+                      mat_vec, pointwise_validate, rank2_equation, seeded_rng,
+                      sympy_nullity)
 from gdiff import linalg
 from gdiff.equations import KMatrix
 from gdiff.errors import BackendMismatch, InconsistentConnection
@@ -59,7 +60,7 @@ def test_nullspace_matches_sympy_random(rational):
         got = linalg.nullspace(rows, 5, rational)
         assert len(got) == sympy_nullity(rows, 5)
         for vec in got:
-            out = linalg.mat_vec(rows, vec, rational)
+            out = mat_vec(rows, vec, rational)
             assert all(x == 0 for x in out)
 
 
@@ -76,15 +77,14 @@ def test_complex_nullspace_and_rank(cplx):
     assert linalg.rank(rows, cplx) == 1
     basis = linalg.nullspace(rows, 2, cplx)
     assert len(basis) == 1
-    out = linalg.mat_vec(rows, basis[0], cplx)
+    out = mat_vec(rows, basis[0], cplx)
     assert all(abs(x) < 1e-8 for x in out)
 
 
 def test_inv_and_det(rational):
     a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
     inv = linalg.inv(a, rational)
-    assert linalg.mat_eq(linalg.mat_mul(a, inv, rational),
-                         linalg.identity(2, rational), rational)
+    assert mat_eq(mat_mul(a, inv, rational), identity(2, rational), rational)
     assert linalg.det(a, rational) == 1
     singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert linalg.inv(singular, rational) is None

@@ -202,15 +202,14 @@ def test_pointwise_equivariance(g3, rational):
     basis = hom_space(zoo["rank2"], zoo["rank2"])
     phi = basis[0]
     e = zoo["rank2"]
-    from gdiff import linalg
+    from conftest import mat_eq, mat_mul
     for g in range(g3.order):
         ginv = g3.elements[g3.inv[g]]
         for y in range(3):
-            lhs = linalg.mat_mul(e.conn[g].at_point(y),
-                                 phi.at_point(y), rational)
-            rhs = linalg.mat_mul(phi.at_point(ginv[y]),
-                                 e.conn[g].at_point(y), rational)
-            assert linalg.mat_eq(lhs, rhs, rational)
+            lhs = mat_mul(e.conn[g].at_point(y), phi.at_point(y), rational)
+            rhs = mat_mul(phi.at_point(ginv[y]), e.conn[g].at_point(y),
+                          rational)
+            assert mat_eq(lhs, rhs, rational)
 
 
 def test_injective_surjective_iso(g3, rational):
