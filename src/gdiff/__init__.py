@@ -14,10 +14,11 @@ from .equivalence import (HModule, builtin_irreducibles, character_hmodule,
                           fiber, grothendieck_check, induce, roundtrip_iso,
                           transversal_independence, trivial_hmodule)
 from .errors import (BackendMismatch, CharacterBackendMismatch,
-                     ElementNotInH, GDiffError, GroupTooLarge,
-                     InconsistentConnection, NoIsoFound, NotASolution,
-                     NotInvariant, NotTransitive, ProblemFileError,
-                     SingularGeneratorMatrix, SplittingInconclusive)
+                     CompositionMismatch, ElementNotInH, GDiffError,
+                     GroupTooLarge, InconsistentConnection, InvalidHModule,
+                     NoIsoFound, NotASolution, NotHStable, NotInvariant,
+                     NotTransitive, ProblemFileError, SingularGeneratorMatrix,
+                     SplittingInconclusive)
 from .scalars import Backend, Fn
 from .skewalg import SkewOp, skew_mul
 from .solver import (Morphism, decompose, find_isomorphism, hom_space, image,

@@ -190,48 +190,6 @@ def skew_action(a: SkewOp, theta: RawOperator) -> RawOperator:
     return RawOperator(e1, e2, out)
 
 
-def ker_mu_basis(src: Equation, dst: Equation) -> List[RawOperator]:
-    """F-basis of ker mu inside the free coefficient space (n.m.|G|.|S|)."""
-    group, be = src.group, src.backend
-    n, m, size = src.rank, dst.rank, group.space.size
-    nunk = n * m * group.order * size
-
-    def uidx(i: int, j: int, g: int, y: int) -> int:
-        return ((i * m + j) * group.order + g) * size + y
-
-    rows = []
-    for g in range(group.order):
-        ginv_img = group.image(group.inv[g])
-        e_g = src.scalars(g).tolist()
-        for y in range(size):
-            p = ginv_img[y]
-            for j in range(m):
-                for k in range(n):
-                    # one row of mu per (output entry (j,y), input entry (k,p))
-                    row = [be.zero()] * nunk
-                    for i in range(n):
-                        row[uidx(i, j, g, y)] = e_g[y][k][i]
-                    rows.append((j * size + y, k * size + p, row))
-    # rows computed per (g, ...) target the same mu entry when g^{-1}y
-    # collides; accumulate them
-    acc: Dict[Tuple[int, int], list] = {}
-    for out_i, in_i, row in rows:
-        key = (out_i, in_i)
-        if key in acc:
-            acc[key] = [x + yv for x, yv in zip(acc[key], row)]
-        else:
-            acc[key] = row
-    system = [acc[k] for k in sorted(acc)]
-    out = []
-    for vec in linalg.nullspace(system, nunk, be):
-        # unknown (i, j, g, y) -> theta^g_ij(y)
-        coeffs = np.array(vec, dtype=be.dtype).reshape(n, m, group.order, size)
-        terms = {g: mat for g, mat in enumerate(coeffs.transpose(2, 3, 0, 1))
-                 if not be.is_zero(mat).all()}
-        out.append(RawOperator(src, dst, terms))
-    return out
-
-
 def classical_solutions(op: DiffOperator) -> List[np.ndarray]:
     """F-basis of C(Delta) = {e : Delta(e) = 0}, each an (n, |S|) array of
     coordinates."""

@@ -7,13 +7,21 @@ the cocycle law  E^{gg'} = g(E^{g'}) E^g  and E^e = id.
 Coordinates are row vectors: an element with coordinate functions f
 transforms as  f |-> g(f) . E^g.
 
-An ``Equation`` stores its connection as one array of shape
-(|G|, |S|, n, n), entry [g, y] the scalar matrix E^g(y): complex128 on the
-complex backend, Python ints over one common denominator over the
-rationals.  Every construction (direct sum, tensor, dual, Hom, Sym^2,
-Lambda^2, Lambda^top) is a few batched operations on such arrays, with the
-values of the pointwise matrix formulas, bit for bit: complex products go
-through ``cmul``, which rounds as Python's complex product does.
+An ``Equation`` stores its connection in one of two forms.  An equation
+given by generator data (``complete_connection``) holds one array of shape
+(|G|, |S|, n, n), entry [g, y] the scalar matrix E^g(y).  An induced
+equation (``equivalence.induce``) holds its base fiber, the (|H|, n, n)
+matrices of an H-module, and the ``Cells`` table of its transversal, which
+says which of them E^g(y) is; the (|G|, |S|, n, n) array is gathered from
+them only when it is read.  Either way the scalars are complex128 on the
+complex backend and Python ints over one common denominator over the
+rationals, and ``Equation.integral`` reads the matrices of any cells.
+Every construction (direct sum, tensor, dual, Hom, Sym^2, Lambda^2,
+Lambda^top) is a few batched operations on the entry-major view of the
+stored arrays, with the values of the pointwise matrix formulas, bit for
+bit: complex products go through ``cmul``, which rounds as Python's complex
+product does.  Operands induced over one transversal give an induced
+result, computed on their fibers alone.
 
 Every other matrix over k is an array of shape (|S|, rows, cols), entry
 [y] its scalar matrix at y, of ``Backend.dtype`` scalars: ``Fraction``
@@ -39,9 +47,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .errors import BackendMismatch, InconsistentConnection, SingularGeneratorMatrix
+from .errors import (BackendMismatch, ElementNotInH, InconsistentConnection,
+                     InvalidHModule, SingularGeneratorMatrix)
 from .scalars import Backend, Fn
-from .space import Group
+from .space import (BASE_POINT, Group, Subgroup, Transversal, stabilizer,
+                    transversal)
 
 
 @dataclass(frozen=True)
@@ -200,45 +210,136 @@ def first_mismatch(lhs: np.ndarray, rhs: np.ndarray,
     return int(bad[0]) if bad.size else None
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True, eq=False)
+class Cells:
+    """Which stabilizer element an equation induced over ``transversal``
+    has at each cell: ``table[g, y]`` is the slot in ``subgroup.members``
+    of sigma(y)^-1 g sigma(g^-1 y), and ``inverse[i]`` the slot of the
+    inverse of member i.  One per transversal (``cell_table``), kept by
+    the group and shared by every equation induced over it; the table is
+    computed on first use, as one (|G|, |S|) array of products
+    (``Group.mul_ids``), and raises ElementNotInH when a product leaves the
+    subgroup.
+
+    Every h of H sits at ``table[h, base]`` when sigma(base) = e, so an
+    induced equation's connection holds each of its fiber matrices."""
+
+    subgroup: Subgroup
+    transversal: Transversal
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        sub, group = self.subgroup, self.subgroup.group
+        sig = np.array(self.transversal.sigma)
+        inv = np.array(group.inv)
+        table = _slots(sub, group.mul_ids(
+            inv[sig][None, :], np.arange(group.order)[:, None],
+            sig[group.elements[inv]]))
+        outside = np.flatnonzero(table < 0)
+        if outside.size:
+            g, y = divmod(int(outside[0]), group.space.size)
+            raise ElementNotInH(
+                f"transversal arithmetic left H at (g={g}, y={y})")
+        return _read_only(table)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        sub = self.subgroup
+        return _slots(sub, np.array(sub.group.inv)[list(sub.members)])
+
+
+def _slots(sub: Subgroup, ids: np.ndarray) -> np.ndarray:
+    """The position of each element id in ``sub.members``, -1 outside H."""
+    slot = np.full(sub.group.order, -1)
+    slot[list(sub.members)] = np.arange(sub.order)
+    return slot[ids]
+
+
+def cell_table(sub: Subgroup, sigma: Transversal) -> Cells:
+    """The cells of induction of a module over ``sub`` along sigma: one
+    ``Cells`` per (subgroup, transversal), kept by the group."""
+    key = (sub.members, sigma.base, sigma.sigma)
+    cells = sub.group._cell_tables.get(key)
+    if cells is None:
+        cells = sub.group._cell_tables[key] = Cells(sub, sigma)
+    return cells
+
+
 class Equation:
     """A rank-n equation presented by its connection,
-    E^g(y) = array[g, y] / denom.
+    E^g(y) = A[g, y] / denom.
 
-    ``array`` is read-only, of shape (|G|, |S|, n, n).  On the complex
-    backend it is complex128 and ``denom`` is 1.  Over the rationals it holds
-    Python ints in an object array, brought on construction to the form that
-    ``Backend.integral`` gives (``Backend.reduce``: denom is the least common
-    denominator), so equal connections have equal arrays and denominators.
-    ``==`` compares groups and connections (the dataclass comparison of
-    the fields would compare arrays ambiguously).
+    Given ``array``, of shape (|G|, |S|, n, n), that is A itself.  Given
+    ``cells`` as well, the equation is induced and ``array`` is the fiber
+    F, of shape (|H|, n, n): A[g, y] = F[cells.table[g, y]], gathered by
+    ``Equation.array`` only when it is read, and ``module`` is the H-module
+    F / denom (given, or built on first use).  On the complex backend the
+    scalars are complex128 and ``denom`` is 1.  Over the rationals they are
+    Python ints in an object array, brought on construction to the form
+    that ``Backend.integral`` gives (``Backend.reduce``: denom is the least
+    common denominator), so equal connections have equal arrays and
+    denominators.  ``Equation.integral`` reads A at any index; the package
+    reads the connection through it alone.  ``==`` compares groups and
+    connections: the fibers of two equations induced over one transversal,
+    else the gathered arrays.
     """
 
-    group: Group
-    backend: Backend
-    rank: int
-    array: np.ndarray
-    denom: int = 1
+    def __init__(self, group: Group, backend: Backend, rank: int,
+                 array: np.ndarray, denom: int = 1,
+                 cells: Optional[Cells] = None, module=None):
+        arr, d = backend.reduce(array, denom)
+        self.group = group
+        self.backend = backend
+        self.rank = rank
+        self.denom = d
+        self.cells = cells
+        self._stored = _read_only(arr)
+        self._module = module
 
-    def __post_init__(self):
-        arr, d = self.backend.reduce(self.array, self.denom)
-        arr = arr.view()
-        arr.flags.writeable = False
-        object.__setattr__(self, "array", arr)
-        object.__setattr__(self, "denom", d)
+    @property
+    def module(self):
+        """The fiber H-module of an induced equation, None otherwise."""
+        if self._module is None and self.cells is not None:
+            from .equivalence import HModule
+            self._module = HModule(
+                self.cells.subgroup, self.backend, self.rank,
+                self.backend.scalar_array(self._stored, self.denom))
+        return self._module
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The connection A, read-only, of shape (|G|, |S|, n, n); gathered
+        from the fiber on first use for an induced equation."""
+        if self.cells is None:
+            return self._stored
+        return _read_only(self._stored[self.cells.table])
 
     @cached_property
     def conn(self) -> Tuple[KMatrix, ...]:
         """The connection as one KMatrix per group element, built on first
         use, for code that reads it one scalar at a time; the package works
-        on ``array``."""
+        on ``integral``."""
         return tuple(KMatrix.from_array(self.array[g], self.backend, self.denom)
                      for g in range(self.group.order))
 
+    def integral(self, index) -> Tuple[np.ndarray, int]:
+        """(A[index], denom): the connection at ``index``, any index of the
+        first two axes, as ints (or complex) over the denominator.  An
+        induced equation reads only the fiber matrices those cells name."""
+        if self.cells is None:
+            return self._stored[index], self.denom
+        return self._stored[self.cells.table[index]], self.denom
+
     def scalars(self, index) -> np.ndarray:
-        """``array[index] / denom`` as an array of backend scalars: for
-        example ``scalars(g)`` is E^g, of shape (|S|, n, n)."""
-        return self.backend.scalar_array(self.array[index], self.denom)
+        """``A[index] / denom`` as an array of backend scalars: for example
+        ``scalars(g)`` is E^g, of shape (|S|, n, n)."""
+        return self.backend.scalar_array(*self.integral(index))
 
     def inverse(self, g: int) -> np.ndarray:
         """(E^g)^-1 = g(E^{g^-1}), an (|S|, n, n) array of scalars: the
@@ -251,14 +352,19 @@ class Equation:
     def __eq__(self, other):
         """Equal groups and connections equal scalar for scalar: over the
         rationals equal ints over equal denominators, by the canonical
-        form."""
+        form.  Two equations induced over one transversal compare fibers:
+        their connections gather every fiber matrix from one table."""
         if not isinstance(other, Equation):
             return NotImplemented
-        return ((self.group is other.group or self.group == other.group)
+        if not ((self.group is other.group or self.group == other.group)
                 and self.backend == other.backend and self.rank == other.rank
-                and self.denom == other.denom
-                and self.array.shape == other.array.shape
-                and bool((self.array == other.array).all()))
+                and self.denom == other.denom):
+            return False
+        if self.cells is not None and self.cells is other.cells:
+            mine, theirs = self._stored, other._stored
+        else:
+            mine, theirs = self.array, other.array
+        return mine.shape == theirs.shape and bool((mine == theirs).all())
 
     def __hash__(self):
         return hash((self.group, self.rank, self.denom))
@@ -271,6 +377,11 @@ class Equation:
         reads g(E^{g^-1}) . E^g = I: every E^g is invertible, with the
         inverse that law predicts.
 
+        An induced equation checks its fiber module (``HModule.validate``):
+        induction of a module satisfies both laws, because the cell table
+        is a cocycle, h(gg', y) = h(g, y) h(g', g^-1 y), with h(e, y) = e.
+        When that check fails, the scan below names the failure.
+
         With C = array and d = denom, E^e = I reads C[e] == d I, and for a
         generator g the law, scaled by d^2, is one batched ``matmul`` and
         comparison of d C[g g'] with g(C[g']) . C[g], where
@@ -282,6 +393,12 @@ class Equation:
         to check.  Complex products may round in the last bit unlike
         ``KMatrix.mul``; only an eps near machine precision can see that.
         """
+        if self.module is not None:
+            try:
+                self.module.validate()
+                return
+            except InvalidHModule:
+                pass
         group, be = self.group, self.backend
         conn, d = self.array, self.denom
         if not be.eq_array(conn[0], d * np.eye(self.rank, dtype=be.dtype)).all():
@@ -301,10 +418,14 @@ class Equation:
 
 
 def trivial_equation(group: Group, backend: Backend, rank: int = 1) -> Equation:
-    """The equation 1 (and its powers): identity connection everywhere."""
-    shape = (group.order, group.space.size, rank, rank)
+    """The equation 1 (and its powers): the induced equation of the trivial
+    module (``equivalence.trivial_hmodule``), whose integral form is the
+    identity over 1 at every element of H; so the identity connection
+    everywhere."""
+    cells = cell_table(stabilizer(group, BASE_POINT), transversal(group))
+    eye = np.eye(rank, dtype=backend.dtype)[None]
     return Equation(group, backend, rank,
-                    np.broadcast_to(np.eye(rank, dtype=backend.dtype), shape))
+                    eye.repeat(cells.subgroup.order, axis=0), 1, cells)
 
 
 def complete_connection(group: Group, backend: Backend,
@@ -402,23 +523,34 @@ def _check_compatible(e: Equation, f: Equation) -> None:
     e.backend.check_same(f.backend)
 
 
-def _entries(e: Equation) -> np.ndarray:
-    """The connection entry-major, shape (n, n, |G|, |S|): a view of
-    ``array`` whose entry [i, j] is the (|G|, |S|) plane of E^g_ij(y).
+def _on_fibers(e: Equation, *others: Equation) -> bool:
+    """Whether every operand is induced over one transversal (one group's
+    ``cell_table``): a construction then works on the fibers and gives an
+    induced equation."""
+    return e.cells is not None and all(f.cells is e.cells for f in others)
+
+
+def _entries(e: Equation, on_fibers: bool) -> np.ndarray:
+    """The stored matrices entry-major: a view whose entry [i, j] is the
+    (|H|,) plane of the fiber's rho_ij, or the (|G|, |S|) plane of
+    E^g_ij(y).
 
     The constructions below fill their results one such plane at a time,
-    each one batched operation over all of G and S.  Their temporaries are
+    each one batched operation over all its cells.  Their temporaries are
     then one plane, not the whole connection: fresh memory is what a large
-    temporary costs most."""
-    return np.moveaxis(e.array, (2, 3), (0, 1))
+    temporary costs most.  The fiber planes hold the values the gathered
+    planes repeat, so both give the same scalars, bit for bit."""
+    return np.moveaxis(e._stored if on_fibers else e.array, (-2, -1), (0, 1))
 
 
-def _from_entries(e: Equation, rank: int, entries: np.ndarray,
-                  denom: int) -> Equation:
-    """An equation over e's group and backend from an entry-major
-    connection, stored as a (|G|, |S|, n, n) view of it."""
+def _from_entries(e: Equation, rank: int, entries: np.ndarray, denom: int,
+                  on_fibers: bool) -> Equation:
+    """An equation over e's group and backend from entry-major matrices,
+    stored as a view of them: induced over e's cells when the matrices are
+    fibers."""
     return Equation(e.group, e.backend, rank,
-                    np.moveaxis(entries, (0, 1), (2, 3)), denom)
+                    np.moveaxis(entries, (0, 1), (-2, -1)), denom,
+                    e.cells if on_fibers else None)
 
 
 def _kron(a: np.ndarray, b: np.ndarray, backend: Backend) -> np.ndarray:
@@ -433,41 +565,58 @@ def _kron(a: np.ndarray, b: np.ndarray, backend: Backend) -> np.ndarray:
     return out
 
 
-def _dual_entries(e: Equation) -> np.ndarray:
-    """(E*)^g(y) = ((E^g(y))^t)^-1 = E^{g^-1}(g^-1 y)^t, by Equation.inverse:
-    one gather and a transpose, entry-major."""
+def _inverse_cells(e: Equation, on_fibers: bool) -> tuple:
+    """The index, into the cell axes of ``_entries``, of the matrices that
+    give (E^g(y))^-1 = E^{g^-1}(g^-1 y) by Equation.inverse: on the fiber
+    the slot of h^-1 for each h."""
+    if on_fibers:
+        return (e.cells.inverse,)
     inv = np.array(e.group.inv)
-    return _entries(e)[:, :, inv[:, None], e.group.elements[inv]].swapaxes(0, 1)
+    return (inv[:, None], e.group.elements[inv])
+
+
+def _dual_entries(m: np.ndarray, inverse: tuple) -> np.ndarray:
+    """The dual's matrices ((E^g(y))^t)^-1 from entry-major matrices m and
+    ``_inverse_cells``: one gather and a transpose, entry-major."""
+    return m[(slice(None), slice(None)) + inverse].swapaxes(0, 1)
 
 
 def direct_sum(e: Equation, f: Equation) -> Equation:
     _check_compatible(e, f)
+    fib = _on_fibers(e, f)
+    a, b = _entries(e, fib), _entries(f, fib)
     n, m = e.rank, f.rank
     d = math.lcm(e.denom, f.denom)
-    out = np.zeros((n + m, n + m) + e.array.shape[:2], dtype=e.backend.dtype)
-    out[:n, :n] = _entries(e) if d == e.denom else _entries(e) * (d // e.denom)
-    out[n:, n:] = _entries(f) if d == f.denom else _entries(f) * (d // f.denom)
-    return _from_entries(e, n + m, out, d)
+    out = np.zeros((n + m, n + m) + a.shape[2:], dtype=e.backend.dtype)
+    out[:n, :n] = a if d == e.denom else a * (d // e.denom)
+    out[n:, n:] = b if d == f.denom else b * (d // f.denom)
+    return _from_entries(e, n + m, out, d, fib)
 
 
 def tensor(e: Equation, f: Equation) -> Equation:
     _check_compatible(e, f)
+    fib = _on_fibers(e, f)
     return _from_entries(e, e.rank * f.rank,
-                         _kron(_entries(e), _entries(f), e.backend),
-                         e.denom * f.denom)
+                         _kron(_entries(e, fib), _entries(f, fib), e.backend),
+                         e.denom * f.denom, fib)
 
 
 def dual(e: Equation) -> Equation:
     """(E*)^g = ((E^g)^t)^{-1} = (g(E^{g^-1}))^t, by Equation.inverse."""
-    return _from_entries(e, e.rank, _dual_entries(e), e.denom)
+    fib = _on_fibers(e)
+    return _from_entries(e, e.rank, _dual_entries(
+        _entries(e, fib), _inverse_cells(e, fib)), e.denom, fib)
 
 
 def hom(e: Equation, f: Equation) -> Equation:
     """Hom_k(E,F)^g = F^g (x) ((E^g)^t)^{-1}; basis d_{ij}, i over F, j over E."""
     _check_compatible(e, f)
+    fib = _on_fibers(e, f)
     return _from_entries(e, e.rank * f.rank,
-                         _kron(_entries(f), _dual_entries(e), e.backend),
-                         f.denom * e.denom)
+                         _kron(_entries(f, fib), _dual_entries(
+                             _entries(e, fib), _inverse_cells(e, fib)),
+                               e.backend),
+                         f.denom * e.denom, fib)
 
 
 def sym2_basis(n: int) -> List[Tuple[int, int]]:
@@ -478,12 +627,11 @@ def wedge2_basis(n: int) -> List[Tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _pair_power(e: Equation, basis: List[Tuple[int, int]],
-                combine: np.ufunc) -> np.ndarray:
+def _pair_power(m: np.ndarray, basis: List[Tuple[int, int]],
+                combine: np.ufunc, be: Backend) -> np.ndarray:
     """Entry-major: entry ((i, j), (k, l)) over the basis pairs is
-    combine(m_ik m_jl, m_il m_jk) for k != l and m_ik m_jk for k = l, m the
-    entries of E^g(y)."""
-    m, be = _entries(e), e.backend
+    combine(m_ik m_jl, m_il m_jk) for k != l and m_ik m_jk for k = l, m
+    entry-major matrices."""
     out = np.empty((len(basis), len(basis)) + m.shape[2:], dtype=be.dtype)
     for r, (i, j) in enumerate(basis):
         for c, (k, l) in enumerate(basis):
@@ -496,26 +644,29 @@ def _pair_power(e: Equation, basis: List[Tuple[int, int]],
 def sym2(e: Equation) -> Equation:
     """Symmetric square on the basis {e_i e_j}, i <= j, lexicographic: entry
     m_ik m_jl + m_il m_jk, or m_ik m_jk in a column k = l."""
+    fib = _on_fibers(e)
     basis = sym2_basis(e.rank)
-    return _from_entries(e, len(basis), _pair_power(e, basis, np.add),
-                         e.denom ** 2)
+    return _from_entries(e, len(basis), _pair_power(
+        _entries(e, fib), basis, np.add, e.backend), e.denom ** 2, fib)
 
 
 def wedge2(e: Equation) -> Equation:
     """Exterior square on the basis {e_i ^ e_j}, i < j, lexicographic: entry
     m_ik m_jl - m_il m_jk."""
+    fib = _on_fibers(e)
     basis = wedge2_basis(e.rank)
-    return _from_entries(e, len(basis), _pair_power(e, basis, np.subtract),
-                         e.denom ** 2)
+    return _from_entries(e, len(basis), _pair_power(
+        _entries(e, fib), basis, np.subtract, e.backend), e.denom ** 2, fib)
 
 
 def wedge_top(e: Equation) -> Equation:
     """Top exterior power: rank 1 with connection det(E^g), one
-    ``linalg.det`` per point."""
-    be = e.backend
-    planes = e.array.shape[:2]
+    ``linalg.det`` per stored matrix."""
+    be, fib = e.backend, _on_fibers(e)
+    stored = e._stored if fib else e.array
+    planes = stored.shape[:-2]
     dets = np.empty(planes + (1, 1), dtype=be.dtype)
-    for g, y in np.ndindex(planes):
-        dets[g, y, 0, 0] = linalg.det(e.scalars((g, y)).tolist(), be)
+    for cell in np.ndindex(planes):
+        dets[cell] = linalg.det(be.to_scalars(stored[cell], e.denom), be)
     arr, d = be.integral(dets)
-    return Equation(e.group, be, 1, arr, d)
+    return Equation(e.group, be, 1, arr, d, e.cells if fib else None)

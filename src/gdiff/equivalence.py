@@ -10,6 +10,13 @@ A module holds its matrices as one array, like every matrix of the package
 (see ``equations``), and every construction on it is a gather, a block
 assignment or a batched product, with the values of the per-element matrix
 formulas bit for bit: complex products go through ``equations.cmul``.
+
+An induced equation is stored as its module and the cell table of its
+transversal (``equations.cell_table``, built once per transversal):
+``fiber`` of it is that module, its validation is the module's, and the
+constructions of equations induced over one transversal are computed on
+the modules.  Only an equation given by generator data holds its whole
+connection.
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ from typing import Dict
 import numpy as np
 
 from . import linalg
-from .equations import Equation, _kron, matmul
-from .errors import ElementNotInH, NoIsoFound
+from .equations import Equation, _kron, _slots, cell_table, matmul
+from .errors import ElementNotInH, InvalidHModule, NoIsoFound
 from .scalars import Backend
 from .space import BASE_POINT, Subgroup, Transversal, stabilizer
 
@@ -50,25 +57,36 @@ class HModule:
         with every rho(a) invertible: one batched product and comparison
         over the |H|^2 pairs, and one batched singularity test.  A failure
         is the first of a scan over a in the order of the members that
-        tests rho(a) for singularity, then the pairs (a, b), b in order."""
+        tests rho(a) for singularity, then the pairs (a, b), b in order.
+
+        Over the rationals the products run on Python ints over the common
+        denominator, and when every pair holds exactly no rho(a) can be
+        singular (rho(a^-1) . rho(a) = rho(e) = I), so only a failing scan
+        tests for singularity."""
         be, sub, rho = self.backend, self.subgroup, self.rho
         members = np.array(sub.members)
         if not be.eq_array(rho[_slots(sub, 0)], be.eye(self.dim)).all():
-            raise ValueError("rho(e) is not the identity")
+            raise InvalidHModule("rho(e) is not the identity")
         ab = _slots(sub, sub.group.mul_ids(members[:, None], members))
         # [a, b]: rho(ab) against rho(b) . rho(a)
-        same = be.eq_array(rho[ab], matmul(rho, rho[:, None], be))
+        if be.exact:
+            ints, d = be.integral(rho)
+            same = d * ints[ab] == ints @ ints[:, None]
+        else:
+            same = be.eq_array(rho[ab], matmul(rho, rho[:, None], be))
         same = same.all(axis=(2, 3))
         bad = np.flatnonzero(~same.all(axis=1))
+        if be.exact and not bad.size:
+            return
         last = int(bad[0]) if bad.size else sub.order - 1
         if linalg.any_singular(rho[:last + 1], be):
             a = next(a for a in range(last + 1)
                      if linalg.any_singular(rho[a:a + 1], be))
-            raise ValueError(f"rho of element {members[a]} is singular")
+            raise InvalidHModule(f"rho of element {members[a]} is singular")
         if bad.size:
             b = int(np.flatnonzero(~same[last])[0])
-            raise ValueError("rho is not an anti-homomorphism at "
-                             f"({members[last]},{members[b]})")
+            raise InvalidHModule("rho is not an anti-homomorphism at "
+                                 f"({members[last]},{members[b]})")
 
 
 def trivial_hmodule(sub: Subgroup, backend: Backend, dim: int = 1) -> HModule:
@@ -153,39 +171,30 @@ def intertwiner_dim(u: HModule, v: HModule) -> int:
 
 
 def fiber(eq: Equation) -> HModule:
-    """Evaluate the connection at the base point over the stabilizer."""
+    """Evaluate the connection at the base point over the stabilizer: for
+    an equation induced with sigma(base) = e, its module."""
     sub = stabilizer(eq.group, BASE_POINT)
+    cells = eq.cells
+    if (cells is not None and cells.subgroup == sub
+            and cells.transversal.sigma[BASE_POINT] == 0):
+        return eq.module
     return HModule(sub, eq.backend, eq.rank,
                    eq.scalars((list(sub.members), BASE_POINT)))
 
 
-def _slots(sub: Subgroup, ids: np.ndarray) -> np.ndarray:
-    """The position of each element id in ``sub.members``, -1 outside H."""
-    slot = np.full(sub.group.order, -1)
-    slot[list(sub.members)] = np.arange(sub.order)
-    return slot[ids]
-
-
 def induce(mod: HModule, sigma: Transversal) -> Equation:
-    """Connection of the induced equation: K^g(y) = rho(sigma(y)^{-1} g sigma(g^{-1}y)).
+    """The induced equation: K^g(y) = rho(sigma(y)^{-1} g sigma(g^{-1}y)).
 
-    The stabilizer elements of all cells (g, y) are one (|G|, |S|) array of
-    products (``Group.mul_ids``), and the connection array gathers the |H|
-    rho matrices (over the rationals as ints over their common denominator,
-    ``Backend.integral``) by one index into it.
+    It keeps the module, over the rationals as ints over their common
+    denominator (``Backend.integral``), and the shared ``cell_table`` of
+    sigma, whose elements are checked to lie in H once per transversal; its
+    connection array is gathered from them when it is read.
     """
-    group = mod.subgroup.group
-    sig = np.array(sigma.sigma)
-    inv = np.array(group.inv)
-    cells = _slots(mod.subgroup, group.mul_ids(
-        inv[sig][None, :], np.arange(group.order)[:, None],
-        sig[group.elements[inv]]))
-    outside = np.flatnonzero(cells < 0)
-    if outside.size:
-        g, y = divmod(int(outside[0]), group.space.size)
-        raise ElementNotInH(f"transversal arithmetic left H at (g={g}, y={y})")
+    cells = cell_table(mod.subgroup, sigma)
+    cells.table  # built now: a transversal that leaves H fails here
     rho, d = mod.backend.integral(mod.rho)
-    return Equation(group, mod.backend, mod.dim, rho[cells], d)
+    return Equation(mod.subgroup.group, mod.backend, mod.dim, rho, d, cells,
+                    mod)
 
 
 def transversal_independence(mod: HModule, sig1: Transversal, sig2: Transversal):
@@ -328,6 +337,6 @@ def builtin_irreducibles(sub: Subgroup, backend: Backend) -> IrredFamily:
             if ok:
                 try:
                     out[f"rot{j}"] = hmodule_from_matrices(sub, backend, rho)
-                except ValueError:
+                except InvalidHModule:
                     pass
     return out

@@ -25,6 +25,19 @@ class SingularGeneratorMatrix(GDiffError):
     """A generator matrix is singular at some point."""
 
 
+class InvalidHModule(GDiffError):
+    """Stabilizer matrices fail the module laws: rho(e) = I, invertibility,
+    rho(ab) = rho(b) rho(a)."""
+
+
+class NotHStable(GDiffError):
+    """A row subspace of a fiber is not stable under the stabilizer."""
+
+
+class CompositionMismatch(GDiffError):
+    """The first morphism's target is not the second morphism's source."""
+
+
 class ElementNotInH(GDiffError):
     """Transversal arithmetic produced an element outside the stabilizer."""
 

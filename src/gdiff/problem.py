@@ -19,7 +19,7 @@ import numpy as np
 from . import (diffops, equations as eqmod, equivalence, invariants, linalg,
                projection, solver)
 from .equations import Equation, complete_connection, trivial_equation
-from .errors import GDiffError, ProblemFileError
+from .errors import GDiffError, InvalidHModule, ProblemFileError
 from .scalars import Backend
 from .space import (BASE_POINT, DEFAULT_ENTRY_CAP, FiniteSpace, Group,
                     dihedral_on_cycle, enumerate_group, parse_cycles,
@@ -274,7 +274,7 @@ def _build_hmodule(name: str, obj: Dict[str, Any], prob: Problem
     if "builtin" in obj:
         try:
             family = equivalence.builtin_irreducibles(sub, be)
-        except ValueError as exc:  # a tolerance too coarse for the backend
+        except InvalidHModule as exc:  # a tolerance too coarse for the backend
             raise ProblemFileError(f"hmodule {name!r}: {exc}") from exc
         if not isinstance(obj["builtin"], str) or obj["builtin"] not in family:
             raise ProblemFileError(f"no builtin hmodule {obj['builtin']!r}; "
@@ -313,7 +313,7 @@ def _build_hmodule(name: str, obj: Dict[str, Any], prob: Problem
 def _validated(name: str, mod: equivalence.HModule) -> equivalence.HModule:
     try:
         mod.validate()
-    except ValueError as exc:
+    except InvalidHModule as exc:
         raise ProblemFileError(f"hmodule {name!r}: {exc}") from exc
     return mod
 
@@ -574,7 +574,7 @@ def run_problem(prob: Problem, seed: int = 0) -> Dict[str, Any]:
         try:
             entry["result"] = run_task(prob, task, seed)
             entry["ok"] = entry["result"].pop("ok")
-        except (GDiffError, ValueError, KeyError) as exc:
+        except GDiffError as exc:
             entry["ok"] = False
             entry["error"] = f"{type(exc).__name__}: {exc}"
         all_ok = all_ok and entry["ok"]

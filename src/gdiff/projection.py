@@ -90,12 +90,13 @@ def frobenius_projection(eq: Equation, chi: Character) -> Morphism:
                         for h in sub.members], dtype=be.dtype)
     conj = group.mul_ids(sigma[:, None], np.array(sub.members)[None, :],
                          np.array(group.inv)[sigma][:, None])
-    conjugates = eq.array[conj, np.arange(group.space.size)[:, None]]
+    points = np.arange(group.space.size)[:, None]
+    conjugates, d_eq = eq.integral((conj, points))
     weights, d = be.integral(weights)
     acc = np.zeros(conjugates.shape[:1] + conjugates.shape[2:], dtype=be.dtype)
     for k in range(len(sub.members)):
         acc = acc + mul(weights[k], conjugates[:, k], be)
-    pi = Morphism(eq, eq, be.scalar_array(acc, d * eq.denom))
+    pi = Morphism(eq, eq, be.scalar_array(acc, d * d_eq))
     pi.validate()
     return pi
 

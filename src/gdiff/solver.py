@@ -23,7 +23,8 @@ import numpy as np
 from . import linalg
 from .equations import Equation, first_mismatch, matmul, mul
 from .equivalence import HModule, fiber, induce, intertwiner_space
-from .errors import NotASolution, SplittingInconclusive
+from .errors import (CompositionMismatch, NotASolution, NotHStable,
+                     SplittingInconclusive)
 from .scalars import Backend
 from .space import BASE_POINT, transversal
 
@@ -64,8 +65,8 @@ class Morphism:
         group, be = self.source.group, self.source.backend
         gens = list(group.generator_ids)
         phi, _ = be.integral(self.matrix)
-        src, d_src = self.source.array[gens], self.source.denom
-        dst, d_dst = self.target.array[gens], self.target.denom
+        src, d_src = self.source.integral(gens)
+        dst, d_dst = self.target.integral(gens)
         moved = phi[group.elements[[group.inv[g] for g in gens]]]
         i = first_mismatch((src @ phi) * d_dst, (moved @ dst) * d_src, be)
         if i is not None:
@@ -102,8 +103,8 @@ def zero_morphism(src: Equation, dst: Equation) -> Morphism:
 def compose(first: Morphism, second: Morphism) -> Morphism:
     """first: E -> F, second: F -> G; result E -> G (apply first, then second)."""
     if first.target is not second.source and first.target != second.source:
-        raise ValueError("composition mismatch: the first morphism's target "
-                         "is not the second morphism's source")
+        raise CompositionMismatch("composition mismatch: the first morphism's "
+                                  "target is not the second morphism's source")
     return Morphism(first.source, second.target,
                     matmul(first.matrix, second.matrix, first.source.backend))
 
@@ -131,9 +132,9 @@ def hom_space(src: Equation, dst: Equation) -> List[Morphism]:
     if not len(basis):
         return []
     sigma = np.array(transversal(group).sigma)
-    t_src_inv, d1 = src.array[np.array(group.inv)[sigma], BASE_POINT], src.denom
+    t_src_inv, d1 = src.integral((np.array(group.inv)[sigma], BASE_POINT))
     p, d2 = be.integral(basis)
-    t_dst, d3 = dst.array[sigma, np.arange(len(sigma))], dst.denom
+    t_dst, d3 = dst.integral((sigma, np.arange(len(sigma))))
     moved = t_src_inv @ (p[:, None] @ t_dst)
     if be.exact:
         k, size, n, m = moved.shape
@@ -175,7 +176,7 @@ def _subfiber_module(fib: HModule, basis_rows) -> HModule:
     for img in images.tolist():
         coeffs = linalg.solve(bt, img, be)
         if coeffs is None:
-            raise ValueError("subspace is not H-stable")
+            raise NotHStable("subspace is not H-stable")
         coords.append(coeffs)
     return HModule(fib.subgroup, be, d, np.array(coords, dtype=be.dtype)
                    .reshape(order, d, d))
@@ -198,8 +199,7 @@ def _subobject(eq: Equation, sub: HModule,
     sig = transversal(group)
     sub_eq = induce(sub, sig)
     rows = np.array(basis_rows, dtype=be.dtype).reshape(sub.dim, eq.rank)
-    transport = be.scalar_array(
-        eq.array[list(sig.sigma), np.arange(group.space.size)], eq.denom)
+    transport = eq.scalars((list(sig.sigma), np.arange(group.space.size)))
     emb = Morphism(sub_eq, eq, matmul(rows[None], transport, be))
     emb.validate()
     return sub_eq, emb

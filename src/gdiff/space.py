@@ -106,6 +106,9 @@ class Group:
     with key ``_keys[i]``).  Products are computed on demand by ``mul`` and,
     batched, ``mul_ids``; no |G| x |G| table is built.  Groups are equal
     when their spaces, generators and elements are.
+
+    ``_cell_tables`` keeps the cell tables of induction over the group,
+    built on demand (``equations.cell_table``).
     """
 
     space: FiniteSpace
@@ -115,6 +118,7 @@ class Group:
     base: np.ndarray
     _keys: np.ndarray = field(repr=False)
     _ids: np.ndarray = field(repr=False)
+    _cell_tables: dict = field(default_factory=dict, repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, Group):

@@ -3,7 +3,8 @@ independent sympy-based oracles for dimensions computed by the package,
 full-group checks (the package itself checks generators only), second
 routes to the package's results, and the multiplication table, per-cell
 constructions, pointwise operator calculus and nested-list module code
-that the package's array code must reproduce exactly."""
+that the package's array code must reproduce exactly, and the global
+kernel of mu (``ker_mu_basis``), which no task needs."""
 
 import os
 import random
@@ -14,6 +15,7 @@ import pytest
 import sympy
 
 from gdiff import equivalence, linalg
+from gdiff.diffops import RawOperator
 from gdiff.equations import (Equation, KMatrix, act, direct_sum, sym2_basis,
                              trivial_equation, wedge2_basis)
 from gdiff.errors import (ElementNotInH, InconsistentConnection,
@@ -695,6 +697,49 @@ def pointwise_skew_action(a, theta):
                                 for row in mat.entries), be)
             key = group.mul(g, gp)
             out[key] = out[key].add(mat) if key in out else mat
+    return out
+
+
+def ker_mu_basis(src, dst):
+    """F-basis of ker mu inside the free coefficient space (n.m.|G|.|S|):
+    the global system, one row per entry of mu, on nested lists."""
+    group, be = src.group, src.backend
+    n, m, size = src.rank, dst.rank, group.space.size
+    nunk = n * m * group.order * size
+
+    def uidx(i: int, j: int, g: int, y: int) -> int:
+        return ((i * m + j) * group.order + g) * size + y
+
+    rows = []
+    for g in range(group.order):
+        ginv_img = group.image(group.inv[g])
+        e_g = src.scalars(g).tolist()
+        for y in range(size):
+            p = ginv_img[y]
+            for j in range(m):
+                for k in range(n):
+                    # one row of mu per (output entry (j,y), input entry (k,p))
+                    row = [be.zero()] * nunk
+                    for i in range(n):
+                        row[uidx(i, j, g, y)] = e_g[y][k][i]
+                    rows.append((j * size + y, k * size + p, row))
+    # rows computed per (g, ...) target the same mu entry when g^{-1}y
+    # collides; accumulate them
+    acc = {}
+    for out_i, in_i, row in rows:
+        key = (out_i, in_i)
+        if key in acc:
+            acc[key] = [x + yv for x, yv in zip(acc[key], row)]
+        else:
+            acc[key] = row
+    system = [acc[k] for k in sorted(acc)]
+    out = []
+    for vec in linalg.nullspace(system, nunk, be):
+        # unknown (i, j, g, y) -> theta^g_ij(y)
+        coeffs = np.array(vec, dtype=be.dtype).reshape(n, m, group.order, size)
+        terms = {g: mat for g, mat in enumerate(coeffs.transpose(2, 3, 0, 1))
+                 if not be.is_zero(mat).all()}
+        out.append(RawOperator(src, dst, terms))
     return out
 
 

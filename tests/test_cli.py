@@ -13,8 +13,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import gauged_equation, rank2_equation, seeded_rng
 from gdiff import diffops, equivalence, problem
 from gdiff.cli import main
+from gdiff.scalars import Backend
+from gdiff.space import dihedral_on_cycle
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -261,6 +264,37 @@ def test_zero_epsilon_fails_tasks_without_traceback(capsys):
     assert "Traceback" not in captured.out + captured.err
     assert "task 14 equation_of: FAIL error=GDiffError" in captured.out
     assert captured.out.endswith("fail\n")
+
+
+@pytest.mark.parametrize("rho, message", [
+    ([[1, 0], [0, 2]], "rho is not an anti-homomorphism at (2,2)"),
+    ([[0, 0], [0, 0]], "rho of element 2 is singular")])
+def test_invalid_hmodule_is_a_file_error(tmp_path, capsys, rho, message):
+    # HModule.validate raises InvalidHModule; loading names the module
+    target = _write_mutated(tmp_path, _set(["hmodules", "v2", "rho", "t"],
+                                           rho))
+    assert main(["run", target]) == 2
+    assert capsys.readouterr().err == f"error: hmodule 'v2': {message}\n"
+
+
+def test_unstable_subspace_fails_the_task(tmp_path, capsys):
+    # near machine precision the eigenvalue split of a gauged Sym^2 finds
+    # rows that are not H-stable within the tolerance: the decompose task
+    # fails with the error's own type, as every task failure is a GDiffError
+    group, be = dihedral_on_cycle(4), Backend.rational()
+    gauged = gauged_equation(seeded_rng(4), rank2_equation(group, be))
+    gens = {name: [[{"values": [str(v) for v in gauged.scalars(g)[:, i, j]]}
+                    for j in range(2)] for i in range(2)]
+            for name, g in group.generators.items()}
+    target = tmp_path / "gauged.json"
+    target.write_text(json.dumps({
+        "space": {"cycle": 4}, "group": {"dihedral_cycle": 4},
+        "equations": {"g2": {"generators": gens}, "gs": {"sym2": "g2"}},
+        "tasks": [{"task": "decompose", "equation": "gs"}]}))
+    assert main(["run", str(target), "--backend", "complex",
+                 "--epsilon", "1e-14"]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "task 0 decompose: FAIL error=NotHStable: subspace is not H-stable")
 
 
 # Each mutation declares a connection of 10^9 x 10^9 matrices; the bound

@@ -6,8 +6,9 @@ import pytest
 import sympy
 
 from conftest import (array_bits, bits, difn_quotient_oracle, equation_zoo,
-                      flatten, gauged_equation, identity, kmatrix_bits,
-                      kmatrix_of, mat_eq, mat_mul, perfbench_module,
+                      flatten, gauged_equation, identity, ker_mu_basis,
+                      kmatrix_bits, kmatrix_of, mat_eq, mat_mul,
+                      perfbench_module,
                       pointwise_act, pointwise_compose_raw,
                       pointwise_mu, pointwise_skew_action, random_fn,
                       random_matrix, random_values, seeded_rng, sympy_nullity)
@@ -15,7 +16,7 @@ from gdiff import diffops, linalg
 from gdiff.diffops import (ClassicalSystem, RawOperator,
                            canonicalize, classical_solutions, compose,
                            compose_raw, delta_op, embed_solutions, equation_of,
-                           identity_op, ingest_classical, ker_mu_basis, mu,
+                           identity_op, ingest_classical, mu,
                            skew_action, zero_raw)
 from gdiff.equations import act, trivial_equation
 from gdiff.errors import GDiffError

@@ -5,14 +5,15 @@ import pytest
 
 from conftest import (cocycle_everywhere, equation_from_kmatrices,
                       equation_zoo, gauged_equation, kmatrix_bits, kron,
-                      mult_table, pointwise_completion, pointwise_construction,
-                      pointwise_det, pointwise_validate, random_involution,
+                      loop_validate, mult_table, pointwise_completion,
+                      pointwise_construction, pointwise_det,
+                      pointwise_validate, random_involution,
                       random_matrix, random_values, rank2_equation,
                       scalar_bits, seeded_rng, sign_equation, stack)
 from gdiff import equations, equivalence
-from gdiff.equations import (KMatrix, act, complete_connection, direct_sum,
-                             dual, hom, sym2, tensor, trivial_equation,
-                             wedge2, wedge_top)
+from gdiff.equations import (Equation, KMatrix, act, complete_connection,
+                             direct_sum, dual, hom, sym2, tensor,
+                             trivial_equation, wedge2, wedge_top)
 from gdiff.errors import InconsistentConnection, SingularGeneratorMatrix
 from gdiff.scalars import Backend, Fn
 from gdiff.space import stabilizer, transversal
@@ -335,3 +336,82 @@ def test_array_construction_matches_pointwise_oracle(g3, g4, g6, name,
             want = pointwise_construction(name, *args)
             assert got.rank == len(want[0].entries)
             assert scalar_bits(got) == kmatrix_bits(want)
+
+
+def global_copy(e):
+    """e with its whole connection stored, as generator data give it: the
+    constructions take the array route on it."""
+    return Equation(e.group, e.backend, e.rank, e.array, e.denom)
+
+
+@pytest.mark.parametrize("backend", [Backend.rational(), Backend.complex()],
+                         ids=["rational", "complex"])
+@pytest.mark.parametrize("name", sorted(UNARY) + sorted(BINARY))
+def test_fiber_construction_matches_array_route(g3, g4, g6, name, backend):
+    # constructions of equations induced over one transversal are computed
+    # on their fibers; gathered, they must be the array route's connection
+    # and the pointwise formula's, scalar for scalar, with equal
+    # denominators, and still be induced
+    rng = seeded_rng(37)
+    for group in (g3, g4, g6):
+        eqs = construction_inputs(group, backend, rng)
+        induced = [eqs[k] for k in ("one", "sign", "both", "rank2", "rank0")]
+        assert all(e.cells is not None for e in induced)
+        if name in UNARY:
+            cases = [(e,) for e in induced]
+        else:
+            cases = [(e, f) for e in induced for f in induced]
+        build = UNARY.get(name) or BINARY[name]
+        for args in cases:
+            got = build(*args)
+            via_array = build(*map(global_copy, args))
+            assert got.cells is args[0].cells and via_array.cells is None
+            assert got.denom == via_array.denom
+            assert scalar_bits(got) == scalar_bits(via_array)
+            assert scalar_bits(got) == kmatrix_bits(
+                pointwise_construction(name, *args))
+            assert got == via_array
+
+
+def test_induce_of_the_fiber_is_the_equation(g3, g4, g6, rational, cplx):
+    # the zoo's induced members are stored as their fiber modules: inducing
+    # the fiber again gives the same equation over the same cell table
+    for group in (g3, g4, g6):
+        for be in (rational, cplx):
+            for e in equation_zoo(group, be).values():
+                again = equivalence.induce(equivalence.fiber(e),
+                                           transversal(group))
+                assert again.cells is e.cells
+                assert again == e and again.denom == e.denom
+                assert scalar_bits(again) == scalar_bits(e)
+
+
+def corrupted_modules(mod):
+    """Copies of an H-module with one entry of one matrix shifted, or one
+    matrix zero, that fail its laws (a shifted corner of an involution
+    [[1, x], [0, -1]] is one still)."""
+    be, d = mod.backend, mod.dim
+    for a in range(mod.subgroup.order):
+        for change in ("shift", "zero"):
+            rho = mod.rho.copy()
+            if change == "shift":
+                rho[a, 0, d - 1] = rho[a, 0, d - 1] + be.one()
+            else:
+                rho[a] = be.zero()
+            bad = equivalence.HModule(mod.subgroup, be, d, rho)
+            if loop_validate(bad) is not None:
+                yield bad
+
+
+def test_corrupted_induced_module_names_the_first_pair(g3, g4, g6, rational,
+                                                       cplx):
+    # an induced equation validates its module; when that fails, the
+    # message is the one the scan over generators x elements gives
+    for group in (g3, g4, g6):
+        for be in (rational, cplx):
+            for e in equation_zoo(group, be).values():
+                for mod in corrupted_modules(equivalence.fiber(e)):
+                    bad = equivalence.induce(mod, transversal(group))
+                    expected = pointwise_validate(global_copy(bad))
+                    assert expected is not None
+                    assert validate_message(bad) == expected

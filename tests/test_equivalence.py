@@ -15,7 +15,7 @@ from gdiff.equivalence import (HModule, builtin_irreducibles, fiber,
                                hmodule_tensor, induce, intertwiner_rows,
                                roundtrip_iso, transversal_independence,
                                trivial_hmodule)
-from gdiff.errors import ElementNotInH
+from gdiff.errors import ElementNotInH, InvalidHModule
 from gdiff.problem import _close_rho
 from gdiff.projection import character_of_hmodule
 from gdiff.space import (FiniteSpace, Transversal, alternate_transversal,
@@ -230,7 +230,7 @@ def rho_bits(rho, members):
 def validate_message(mod):
     try:
         mod.validate()
-    except ValueError as exc:
+    except InvalidHModule as exc:
         return str(exc)
     return None
 

@@ -6,6 +6,9 @@ appears in the code or inside a string annotation such as ``"KMatrix"``.
 
 No module but ``equations.py`` reads the attribute ``conn``: the package
 works on connection arrays, and ``Equation.conn`` is a view for oracles.
+Nor does any other module read ``array`` or ``denom`` of an equation: they
+read connections through ``Equation.integral`` and ``Equation.scalars``,
+so an induced equation's array is only gathered where it is needed.
 Likewise every matrix over k but the connection view is one array: the
 modules that solve, project, induce, compute with operators and
 invariants, and parse problem files neither import nor read ``KMatrix``
@@ -108,6 +111,30 @@ def test_only_equations_reads_the_kmatrix_view(module):
     tree = parse(module)
     assert not attribute_reads(tree, "conn"), \
         f"{module} reads .conn at lines {attribute_reads(tree, 'conn')}"
+
+
+def connection_reads(tree):
+    """Line numbers where the attribute ``array`` or ``denom`` of anything
+    but the name ``np`` is read: ``np.array`` is numpy's constructor."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("array", "denom")
+                  and not (isinstance(node.value, ast.Name)
+                           and node.value.id == "np"))
+
+
+def test_connection_reads_skip_numpy():
+    tree = ast.parse("a = np.array(x)\nb = eq.array[0]\nc = f(e).denom\n")
+    assert connection_reads(tree) == [2, 3]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "equations.py"])
+def test_only_equations_reads_the_stored_connection(module):
+    # an induced equation gathers its (|G|, |S|, n, n) array on first read;
+    # the package reads the cells it needs through Equation.integral
+    tree = parse(module)
+    assert not connection_reads(tree), \
+        f"{module} reads .array or .denom at lines {connection_reads(tree)}"
 
 
 @pytest.mark.parametrize("module", ["solver.py", "projection.py",

@@ -1,6 +1,7 @@
 """Property tests on small random rational involutions: cocycle closure of
 complete_connection, fiber(induce(V)) == V, and hom dimensions against the
-sympy oracle over the whole group."""
+sympy oracle over the whole group.  And on relabellings of the points:
+every answer stays the same."""
 
 from fractions import Fraction
 
@@ -8,13 +9,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (cocycle_everywhere, hom_dim_oracle,
-                      intertwines_everywhere)
+from conftest import (cocycle_everywhere, gauged_equation, hom_dim_oracle,
+                      intertwines_everywhere, seeded_rng)
 from gdiff import equivalence
-from gdiff.equations import complete_connection
+from gdiff.equations import complete_connection, direct_sum, tensor
+from gdiff.errors import GDiffError
+from gdiff.invariants import invariant_vectors
 from gdiff.scalars import Backend
-from gdiff.solver import hom_space
-from gdiff.space import dihedral_on_cycle, stabilizer, transversal
+from gdiff.solver import decompose, hom_space, is_simple
+from gdiff.space import (FiniteSpace, dihedral_on_cycle, enumerate_group,
+                         parse_cycles, stabilizer, transversal)
 
 RATIONAL = Backend.rational()
 GROUPS = {n: dihedral_on_cycle(n) for n in (3, 4, 5, 6)}
@@ -84,3 +88,103 @@ def test_hom_dimension_matches_full_group_oracle(n, m1, m2):
     assert len(basis) == hom_dim_oracle(e, f)
     for phi in basis:
         assert intertwines_everywhere(phi)
+
+
+# -- answers do not depend on the labels of the points ------------------------
+
+def _dihedral_generators(n):
+    return {"s": tuple((i - 1) % n for i in range(n)),
+            "t": tuple((-i) % n for i in range(n))}
+
+
+# name -> (space, generator image arrays); S4 acts on 4 points, and its
+# stabilizer S3 carries the 2-dim rot1 over the complex numbers
+RELABEL_SPACES = {
+    **{f"D{n}": (FiniteSpace.cycle(n), _dihedral_generators(n))
+       for n in (5, 6, 7, 8)},
+    "S4": (FiniteSpace(("1", "2", "3", "4")),
+           {"a": parse_cycles("(1 2 3 4)", 4), "b": parse_cycles("(2 3)", 4)}),
+}
+BACKENDS = {"rational": Backend.rational(), "complex": Backend.complex()}
+
+
+def _rank2_module(group, be):
+    """The induced rank-2 (S4 over Q: rank 3) equation's module: a
+    non-diagonal involution of a dihedral stabilizer (order 2), rot1 of S3,
+    or S3 permuting the other three points."""
+    sub = stabilizer(group, 0)
+    if sub.order == 2:
+        t = next(h for h in sub.members if h != 0)
+        return equivalence.hmodule_from_matrices(
+            sub, be, {0: [[1, 0], [0, 1]], t: [[1, -2], [0, -1]]})
+    if not be.exact:
+        return equivalence.builtin_irreducibles(sub, be)["rot1"]
+    images = group.elements
+    return equivalence.hmodule_from_matrices(sub, be, {
+        h: [[int(images[h][i + 1] == j + 1) for j in range(3)]
+            for i in range(3)] for h in sub.members})
+
+
+def _generator_data(group, be):
+    """Generator data (name -> (|S|, n, n) array) of the equations 1, a
+    sign character (-1 on every generator but s), an induced equation and
+    a gauged copy of it."""
+    size = group.space.size
+
+    def constant(value):
+        return {name: np.full((size, 1, 1), be.coerce(value(name)),
+                              dtype=be.dtype) for name in group.generators}
+
+    induced = equivalence.induce(_rank2_module(group, be), transversal(group))
+    gauged = gauged_equation(seeded_rng(3), induced)
+    return [constant(lambda name: 1),
+            constant(lambda name: 1 if name == "s" else -1),
+            *({name: eq.scalars(g) for name, g in group.generators.items()}
+              for eq in (induced, gauged))]
+
+
+def _answers(group, be, data):
+    """Hom dimensions, decomposition ranks, simplicity verdicts and
+    invariant dimensions of the completed equations, their sums and a
+    tensor."""
+    one, sign, r2, gauged = (complete_connection(group, be, mats)
+                             for mats in data)
+    eqs = [one, sign, r2, gauged, direct_sum(one, sign), tensor(r2, sign),
+           direct_sum(gauged, sign)]
+
+    def ranks(eq):
+        try:
+            return sorted(part.rank for part, _ in decompose(eq))
+        except GDiffError as exc:
+            return type(exc).__name__
+
+    return {"hom": [len(hom_space(e, f)) for e in eqs for f in eqs],
+            "decompose": [ranks(e) for e in eqs],
+            "simple": [is_simple(e) for e in eqs],
+            "invariants": [len(invariant_vectors(e)) for e in eqs]}
+
+
+_UNRELABELLED = {}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(RELABEL_SPACES)),
+       backend=st.sampled_from(sorted(BACKENDS)), data=st.data())
+def test_answers_do_not_depend_on_point_labels(name, backend, data):
+    # relabel the points by pi: generators pi s pi^-1, generator data
+    # E'^s(y) = E^s(pi^-1 y); pi usually moves the base point, so the
+    # stabilizer, its fiber and the transversal all change
+    space, gens = RELABEL_SPACES[name]
+    be = BACKENDS[backend]
+    size = space.size
+    pi = data.draw(st.permutations(range(size)), label="pi")
+    pinv = np.argsort(pi)
+    group = enumerate_group(space, gens)
+    mats = _generator_data(group, be)
+    if (name, backend) not in _UNRELABELLED:
+        _UNRELABELLED[name, backend] = _answers(group, be, mats)
+    moved = enumerate_group(space, {
+        g: tuple(pi[image[pinv[x]]] for x in range(size))
+        for g, image in gens.items()})
+    moved_mats = [{g: m[pinv] for g, m in eq.items()} for eq in mats]
+    assert _answers(moved, be, moved_mats) == _UNRELABELLED[name, backend]

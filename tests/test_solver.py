@@ -9,7 +9,7 @@ from conftest import (equation_zoo, full_hom_system, gauged_equation,
                       sympy_nullspace)
 from gdiff import equivalence, solver
 from gdiff.equations import KMatrix, act, direct_sum, trivial_equation
-from gdiff.errors import NotASolution
+from gdiff.errors import CompositionMismatch, NotASolution
 from gdiff.scalars import Fn
 from gdiff.solver import (NOT_SIMPLE, SIMPLE, compose, decompose, hom_space,
                           identity_morphism, image, is_injective,
@@ -117,7 +117,7 @@ def test_compose_rejects_mismatched_middle_equations(g3, rational):
     # equal ranks are not enough: the first map must end where the second
     # starts, the same equation or an equal one built apart
     zoo = equation_zoo(g3, rational)
-    with pytest.raises(ValueError):
+    with pytest.raises(CompositionMismatch):
         compose(zero_morphism(zoo["one"], zoo["sign"]),
                 identity_morphism(zoo["one"]))
     twin = trivial_equation(g3, rational)
