@@ -50,8 +50,7 @@ from . import linalg
 from .errors import (BackendMismatch, ElementNotInH, InconsistentConnection,
                      InvalidHModule, SingularGeneratorMatrix)
 from .scalars import Backend, Fn
-from .space import (BASE_POINT, Group, Subgroup, Transversal, stabilizer,
-                    transversal)
+from .space import Group, Subgroup, Transversal, stabilizer, transversal
 
 
 @dataclass(frozen=True)
@@ -216,31 +215,51 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-@dataclass(frozen=True, eq=False)
 class Cells:
-    """Which stabilizer element an equation induced over ``transversal``
-    has at each cell: ``table[g, y]`` is the slot in ``subgroup.members``
-    of sigma(y)^-1 g sigma(g^-1 y), and ``inverse[i]`` the slot of the
-    inverse of member i.  One per transversal (``cell_table``), kept by
-    the group and shared by every equation induced over it; the table is
-    computed on first use, as one (|G|, |S|) array of products
-    (``Group.mul_ids``), and raises ElementNotInH when a product leaves the
-    subgroup.
+    """Which stabilizer element an equation induced over a transversal has
+    at each cell: ``table[g, y]`` is the slot in ``subgroup.members`` of
+    sigma(y)^-1 g sigma(g^-1 y), and ``inverse[i]`` the slot of the inverse
+    of member i.  One per transversal (``cell_table``), kept by the group
+    and shared by every equation induced over it.  All of it is computed on
+    first use: the table as one (|G|, |S|) array of products
+    (``Group.mul_ids``), which raises ElementNotInH when a product leaves
+    the subgroup, and for ``base_cells`` the subgroup and the transversal
+    too, so an equation that never reads its cells never pays for them.
 
     Every h of H sits at ``table[h, base]`` when sigma(base) = e, so an
     induced equation's connection holds each of its fiber matrices."""
 
-    subgroup: Subgroup
-    transversal: Transversal
+    def __init__(self, group: Group, subgroup: Optional[Subgroup] = None,
+                 sigma: Optional[Transversal] = None):
+        self.group = group
+        self._subgroup, self._sigma = subgroup, sigma
+
+    @cached_property
+    def transversal(self) -> Transversal:
+        if self._sigma is not None:
+            return self._sigma
+        return transversal(self.group)
+
+    @cached_property
+    def subgroup(self) -> Subgroup:
+        if self._subgroup is not None:
+            return self._subgroup
+        return stabilizer(self.group, self.transversal.base)
 
     @cached_property
     def table(self) -> np.ndarray:
-        sub, group = self.subgroup, self.subgroup.group
+        group, size = self.group, self.group.space.size
+        slot = _slots(self.subgroup, np.arange(group.order))
         sig = np.array(self.transversal.sigma)
         inv = np.array(group.inv)
-        table = _slots(sub, group.mul_ids(
-            inv[sig][None, :], np.arange(group.order)[:, None],
-            sig[group.elements[inv]]))
+        # in slices of g holding about _BATCH_SCALARS cells, so that the
+        # temporaries of the products stay small
+        table = np.empty((group.order, size), dtype=np.intp)
+        step = max(1, _BATCH_SCALARS // size)
+        for start in range(0, group.order, step):
+            g = np.arange(start, min(start + step, group.order))
+            table[g] = slot[group.mul_ids(inv[sig][None, :], g[:, None],
+                                          sig[group.elements[inv[g]]])]
         outside = np.flatnonzero(table < 0)
         if outside.size:
             g, y = divmod(int(outside[0]), group.space.size)
@@ -250,8 +269,7 @@ class Cells:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        sub = self.subgroup
-        return _slots(sub, np.array(sub.group.inv)[list(sub.members)])
+        return _inverse_slots(self.subgroup)
 
 
 def _slots(sub: Subgroup, ids: np.ndarray) -> np.ndarray:
@@ -261,14 +279,34 @@ def _slots(sub: Subgroup, ids: np.ndarray) -> np.ndarray:
     return slot[ids]
 
 
+def _inverse_slots(sub: Subgroup) -> np.ndarray:
+    """The slot in ``sub.members`` of the inverse of each member."""
+    return _slots(sub, np.array(sub.group.inv)[list(sub.members)])
+
+
+def base_cells(group: Group) -> Cells:
+    """The cells of induction along ``space.transversal(group)`` of modules
+    over the stabilizer of the base point, kept by the group; the subgroup
+    and the transversal are found on first use."""
+    cells = group._cell_tables.get(None)
+    if cells is None:
+        cells = group._cell_tables[None] = Cells(group)
+    return cells
+
+
 def cell_table(sub: Subgroup, sigma: Transversal) -> Cells:
     """The cells of induction of a module over ``sub`` along sigma: one
-    ``Cells`` per (subgroup, transversal), kept by the group."""
+    ``Cells`` per (subgroup, transversal), kept by the group, and
+    ``base_cells`` for the stabilizer of the base point along
+    ``space.transversal``."""
+    tables = sub.group._cell_tables
     key = (sub.members, sigma.base, sigma.sigma)
-    cells = sub.group._cell_tables.get(key)
-    if cells is None:
-        cells = sub.group._cell_tables[key] = Cells(sub, sigma)
-    return cells
+    if key not in tables:
+        base = base_cells(sub.group)
+        same = (base.subgroup.members, base.transversal.base,
+                base.transversal.sigma) == key
+        tables[key] = base if same else Cells(sub.group, sub, sigma)
+    return tables[key]
 
 
 class Equation:
@@ -377,40 +415,45 @@ class Equation:
         reads g(E^{g^-1}) . E^g = I: every E^g is invertible, with the
         inverse that law predicts.
 
-        An induced equation checks its fiber module (``HModule.validate``):
-        induction of a module satisfies both laws, because the cell table
-        is a cocycle, h(gg', y) = h(g, y) h(g', g^-1 y), with h(e, y) = e.
-        When that check fails, the scan below names the failure.
+        An induced equation checks its fiber module (``HModule.validate``)
+        when its |H|^2 pairs are no more than the generators x |G| x |S|
+        cells of the scan below: induction of a module satisfies both laws,
+        because the cell table is a cocycle, h(gg', y) = h(g, y) h(g', g^-1 y),
+        with h(e, y) = e.  When that check fails, the scan names the failure.
 
         With C = array and d = denom, E^e = I reads C[e] == d I, and for a
         generator g the law, scaled by d^2, is one batched ``matmul`` and
         comparison of d C[g g'] with g(C[g']) . C[g], where
         g(C[g'])(y) = C[g'](g^-1 y), over consecutive slices of g' holding
-        about ``_BATCH_SCALARS`` scalars each, so the temporaries stay small
-        whatever |G| is.  Over the rationals every product multiplies
-        Python ints.  A failure names the first pair in generator order,
-        then g' ascending, as a pointwise scan would.  Rank 0 has nothing
-        to check.  Complex products may round in the last bit unlike
-        ``KMatrix.mul``; only an eps near machine precision can see that.
+        about ``_BATCH_SCALARS`` scalars each, read by ``integral``, so the
+        temporaries stay small whatever |G| is.  Over the rationals every
+        product multiplies Python ints.  A failure names the first pair in
+        generator order, then g' ascending, as a pointwise scan would.
+        Rank 0 has nothing to check.  Complex products may round in the
+        last bit unlike ``KMatrix.mul``; only an eps near machine precision
+        can see that.
         """
-        if self.module is not None:
+        group, be = self.group, self.backend
+        scan = len(group.generator_ids) * group.order * group.space.size
+        if self.cells is not None and self.cells.subgroup.order ** 2 <= scan:
             try:
                 self.module.validate()
                 return
             except InvalidHModule:
                 pass
-        group, be = self.group, self.backend
-        conn, d = self.array, self.denom
-        if not be.eq_array(conn[0], d * np.eye(self.rank, dtype=be.dtype)).all():
+        conn, d = self.integral, self.denom
+        eye = np.eye(self.rank, dtype=be.dtype)
+        if not be.eq_array(conn(0)[0], d * eye).all():
             raise InconsistentConnection("E^e is not the identity")
-        step = max(1, _BATCH_SCALARS // max(1, conn[0].size))
+        cell = group.space.size * self.rank ** 2
+        step = max(1, _BATCH_SCALARS // max(1, cell))
         for g in group.generator_ids:
             ginv_image = group.elements[group.inv[g]]
             products = group.mul_ids(g, np.arange(group.order))
             for start in range(0, group.order, step):
                 stop = min(start + step, group.order)
-                lhs = d * conn[products[start:stop]]
-                rhs = conn[start:stop, ginv_image] @ conn[g]
+                lhs = d * conn(products[start:stop])[0]
+                rhs = conn((slice(start, stop), ginv_image))[0] @ conn(g)[0]
                 bad = first_mismatch(lhs, rhs, be)
                 if bad is not None:
                     raise InconsistentConnection(
@@ -419,13 +462,13 @@ class Equation:
 
 def trivial_equation(group: Group, backend: Backend, rank: int = 1) -> Equation:
     """The equation 1 (and its powers): the induced equation of the trivial
-    module (``equivalence.trivial_hmodule``), whose integral form is the
-    identity over 1 at every element of H; so the identity connection
-    everywhere."""
-    cells = cell_table(stabilizer(group, BASE_POINT), transversal(group))
+    module (``equivalence.trivial_hmodule``) over ``base_cells``, whose
+    integral form is the identity over 1 at every element of H; so the
+    identity connection everywhere.  |H| = |G| / |S|, G being transitive."""
     eye = np.eye(rank, dtype=backend.dtype)[None]
     return Equation(group, backend, rank,
-                    eye.repeat(cells.subgroup.order, axis=0), 1, cells)
+                    eye.repeat(group.order // group.space.size, axis=0), 1,
+                    base_cells(group))
 
 
 def complete_connection(group: Group, backend: Backend,
@@ -530,6 +573,17 @@ def _on_fibers(e: Equation, *others: Equation) -> bool:
     return e.cells is not None and all(f.cells is e.cells for f in others)
 
 
+def _entry_major(arr: np.ndarray) -> np.ndarray:
+    """A view of stacked matrices (..., n, n) whose entry [i, j] is the
+    plane of the (i, j) entries of all of them."""
+    return np.moveaxis(arr, (-2, -1), (0, 1))
+
+
+def _cell_major(entries: np.ndarray) -> np.ndarray:
+    """The inverse of ``_entry_major``."""
+    return np.moveaxis(entries, (0, 1), (-2, -1))
+
+
 def _entries(e: Equation, on_fibers: bool) -> np.ndarray:
     """The stored matrices entry-major: a view whose entry [i, j] is the
     (|H|,) plane of the fiber's rho_ij, or the (|G|, |S|) plane of
@@ -539,8 +593,10 @@ def _entries(e: Equation, on_fibers: bool) -> np.ndarray:
     each one batched operation over all its cells.  Their temporaries are
     then one plane, not the whole connection: fresh memory is what a large
     temporary costs most.  The fiber planes hold the values the gathered
-    planes repeat, so both give the same scalars, bit for bit."""
-    return np.moveaxis(e._stored if on_fibers else e.array, (-2, -1), (0, 1))
+    planes repeat, so both give the same scalars, bit for bit.  The
+    constructions of ``equivalence.HModule`` run the same helpers on a
+    module's planes."""
+    return _entry_major(e._stored if on_fibers else e.array)
 
 
 def _from_entries(e: Equation, rank: int, entries: np.ndarray, denom: int,
@@ -548,9 +604,20 @@ def _from_entries(e: Equation, rank: int, entries: np.ndarray, denom: int,
     """An equation over e's group and backend from entry-major matrices,
     stored as a view of them: induced over e's cells when the matrices are
     fibers."""
-    return Equation(e.group, e.backend, rank,
-                    np.moveaxis(entries, (0, 1), (-2, -1)), denom,
+    return Equation(e.group, e.backend, rank, _cell_major(entries), denom,
                     e.cells if on_fibers else None)
+
+
+def _block_sum(a: np.ndarray, da: int, b: np.ndarray, db: int,
+              backend: Backend) -> Tuple[np.ndarray, int]:
+    """Entry-major a / da and b / db as the blocks of one block-diagonal
+    matrix over the lcm d of the denominators: (entries, d)."""
+    n, m = len(a), len(b)
+    d = math.lcm(da, db)
+    out = np.zeros((n + m, n + m) + a.shape[2:], dtype=backend.dtype)
+    out[:n, :n] = a if d == da else a * (d // da)
+    out[n:, n:] = b if d == db else b * (d // db)
+    return out, d
 
 
 def _kron(a: np.ndarray, b: np.ndarray, backend: Backend) -> np.ndarray:
@@ -584,13 +651,8 @@ def _dual_entries(m: np.ndarray, inverse: tuple) -> np.ndarray:
 def direct_sum(e: Equation, f: Equation) -> Equation:
     _check_compatible(e, f)
     fib = _on_fibers(e, f)
-    a, b = _entries(e, fib), _entries(f, fib)
-    n, m = e.rank, f.rank
-    d = math.lcm(e.denom, f.denom)
-    out = np.zeros((n + m, n + m) + a.shape[2:], dtype=e.backend.dtype)
-    out[:n, :n] = a if d == e.denom else a * (d // e.denom)
-    out[n:, n:] = b if d == f.denom else b * (d // f.denom)
-    return _from_entries(e, n + m, out, d, fib)
+    return _from_entries(e, e.rank + f.rank, *_block_sum(
+        _entries(e, fib), e.denom, _entries(f, fib), f.denom, e.backend), fib)
 
 
 def tensor(e: Equation, f: Equation) -> Equation:

@@ -7,27 +7,31 @@ satisfies sigma(base) = e so that fiber(induce(V)) returns literally equal
 matrices.
 
 A module holds its matrices as one array, like every matrix of the package
-(see ``equations``), and every construction on it is a gather, a block
-assignment or a batched product, with the values of the per-element matrix
-formulas bit for bit: complex products go through ``equations.cmul``.
+(see ``equations``).  Its direct sum, tensor product and dual run the
+entry-major helpers of the equation constructions on its matrices, so
+there is one code for each construction, with the values of the
+per-element matrix formulas bit for bit: complex products go through
+``equations.cmul``.
 
 An induced equation is stored as its module and the cell table of its
 transversal (``equations.cell_table``, built once per transversal):
-``fiber`` of it is that module, its validation is the module's, and the
-constructions of equations induced over one transversal are computed on
-the modules.  Only an equation given by generator data holds its whole
-connection.
+``fiber`` of it is that module, it validates as the module unless H is so
+large that the global scan costs less, and the constructions of equations
+induced over one transversal are computed on the modules.  Only an
+equation given by generator data holds its whole connection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
 from . import linalg
-from .equations import Equation, _kron, _slots, cell_table, matmul
+from .equations import (_BATCH_SCALARS, Equation, _block_sum, _cell_major,
+                        _dual_entries, _entry_major, _inverse_slots, _kron,
+                        _slots, cell_table, matmul)
 from .errors import ElementNotInH, InvalidHModule, NoIsoFound
 from .scalars import Backend
 from .space import BASE_POINT, Subgroup, Transversal, stabilizer
@@ -55,36 +59,34 @@ class HModule:
     def validate(self) -> None:
         """rho(e) = I, and for all pairs (a, b) rho(ab) = rho(b) . rho(a)
         with every rho(a) invertible: one batched product and comparison
-        over the |H|^2 pairs, and one batched singularity test.  A failure
-        is the first of a scan over a in the order of the members that
-        tests rho(a) for singularity, then the pairs (a, b), b in order.
-
-        Over the rationals the products run on Python ints over the common
-        denominator, and when every pair holds exactly no rho(a) can be
-        singular (rho(a^-1) . rho(a) = rho(e) = I), so only a failing scan
-        tests for singularity."""
+        per slice of consecutive a holding about
+        ``equations._BATCH_SCALARS`` scalars of pairs, so the temporaries
+        stay small whatever |H| is, and one batched singularity test.  A
+        failure is the first of a scan over a in the order of the members
+        that tests rho(a) for singularity, then the pairs (a, b), b in
+        order."""
         be, sub, rho = self.backend, self.subgroup, self.rho
         members = np.array(sub.members)
         if not be.eq_array(rho[_slots(sub, 0)], be.eye(self.dim)).all():
             raise InvalidHModule("rho(e) is not the identity")
-        ab = _slots(sub, sub.group.mul_ids(members[:, None], members))
-        # [a, b]: rho(ab) against rho(b) . rho(a)
-        if be.exact:
-            ints, d = be.integral(rho)
-            same = d * ints[ab] == ints @ ints[:, None]
-        else:
-            same = be.eq_array(rho[ab], matmul(rho, rho[:, None], be))
-        same = same.all(axis=(2, 3))
-        bad = np.flatnonzero(~same.all(axis=1))
-        if be.exact and not bad.size:
-            return
-        last = int(bad[0]) if bad.size else sub.order - 1
+        step = max(1, _BATCH_SCALARS // max(1, sub.order * self.dim ** 2))
+        last, b = sub.order - 1, None
+        for start in range(0, sub.order, step):
+            a = slice(start, start + step)
+            ab = _slots(sub, sub.group.mul_ids(members[a, None], members))
+            # [a, b]: rho(ab) against rho(b) . rho(a)
+            same = be.eq_array(rho[ab], matmul(rho, rho[a, None], be))
+            same = same.all(axis=(2, 3))
+            bad = np.flatnonzero(~same.all(axis=1))
+            if bad.size:
+                last = start + int(bad[0])
+                b = int(np.flatnonzero(~same[bad[0]])[0])
+                break
         if linalg.any_singular(rho[:last + 1], be):
             a = next(a for a in range(last + 1)
                      if linalg.any_singular(rho[a:a + 1], be))
             raise InvalidHModule(f"rho of element {members[a]} is singular")
-        if bad.size:
-            b = int(np.flatnonzero(~same[last])[0])
+        if b is not None:
             raise InvalidHModule("rho is not an anti-homomorphism at "
                                  f"({members[last]},{members[b]})")
 
@@ -115,29 +117,40 @@ def hmodule_from_matrices(sub: Subgroup, backend: Backend,
     return mod
 
 
+def _module_entries(u: HModule) -> Tuple[np.ndarray, int]:
+    """The module's matrices entry-major, as ints over their common
+    denominator over the rationals (``Backend.integral``): the stored form
+    of an induced equation's fiber, which the constructions of
+    ``equations`` take."""
+    rho, d = u.backend.integral(u.rho)
+    return _entry_major(rho), d
+
+
+def _module(u: HModule, dim: int, entries: np.ndarray, d: int) -> HModule:
+    """The module over u's subgroup with the entry-major matrices
+    entries / d."""
+    return HModule(u.subgroup, u.backend, dim,
+                   u.backend.scalar_array(_cell_major(entries), d))
+
+
 def hmodule_direct_sum(u: HModule, v: HModule) -> HModule:
-    be, n, m = u.backend, u.dim, v.dim
-    rho = np.full((u.subgroup.order, n + m, n + m), be.zero(), dtype=be.dtype)
-    rho[:, :n, :n] = u.rho
-    rho[:, n:, n:] = v.rho
-    return HModule(u.subgroup, be, n + m, rho)
+    """The block assignment of ``equations.direct_sum``."""
+    (a, da), (b, db) = _module_entries(u), _module_entries(v)
+    return _module(u, u.dim + v.dim, *_block_sum(a, da, b, db, u.backend))
 
 
 def hmodule_tensor(u: HModule, v: HModule) -> HModule:
-    """rho(h) = rho_U(h) (x) rho_V(h): ``equations._kron`` of the arrays
-    with the element axis last."""
-    kron = _kron(np.moveaxis(u.rho, 0, -1), np.moveaxis(v.rho, 0, -1),
-                 u.backend)
-    return HModule(u.subgroup, u.backend, u.dim * v.dim,
-                   np.moveaxis(kron, -1, 0))
+    """rho(h) = rho_U(h) (x) rho_V(h): ``equations._kron``."""
+    (a, da), (b, db) = _module_entries(u), _module_entries(v)
+    return _module(u, u.dim * v.dim, _kron(a, b, u.backend), da * db)
 
 
 def hmodule_dual(u: HModule) -> HModule:
-    """rho*(h) = (rho(h)^t)^-1 = rho(h^-1)^t: one gather and a transpose,
-    as ``equations.dual``."""
-    sub = u.subgroup
-    inverses = _slots(sub, np.array(sub.group.inv)[list(sub.members)])
-    return HModule(sub, u.backend, u.dim, u.rho[inverses].swapaxes(1, 2))
+    """rho*(h) = (rho(h)^t)^-1 = rho(h^-1)^t: the gather and transpose of
+    ``equations.dual``."""
+    a, d = _module_entries(u)
+    return _module(u, u.dim,
+                   _dual_entries(a, (_inverse_slots(u.subgroup),)), d)
 
 
 def intertwiner_rows(u: HModule, v: HModule) -> np.ndarray:

@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +18,8 @@ from gdiff.equations import (Equation, KMatrix, act, complete_connection,
                              trivial_equation, wedge2, wedge_top)
 from gdiff.errors import InconsistentConnection, SingularGeneratorMatrix
 from gdiff.scalars import Backend, Fn
-from gdiff.space import stabilizer, transversal
+from gdiff.space import (FiniteSpace, enumerate_group, parse_cycles,
+                         stabilizer, transversal)
 
 
 def scalar_gen(group, be, values):
@@ -415,3 +418,36 @@ def test_corrupted_induced_module_names_the_first_pair(g3, g4, g6, rational,
                     expected = pointwise_validate(global_copy(bad))
                     assert expected is not None
                     assert validate_message(bad) == expected
+
+
+def symmetric_group(n):
+    """S_n on n points, from an n-cycle and a transposition."""
+    space = FiniteSpace(tuple(str(i + 1) for i in range(n)))
+    cycle = "(" + " ".join(str(i + 1) for i in range(n)) + ")"
+    return enumerate_group(space, {"a": parse_cycles(cycle, n),
+                                   "b": parse_cycles("(1 2)", n)})
+
+
+def timed_peak(check):
+    """(seconds, peak traced bytes) of one call of check."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        check()
+        return time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_validation_with_a_large_stabilizer_stays_small(rational, cplx):
+    # S7 on 7 points: H = S6 has 720 elements, so the module check has
+    # 518,400 pairs against the 2 x 5040 x 7 cells of the global scan.  The
+    # trivial equation takes the scan (the module check of a rank-2 module
+    # takes 13 s over Q), and the module check itself runs in slices of a
+    # (in one batch its temporaries exceed 100 MB)
+    group = symmetric_group(7)
+    for be in (rational, cplx):
+        seconds, peak = timed_peak(trivial_equation(group, be, 2).validate)
+        assert seconds < 3 and peak < 4 << 20
+    mod = equivalence.trivial_hmodule(stabilizer(group, 0), cplx, 2)
+    assert timed_peak(mod.validate)[1] < 4 << 20
