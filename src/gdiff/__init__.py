@@ -18,7 +18,7 @@ from .errors import (BackendMismatch, CharacterBackendMismatch,
                      GroupTooLarge, InconsistentConnection, InvalidHModule,
                      NoIsoFound, NotASolution, NotHStable, NotInvariant,
                      NotTransitive, ProblemFileError, SingularGeneratorMatrix,
-                     SplittingInconclusive)
+                     SplittingInconclusive, UnknownPower)
 from .scalars import Backend, Fn
 from .skewalg import SkewOp, skew_mul
 from .solver import (Morphism, decompose, find_isomorphism, hom_space, image,

@@ -62,5 +62,9 @@ class NotInvariant(GDiffError):
     """A structure argument is not fixed by the group action."""
 
 
+class UnknownPower(GDiffError):
+    """An invariant structure of a power other than sym2 and wedge_top."""
+
+
 class ProblemFileError(GDiffError):
     """Problem file failed to parse or validate."""

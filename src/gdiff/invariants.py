@@ -25,7 +25,7 @@ from . import linalg
 from .equations import (Equation, act, dual, hom, matmul, mul, sym2,
                         sym2_basis, tensor, trivial_equation, wedge2,
                         wedge2_basis, wedge_top)
-from .errors import NotASolution, NotInvariant
+from .errors import NotASolution, NotInvariant, UnknownPower
 from .solver import (DEFAULT_RETRY_BUDGET, Morphism, hom_space,
                      is_isomorphism, random_combination)
 
@@ -89,7 +89,7 @@ def conserved_quantity_check(eq: Equation, alpha: np.ndarray,
                         dtype=be.dtype)
         value = mul(alpha[0], dets, be)
     else:
-        raise ValueError(f"unknown power {power!r}")
+        raise UnknownPower(f"unknown power {power!r}")
     return {
         "constant": bool(be.eq_array(value, value[0]).all()),
         "values": value.tolist(),

@@ -2,7 +2,9 @@
 
 A problem file is JSON with a space, a group, a backend, named equations /
 H-modules / classical systems / raw operators, and an ordered task list.
-Reports are deterministic for a fixed (file, seed) pair.
+Reports are deterministic for a fixed (file, seed) pair.  A task's result
+holds arrays of scalars (a morphism as its matrix [i][j][y]); a structured
+report formats them as it is dumped, one ``Backend.serialize`` per array.
 
 Scalar entries: integers, "p/q" strings, [re, im] pairs (complex backend),
 or {"values": [...]} for a pointwise function on the space.
@@ -416,18 +418,6 @@ def load_problem(path: str, backend_override: Optional[str] = None,
 
 # -- task execution ----------------------------------------------------------
 
-def _ser(obj, be: Backend):
-    """Nested lists (or tuples) of scalars, each one ``Backend.serialize``d."""
-    if isinstance(obj, (list, tuple)):
-        return [_ser(x, be) for x in obj]
-    return be.serialize(obj)
-
-
-def _ser_morphism(phi: solver.Morphism, be: Backend):
-    """phi's matrix as lists [i][j][y], one function per entry."""
-    return _ser(phi.matrix.transpose(1, 2, 0).tolist(), be)
-
-
 # The references of each task kind: (key, kind of definition it names).
 # classical, equation_of and embed name an "operator" or else a "system".
 TASK_REFS: Dict[str, tuple] = {
@@ -497,7 +487,7 @@ def run_task(prob: Problem, task: Dict[str, Any], seed: int) -> Dict[str, Any]:
         src = refs.get("source", refs.get("equation"))
         basis = solver.hom_space(src, refs.get("target", src))
         result["dimension"] = len(basis)
-        result["basis"] = [_ser_morphism(b, be) for b in basis]
+        result["basis"] = [b.matrix.transpose(1, 2, 0) for b in basis]
     elif kind == "decompose":
         parts = solver.decompose(refs["equation"], seed=seed)
         result["summand_ranks"] = sorted(p.rank for p, _ in parts)
@@ -506,30 +496,29 @@ def run_task(prob: Problem, task: Dict[str, Any], seed: int) -> Dict[str, Any]:
     elif kind == "fiber":
         mod = equivalence.fiber(refs["equation"])
         result["dim"] = mod.dim
-        result["rho"] = {str(h): _ser(mat, be) for h, mat in
-                         zip(mod.subgroup.members, mod.rho.tolist())}
+        result["rho"] = dict(zip(map(str, mod.subgroup.members), mod.rho))
     elif kind == "induce":
         eq = equivalence.induce(refs["hmodule"], transversal(prob.group))
         eq.validate()
         result["rank"] = eq.rank
     elif kind == "roundtrip":
         iso = equivalence.roundtrip_iso(refs["equation"], seed=seed)
-        result["isomorphism"] = _ser_morphism(iso, be)
+        result["isomorphism"] = iso.matrix.transpose(1, 2, 0)
     elif kind == "project":
         chi = projection.character(refs["character_of"])
         pi = projection.frobenius_projection(refs["equation"], chi)
-        result["matrix"] = _ser_morphism(pi, be)
+        result["matrix"] = pi.matrix.transpose(1, 2, 0)
         result["idempotent"] = bool(be.eq_array(
             eqmod.matmul(pi.matrix, pi.matrix, be), pi.matrix).all())
     elif kind == "invariants":
         basis = invariants.invariant_vectors(refs["equation"])
         result["dimension"] = len(basis)
-        result["basis"] = [_ser(c.tolist(), be) for c in basis]
+        result["basis"] = basis
     elif kind == "selfdual":
         found = invariants.self_dual_check(refs["equation"], seed=seed)
         result["self_dual"] = found is not None
         if found is not None:
-            result["form"] = _ser_morphism(found, be)
+            result["form"] = found.matrix.transpose(1, 2, 0)
     elif kind in ("classical", "equation_of", "embed"):
         if "operator" in refs:
             op = diffops.canonicalize(refs["operator"])
@@ -538,7 +527,7 @@ def run_task(prob: Problem, task: Dict[str, Any], seed: int) -> Dict[str, Any]:
         if kind == "classical":
             sols = diffops.classical_solutions(op)
             result["dimension"] = len(sols)
-            result["basis"] = [_ser(c.tolist(), be) for c in sols]
+            result["basis"] = sols
         elif kind == "equation_of":
             result["rank"] = diffops.equation_of(op).rank
         else:
@@ -585,7 +574,8 @@ def run_problem(prob: Problem, seed: int = 0) -> Dict[str, Any]:
 
 def format_report(report: Dict[str, Any], fmt: str) -> str:
     if fmt == "structured":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2,
+                          default=Backend(report["backend"]).serialize) + "\n"
     lines = [f"backend={report['backend']} seed={report['seed']}"]
     for entry in report["tasks"]:
         status = "ok" if entry["ok"] else "FAIL"

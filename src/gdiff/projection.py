@@ -20,7 +20,7 @@ import numpy as np
 
 from .equations import Equation, matmul, mul
 from .equivalence import HModule, fiber
-from .errors import CharacterBackendMismatch
+from .errors import CharacterBackendMismatch, CompositionMismatch
 from .scalars import Backend
 from .solver import (Morphism, compose, factor_through_image,
                      identity_morphism, image)
@@ -135,7 +135,7 @@ def factor_solution(eq: Equation, simple: Equation, psi: Morphism) -> Morphism:
     cores = factor_through_image(pi, img, emb)
     # psi may come from hom_space on an equal-connection copy of the image
     if psi.source is not img and psi.source != img:
-        raise ValueError("psi is not defined on the isotypic image")
+        raise CompositionMismatch("psi is not defined on the isotypic image")
     out = compose(cores, Morphism(img, psi.target, psi.matrix))
     out.validate()
     return out

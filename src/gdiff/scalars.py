@@ -3,10 +3,10 @@
 Two backends are supported: exact rationals (``fractions.Fraction``) and
 complex floats compared with a tolerance.  All higher layers are generic
 over the backend; values are plain Python scalars, the backend object only
-supplies comparison, parsing and serialization.  Batched checks hold the
-same values in numpy arrays of ``Backend.dtype``; exact arithmetic on such
-arrays runs on Python integers over one common denominator
-(``Backend.integral``).
+supplies comparison, parsing and serialization (of an array in one call).
+Batched checks hold the same values in numpy arrays of ``Backend.dtype``;
+exact arithmetic on such arrays runs on Python integers over one common
+denominator (``Backend.integral``).
 """
 
 from __future__ import annotations
@@ -174,9 +174,14 @@ class Backend:
         raise BackendMismatch(f"not a scalar: {obj!r}")
 
     def serialize(self, a):
+        """An array of scalars (one scalar is the 0-d case) as nested lists,
+        in one call: "p/q" strings over the rationals, [re, im] on the
+        complex backend; anything else is a TypeError, as in ``json``."""
+        if not isinstance(a, (np.ndarray, Fraction if self.exact else complex)):
+            raise TypeError(f"{type(a).__name__} is no array of scalars")
         if self.exact:
-            return str(a)
-        return [a.real, a.imag]
+            return np.asarray(np.frompyfunc(str, 1, 1)(a), dtype=object).tolist()
+        return np.stack((a.real, a.imag), -1).tolist()
 
     def random(self, rng: random.Random):
         """Small random scalar, nonzero-biased; used for seeded searches."""

@@ -3,8 +3,9 @@ independent sympy-based oracles for dimensions computed by the package,
 full-group checks (the package itself checks generators only), second
 routes to the package's results, and the multiplication table, per-cell
 constructions, pointwise operator calculus and nested-list module code
-that the package's array code must reproduce exactly, and the global
-kernel of mu (``ker_mu_basis``), which no task needs."""
+that the package's array code must reproduce exactly, the global
+kernel of mu (``ker_mu_basis``), which no task needs, and the per-scalar
+report formatter that ``Backend.serialize`` must reproduce."""
 
 import os
 import random
@@ -844,3 +845,21 @@ def loop_validate(mod):
             if not mat_eq(rho[sub.mult(a, b)], mat_mul(rho[b], rho[a], be), be):
                 return f"rho is not an anti-homomorphism at ({a},{b})"
     return None
+
+
+# -- report serialization as it ran before reports held arrays: one call per
+# scalar ----------------------------------------------------------------------
+
+def serialize_scalar(a, be):
+    """One scalar as a report wrote it: "p/q" over the rationals, [re, im]
+    on the complex backend."""
+    if be.exact:
+        return str(a)
+    return [a.real, a.imag]
+
+
+def serialize_oracle(obj, be):
+    """Nested lists (or tuples) of scalars, each one ``serialize_scalar``d."""
+    if isinstance(obj, (list, tuple)):
+        return [serialize_oracle(x, be) for x in obj]
+    return serialize_scalar(obj, be)

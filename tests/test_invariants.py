@@ -9,7 +9,7 @@ from conftest import (equation_zoo, fixed_everywhere, gauged_equation,
 from gdiff import equivalence, solver
 from gdiff.equations import (KMatrix, direct_sum, dual, sym2, trivial_equation,
                              wedge2, wedge_top)
-from gdiff.errors import NotASolution, NotInvariant
+from gdiff.errors import NotASolution, NotInvariant, UnknownPower
 from gdiff.invariants import (composition_principle, conserved_quantity_check,
                               invariant_vectors, is_invariant, self_dual_check,
                               _form_from_wedge2)
@@ -140,6 +140,15 @@ def test_conserved_quantity_rejects_junk_solution(g3, rational):
                                       [Fn.one(3, rational)]], rational))
     with pytest.raises(NotASolution):
         conserved_quantity_check(both, alpha, [junk])
+
+
+def test_conserved_quantity_rejects_unknown_power(g3, rational):
+    zoo = equation_zoo(g3, rational)
+    both = zoo["both"]
+    sols = hom_space(both, zoo["one"])
+    alpha = invariant_vectors(sym2(both))[0]
+    with pytest.raises(UnknownPower, match="unknown power 'cube'"):
+        conserved_quantity_check(both, alpha, sols, power="cube")
 
 
 def test_conserved_quantity_wedge_top(g3, rational):

@@ -6,7 +6,7 @@ from conftest import (equation_zoo, fiber_projection_route, kmatrix_of,
                       mult_table, sign_equation)
 from gdiff import equivalence, solver
 from gdiff.equations import Equation, direct_sum, trivial_equation
-from gdiff.errors import CharacterBackendMismatch
+from gdiff.errors import CharacterBackendMismatch, CompositionMismatch
 from gdiff.projection import (Character, character, character_of_hmodule,
                               factor_solution, frobenius_projection,
                               isotypic_image, schur_check)
@@ -136,7 +136,8 @@ def test_factor_solution_compares_connections(g3, g4, backend, request):
                             ).validate()
         # the same rank and group, another connection
         assert sign != img
-        with pytest.raises(ValueError):
+        with pytest.raises(CompositionMismatch,
+                           match="psi is not defined on the isotypic image"):
             factor_solution(both, one, solver.Morphism(sign, one, psi.matrix))
 
 
