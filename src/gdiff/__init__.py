@@ -7,9 +7,8 @@ calculus all reduce to finite linear algebra over exact rationals or
 tolerance-compared complex numbers.
 """
 
-from .equations import (Equation, KMatrix, act, complete_connection,
-                        direct_sum, dual, hom, sym2, tensor, trivial_equation,
-                        wedge2, wedge_top)
+from .equations import (Equation, act, complete_connection, direct_sum, dual,
+                        hom, sym2, tensor, trivial_equation, wedge2, wedge_top)
 from .equivalence import (HModule, builtin_irreducibles, character_hmodule,
                           fiber, grothendieck_check, induce, roundtrip_iso,
                           transversal_independence, trivial_hmodule)
@@ -19,7 +18,7 @@ from .errors import (BackendMismatch, CharacterBackendMismatch,
                      NoIsoFound, NotASolution, NotHStable, NotInvariant,
                      NotTransitive, ProblemFileError, SingularGeneratorMatrix,
                      SplittingInconclusive, UnknownPower)
-from .scalars import Backend, Fn
+from .scalars import Backend
 from .skewalg import SkewOp, skew_mul
 from .solver import (Morphism, decompose, find_isomorphism, hom_space, image,
                      is_injective, is_isomorphism, is_simple, is_surjective,

@@ -30,7 +30,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from . import linalg
-from .equations import Equation, matmul, mul, trivial_equation
+from .equations import Equation, matmul, mul, read_only, trivial_equation
 from .equivalence import HModule, induce, trivial_hmodule
 from .errors import GDiffError
 from .scalars import Backend
@@ -50,10 +50,8 @@ class RawOperator:
     terms: Dict[int, np.ndarray]
 
     def __post_init__(self):
-        frozen = {g: mat.view() for g, mat in self.terms.items()}
-        for mat in frozen.values():
-            mat.flags.writeable = False
-        object.__setattr__(self, "terms", frozen)
+        object.__setattr__(self, "terms", {
+            g: read_only(mat) for g, mat in self.terms.items()})
 
     def add(self, other: "RawOperator") -> "RawOperator":
         out = dict(self.terms)
@@ -78,10 +76,10 @@ def zero_raw(src: Equation, dst: Equation) -> RawOperator:
 
 def delta_op(a: SkewOp, eq: Equation) -> RawOperator:
     """The operator Delta_a : e -> a.e on eq itself: theta^g = a_g . I."""
-    ident, be = _identity(eq), eq.backend
+    ident = _identity(eq)
     return RawOperator(eq, eq, {
-        g: mul(np.array(f.values, dtype=be.dtype)[:, None, None], ident, be)
-        for g, f in a.terms})
+        g: mul(f[:, None, None], ident, eq.backend)
+        for g, f in zip(a.elements, a.coeffs)})
 
 
 def mu(theta: RawOperator) -> np.ndarray:
@@ -177,14 +175,13 @@ def skew_action(a: SkewOp, theta: RawOperator) -> RawOperator:
     e1, e2 = theta.source, theta.target
     group, be = e1.group, e1.backend
     out: Dict[int, np.ndarray] = {}
-    for g, a_g in a.terms:
+    for g, a_g in zip(a.elements, a.coeffs):
         e1_inv = e1.inverse(g)
         e2_g = e2.scalars(g)
-        coeff = np.array(a_g.values, dtype=be.dtype)[:, None, None]
         moved = group.elements[group.inv[g]]  # g(C)(y) = C(g^-1 y)
         for gp, c_mat in theta.terms.items():
             mat = matmul(matmul(e1_inv, c_mat[moved], be), e2_g, be)
-            mat = mul(mat, coeff, be)
+            mat = mul(mat, a_g[:, None, None], be)
             key = group.mul(g, gp)
             out[key] = out[key] + mat if key in out else mat
     return RawOperator(e1, e2, out)

@@ -28,13 +28,13 @@ Every other matrix over k is an array of shape (|S|, rows, cols), entry
 objects over the rationals, complex128 otherwise.  That holds for
 morphisms, operator coefficients and parsed generator matrices; the
 coordinates of a module element are one (n, |S|) array, row i the
-function f_i.  Matrices over F are arrays of the same scalars too: the
-(|H|, dim, dim) matrices of a stabilizer module (``equivalence.HModule``)
-and an operator's action matrix.  ``mul`` and ``matmul`` multiply such
-arrays with the same rounding.  ``KMatrix``, a matrix over k as a tuple
-of functions, is left only for ``Equation.conn``, a read-only view of a
-connection as one KMatrix per element, built on first use, for code that
-reads it one scalar at a time.
+function f_i, and a skew group algebra element keeps its function
+coefficients in one (k, |S|) array (``skewalg.SkewOp``).  Matrices over F
+are arrays of the same scalars too: the (|H|, dim, dim) matrices of a
+stabilizer module (``equivalence.HModule``) and an operator's action
+matrix.  ``mul`` and ``matmul`` multiply such arrays with the same
+rounding.  ``Equation.conn`` views a connection as one ``KMatrix`` of
+``Fn`` entries per element, for code that reads it one scalar at a time.
 """
 
 from __future__ import annotations
@@ -42,109 +42,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import linalg
 from .errors import (BackendMismatch, ElementNotInH, InconsistentConnection,
                      InvalidHModule, SingularGeneratorMatrix)
-from .scalars import Backend, Fn
+from .scalars import Backend
 from .space import Group, Subgroup, Transversal, stabilizer, transversal
-
-
-@dataclass(frozen=True)
-class KMatrix:
-    """A matrix over k = F(S): entries are functions on the space."""
-
-    entries: Tuple[Tuple[Fn, ...], ...]
-    backend: Backend
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @property
-    def npoints(self) -> int:
-        return len(self.entries[0][0]) if self.entries and self.entries[0] else 0
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[Fn]], backend: Backend) -> "KMatrix":
-        return KMatrix(tuple(tuple(r) for r in rows), backend)
-
-    @staticmethod
-    def identity(n: int, size: int, backend: Backend) -> "KMatrix":
-        one, zero = Fn.one(size, backend), Fn.zero(size, backend)
-        return KMatrix(tuple(tuple(one if i == j else zero for j in range(n))
-                             for i in range(n)), backend)
-
-    @staticmethod
-    def from_array(points: np.ndarray, backend: Backend, denom: int = 1) -> "KMatrix":
-        """An (|S|, r, c) array, entry [y] the scalar matrix at y, as a
-        matrix over k: ``points / denom`` by ``Backend.to_scalars``."""
-        rows = backend.to_scalars(points.transpose(1, 2, 0), denom)
-        return KMatrix(tuple(tuple(Fn(tuple(v), backend) for v in row)
-                             for row in rows), backend)
-
-    def at_point(self, y: int) -> linalg.Matrix:
-        return [[f.values[y] for f in row] for row in self.entries]
-
-    def mul(self, other: "KMatrix") -> "KMatrix":
-        z = Fn.zero(self.npoints, self.backend)
-        rows = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = z
-                for t in range(self.ncols):
-                    acc = acc + self.entries[i][t] * other.entries[t][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return KMatrix(tuple(rows), self.backend)
-
-    def add(self, other: "KMatrix") -> "KMatrix":
-        return KMatrix(tuple(tuple(a + b for a, b in zip(ra, rb))
-                             for ra, rb in zip(self.entries, other.entries)), self.backend)
-
-    def sub(self, other: "KMatrix") -> "KMatrix":
-        return KMatrix(tuple(tuple(a - b for a, b in zip(ra, rb))
-                             for ra, rb in zip(self.entries, other.entries)), self.backend)
-
-    def scale(self, c) -> "KMatrix":
-        return KMatrix(tuple(tuple(a.scale(c) for a in row) for row in self.entries),
-                       self.backend)
-
-    def transpose(self) -> "KMatrix":
-        return KMatrix(tuple(zip(*self.entries)), self.backend)
-
-    def g_act(self, group: Group, g: int) -> "KMatrix":
-        """Apply g to every entry: (g.f)(x) = f(g^{-1}x)."""
-        ginv = group.image(group.inv[g])
-        return KMatrix(tuple(tuple(f.translate(ginv) for f in row)
-                             for row in self.entries), self.backend)
-
-    def inverse(self) -> Optional["KMatrix"]:
-        mats = []
-        for y in range(self.npoints):
-            m = linalg.inv(self.at_point(y), self.backend)
-            if m is None:
-                return None
-            mats.append(m)
-        return KMatrix.from_array(np.array(mats, dtype=self.backend.dtype),
-                                  self.backend)
-
-    def eq(self, other: "KMatrix") -> bool:
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            return False
-        return all(a.eq(b) for ra, rb in zip(self.entries, other.entries)
-                   for a, b in zip(ra, rb))
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for row in self.entries for f in row)
 
 
 # Scalars compared per batch in Equation.validate: the temporaries of one
@@ -176,10 +82,10 @@ def mul(a: np.ndarray, b: np.ndarray, backend: Backend,
 
 
 def mul_in_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over the last two axes of complex arrays, rounded exactly as
-    ``KMatrix.mul`` rounds: every entry sums its terms in order, starting
-    from 0, and every term is a ``cmul`` product.  (numpy's complex
-    ``matmul`` may sum in another order, and so differ in the last bit.)"""
+    """a @ b over the last two axes of complex arrays, rounded exactly as a
+    product of nested lists of complex numbers: every entry sums its terms
+    in order from 0, each a ``cmul`` product (numpy's ``matmul`` may sum in
+    another order, and differ in the last bit)."""
     shape = np.broadcast_shapes(a.shape[:-1] + (1,), b.shape[:-2] + (1, b.shape[-1]))
     out = np.zeros(shape, dtype=complex)
     term = np.empty(shape, dtype=complex)
@@ -209,7 +115,8 @@ def first_mismatch(lhs: np.ndarray, rhs: np.ndarray,
     return int(bad[0]) if bad.size else None
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """A view of arr that cannot be written to."""
     view = arr.view()
     view.flags.writeable = False
     return view
@@ -265,7 +172,7 @@ class Cells:
             g, y = divmod(int(outside[0]), group.space.size)
             raise ElementNotInH(
                 f"transversal arithmetic left H at (g={g}, y={y})")
-        return _read_only(table)
+        return read_only(table)
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -309,6 +216,47 @@ def cell_table(sub: Subgroup, sigma: Transversal) -> Cells:
     return tables[key]
 
 
+@dataclass(frozen=True)
+class Fn:
+    """A function on the space, one scalar per point: an entry of a
+    ``KMatrix`` view."""
+
+    values: tuple
+    backend: Backend
+
+
+class KMatrix:
+    """A read-only view of a matrix over k, the (|S|, r, c) array ``points``
+    of backend scalars, entry [y] its scalar matrix at y: ``entries[i][j]``
+    is the function y -> points[y, i, j], built once per view, for code
+    that reads a connection one scalar at a time (``Equation.conn``).
+
+    ``mul``, ``g_act`` and ``inverse`` compute on the array; they are kept
+    only because the benchmark's traced mode wraps them by name
+    (``perfbench/layers.py``)."""
+
+    def __init__(self, points: np.ndarray, backend: Backend):
+        self.points = read_only(points)
+        self.backend = backend
+        self.entries = tuple(tuple(Fn(tuple(v), backend) for v in row)
+                             for row in points.transpose(1, 2, 0).tolist())
+
+    def mul(self, other: "KMatrix") -> "KMatrix":
+        return KMatrix(matmul(self.points, other.points, self.backend),
+                       self.backend)
+
+    def g_act(self, group: Group, g: int) -> "KMatrix":
+        """g applied to every entry: (g.f)(x) = f(g^{-1}x)."""
+        return KMatrix(self.points[group.elements[group.inv[g]]], self.backend)
+
+    def inverse(self) -> Optional["KMatrix"]:
+        mats = [linalg.inv(m, self.backend) for m in self.points.tolist()]
+        if any(m is None for m in mats):
+            return None
+        return KMatrix(np.array(mats, dtype=self.backend.dtype)
+                       .reshape(self.points.shape), self.backend)
+
+
 class Equation:
     """A rank-n equation presented by its connection,
     E^g(y) = A[g, y] / denom.
@@ -337,7 +285,7 @@ class Equation:
         self.rank = rank
         self.denom = d
         self.cells = cells
-        self._stored = _read_only(arr)
+        self._stored = read_only(arr)
         self._module = module
 
     @property
@@ -356,14 +304,14 @@ class Equation:
         from the fiber on first use for an induced equation."""
         if self.cells is None:
             return self._stored
-        return _read_only(self._stored[self.cells.table])
+        return read_only(self._stored[self.cells.table])
 
     @cached_property
     def conn(self) -> Tuple[KMatrix, ...]:
-        """The connection as one KMatrix per group element, built on first
-        use, for code that reads it one scalar at a time; the package works
-        on ``integral``."""
-        return tuple(KMatrix.from_array(self.array[g], self.backend, self.denom)
+        """The connection as one ``KMatrix`` view per group element, built
+        on first use, for code that reads it one scalar at a time; the
+        package works on ``integral``."""
+        return tuple(KMatrix(self.scalars(g), self.backend)
                      for g in range(self.group.order))
 
     def integral(self, index) -> Tuple[np.ndarray, int]:
@@ -430,7 +378,7 @@ class Equation:
         product multiplies Python ints.  A failure names the first pair in
         generator order, then g' ascending, as a pointwise scan would.
         Rank 0 has nothing to check.  Complex products may round in the
-        last bit unlike ``KMatrix.mul``; only an eps near machine precision
+        last bit unlike ``mul_in_order``; only an eps near machine precision
         can see that.
         """
         group, be = self.group, self.backend
@@ -489,7 +437,7 @@ def complete_connection(group: Group, backend: Backend,
     Each level is one batched product over its elements and all the
     generators.  The generator matrices are checked for singularity in one
     batch per generator (``linalg.any_singular``).  The products are
-    those of ``KMatrix.mul``, bit for bit: on the complex backend by
+    those of ``matmul``, bit for bit: on the complex backend by
     ``mul_in_order``; over the rationals on Python ints, E^g being
     A[g] / d^depth(g) with d the common denominator of the generator
     matrices (``Backend.integral``), so that a product of depth L + 1 is
@@ -555,7 +503,7 @@ def complete_connection(group: Group, backend: Backend,
 def act(eq: Equation, g: int, coords: np.ndarray) -> np.ndarray:
     """Coordinates, an (n, |S|) array, transform as f |-> g(f) . E^g: at
     every point the row vector of g(f) times E^g, summed in order as
-    ``KMatrix.mul`` sums."""
+    ``matmul`` sums."""
     shifted = coords[:, eq.group.elements[eq.group.inv[g]]].T[:, None, :]
     return matmul(shifted, eq.scalars(g), eq.backend)[:, 0].T
 

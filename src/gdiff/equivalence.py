@@ -31,7 +31,7 @@ import numpy as np
 from . import linalg
 from .equations import (_BATCH_SCALARS, Equation, _block_sum, _cell_major,
                         _dual_entries, _entry_major, _inverse_slots, _kron,
-                        _slots, cell_table, matmul)
+                        _slots, cell_table, matmul, read_only)
 from .errors import ElementNotInH, InvalidHModule, NoIsoFound
 from .scalars import Backend
 from .space import BASE_POINT, Subgroup, Transversal, stabilizer
@@ -52,9 +52,7 @@ class HModule:
     rho: np.ndarray
 
     def __post_init__(self):
-        rho = self.rho.view()
-        rho.flags.writeable = False
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "rho", read_only(self.rho))
 
     def validate(self) -> None:
         """rho(e) = I, and for all pairs (a, b) rho(ab) = rho(b) . rho(a)

@@ -69,12 +69,6 @@ def _to_np(a: Matrix) -> np.ndarray:
                     dtype=complex).reshape(len(a), cols)
 
 
-def _rank_tol(s: np.ndarray, backend: Backend) -> np.ndarray:
-    """The singular values above which a matrix has rank: max(eps, 1e-8 *
-    largest singular value), along the last axis of ``s``."""
-    return np.maximum(backend.eps, 1e-8 * s.max(axis=-1, initial=0.0))
-
-
 def rank(a: Matrix, backend: Backend) -> int:
     if not a or not a[0]:
         return 0
@@ -82,7 +76,7 @@ def rank(a: Matrix, backend: Backend) -> int:
         m = [list(row) for row in a]
         return len(_rref_exact(m))
     s = np.linalg.svd(_to_np(a), compute_uv=False)
-    return int((s > _rank_tol(s, backend)).sum())
+    return int((s > backend.rank_tol(s)).sum())
 
 
 def nullspace(a: Matrix, ncols: Optional[int] = None, backend: Backend = None) -> List[Vector]:
@@ -108,7 +102,7 @@ def nullspace(a: Matrix, ncols: Optional[int] = None, backend: Backend = None) -
         return basis
     mat = _to_np(a)
     u, s, vh = np.linalg.svd(mat)
-    tol = _rank_tol(s, backend)
+    tol = backend.rank_tol(s)
     rnk = int((s > tol).sum())
     return [list(vh[i].conj()) for i in range(rnk, ncols)]
 
@@ -131,7 +125,7 @@ def solve(a: Matrix, b: Vector, backend: Backend) -> Optional[Vector]:
     x, _, _, _ = np.linalg.lstsq(mat, bv, rcond=None)
     resid = mat @ x - bv
     scale = 1 + max(np.abs(bv).max(initial=0.0), np.abs(mat).max(initial=0.0))
-    if np.abs(resid).max(initial=0.0) > backend.eps * scale * 1e3:
+    if np.abs(resid).max(initial=0.0) > backend.residual_tol(scale):
         return None
     return list(x)
 
@@ -147,7 +141,7 @@ def inv(a: Matrix, backend: Backend) -> Optional[Matrix]:
         return [row[n:] for row in m]
     mat = _to_np(a)
     s = np.linalg.svd(mat, compute_uv=False)
-    if s.size and s.min() <= _rank_tol(s, backend):
+    if s.size and s.min() <= backend.rank_tol(s):
         return None
     return [list(r) for r in np.linalg.inv(mat)]
 
@@ -155,13 +149,13 @@ def inv(a: Matrix, backend: Backend) -> Optional[Matrix]:
 def any_singular(mats: np.ndarray, backend: Backend) -> bool:
     """Whether ``inv`` would return None for some matrix of an array of
     shape (..., n, n) and dtype ``backend.dtype``.  On the complex backend
-    this is one batched SVD with the tolerance of ``_rank_tol``."""
+    this is one batched SVD with the tolerance of ``Backend.rank_tol``."""
     if backend.exact:
         count = int(np.prod(mats.shape[:-2]))
         flat = mats.reshape((count,) + mats.shape[-2:]).tolist()
         return any(inv(m, backend) is None for m in flat)
     s = np.linalg.svd(mats, compute_uv=False)
-    return bool((s.min(axis=-1, initial=np.inf) <= _rank_tol(s, backend)).any())
+    return bool((s.min(axis=-1, initial=np.inf) <= backend.rank_tol(s)).any())
 
 
 def det(a: Matrix, backend: Backend):
@@ -216,8 +210,9 @@ class RowSpace:
         v = self._reduce(vec)
         if self.backend.exact:
             return all(x == 0 for x in v)
-        scale = 1 + max((abs(x) for x in vec), default=0.0)
-        return all(abs(x) <= self.backend.eps * scale * 1e3 for x in v)
+        tol = self.backend.residual_tol(1 + max((abs(x) for x in vec),
+                                                default=0.0))
+        return all(abs(x) <= tol for x in v)
 
     def add(self, vec: Vector) -> bool:
         """Add a row if independent; returns True when the span grew."""
@@ -225,9 +220,10 @@ class RowSpace:
         if self.backend.exact:
             pc = next((i for i, x in enumerate(v) if x != 0), None)
         else:
-            scale = 1 + max((abs(x) for x in vec), default=0.0)
+            tol = self.backend.residual_tol(1 + max((abs(x) for x in vec),
+                                                    default=0.0))
             best = max(range(len(v)), key=lambda i: abs(v[i]), default=None)
-            pc = best if best is not None and abs(v[best]) > self.backend.eps * scale * 1e3 else None
+            pc = best if best is not None and abs(v[best]) > tol else None
         if pc is None:
             return False
         self.rows.append(list(vec))

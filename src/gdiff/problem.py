@@ -4,7 +4,8 @@ A problem file is JSON with a space, a group, a backend, named equations /
 H-modules / classical systems / raw operators, and an ordered task list.
 Reports are deterministic for a fixed (file, seed) pair.  A task's result
 holds arrays of scalars (a morphism as its matrix [i][j][y]); a structured
-report formats them as it is dumped, one ``Backend.serialize`` per array.
+report formats them before it is dumped, one ``Backend.serialize`` per
+array.
 
 Scalar entries: integers, "p/q" strings, [re, im] pairs (complex backend),
 or {"values": [...]} for a pointwise function on the space.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,8 +32,9 @@ TOP_KEYS = {"space", "group", "backend", "epsilon", "equations", "hmodules",
             "systems", "operators", "tasks"}
 
 # Scalars (|G| x |S| x rank^2) a connection declared in a file may need: an
-# equation's rank, an hmodule's dim and a system's unknowns are bounded by
-# it before anything is built.
+# equation's rank (a construction's from its operands, a generator matrix's
+# from its size), an hmodule's dim and a system's unknowns are bounded by it
+# before anything is built.
 MAX_CONNECTION_SCALARS = 1 << 24
 
 
@@ -131,17 +133,20 @@ def _parse_values(obj: Any, size: int, be: Backend, where: str):
     return _scalar(obj, be, where)
 
 
-def _check_matrix(obj: Any) -> None:
+def _check_matrix(obj: Any) -> Tuple[int, int]:
+    """The (rows, columns) of a matrix of the file, checked before any of
+    it is parsed."""
     if not isinstance(obj, list) or not obj or any(
             not isinstance(row, list) or len(row) != len(obj[0]) for row in obj):
         raise ProblemFileError("matrix must be a non-empty list of rows "
                                "of equal length")
+    return len(obj), len(obj[0])
 
 
 def _parse_kmatrix(obj: Any, size: int, be: Backend,
                    where: str) -> np.ndarray:
-    """A matrix over k, as an (|S|, rows, cols) array of backend scalars."""
-    _check_matrix(obj)
+    """A matrix over k (one ``_check_matrix`` passed), as an
+    (|S|, rows, cols) array of backend scalars."""
     out = np.empty((size, len(obj), len(obj[0])), dtype=be.dtype)
     for i, row in enumerate(obj):
         for j, v in enumerate(row):
@@ -198,51 +203,50 @@ def _build_group(obj: Any, space: FiniteSpace) -> Group:
     return enumerate_group(space, gens)
 
 
+# The rank of each construction from its operands' ranks, bounded before
+# the construction is built; the first three take two operands.
+_CONSTRUCTION_RANKS = {
+    "direct_sum": lambda n, m: n + m, "tensor": lambda n, m: n * m,
+    "hom": lambda n, m: n * m, "dual": lambda n: n,
+    "sym2": lambda n: n * (n + 1) // 2, "wedge2": lambda n: n * (n - 1) // 2,
+    "wedge_top": lambda n: 1}
+
+
 def _build_equation(name: str, obj: Dict[str, Any], prob: Problem) -> Equation:
+    where = f"equation {name!r}"
     _check_object(obj, {"trivial", "generators", "direct_sum", "tensor",
                         "dual", "sym2", "wedge2", "wedge_top", "hom",
-                        "induce"}, f"equation {name!r}")
-    size = prob.space.size
+                        "induce"}, where)
 
     def ref(other: Any) -> Equation:
         if not isinstance(other, str) or other not in prob.equations:
-            raise ProblemFileError(f"equation {name!r} references "
-                                   f"undefined {other!r}")
+            raise ProblemFileError(f"{where} references undefined {other!r}")
         return prob.equations[other]
 
     if "trivial" in obj:
-        rank = _rank(obj["trivial"], f"equation {name!r}", prob)
+        rank = _rank(obj["trivial"], where, prob)
         return trivial_equation(prob.group, prob.backend, rank)
     if "generators" in obj:
         if not isinstance(obj["generators"], dict) or not obj["generators"]:
-            raise ProblemFileError(f"equation {name!r}: 'generators' must map "
+            raise ProblemFileError(f"{where}: 'generators' must map "
                                    "generator names to matrices")
-        mats = {gname: _parse_kmatrix(m, size, prob.backend,
-                                      f"equation {name!r}")
-                for gname, m in obj["generators"].items()}
+        mats = {}
+        for gname, m in obj["generators"].items():
+            _rank(max(_check_matrix(m)), f"{where} generator {gname!r}", prob)
+            mats[gname] = _parse_kmatrix(m, prob.space.size, prob.backend,
+                                         where)
         return complete_connection(prob.group, prob.backend, mats)
-    if "direct_sum" in obj:
-        a, b = _pair(obj, "direct_sum", f"equation {name!r}")
-        return eqmod.direct_sum(ref(a), ref(b))
-    if "tensor" in obj:
-        a, b = _pair(obj, "tensor", f"equation {name!r}")
-        return eqmod.tensor(ref(a), ref(b))
-    if "hom" in obj:
-        a, b = _pair(obj, "hom", f"equation {name!r}")
-        return eqmod.hom(ref(a), ref(b))
-    if "dual" in obj:
-        return eqmod.dual(ref(obj["dual"]))
-    if "sym2" in obj:
-        return eqmod.sym2(ref(obj["sym2"]))
-    if "wedge2" in obj:
-        return eqmod.wedge2(ref(obj["wedge2"]))
-    if "wedge_top" in obj:
-        return eqmod.wedge_top(ref(obj["wedge_top"]))
+    for key, rank_of in _CONSTRUCTION_RANKS.items():
+        if key in obj:
+            names = (_pair(obj, key, where)
+                     if key in ("direct_sum", "tensor", "hom") else [obj[key]])
+            operands = [ref(x) for x in names]
+            _rank(rank_of(*(e.rank for e in operands)), where, prob)
+            return getattr(eqmod, key)(*operands)
     if "induce" in obj:
-        mod = _ref(prob.hmodules, "hmodule", obj, "induce",
-                   f"equation {name!r}")
+        mod = _ref(prob.hmodules, "hmodule", obj, "induce", where)
         return equivalence.induce(mod, transversal(prob.group))
-    raise ProblemFileError(f"equation {name!r} has no recognized constructor")
+    raise ProblemFileError(f"{where} has no recognized constructor")
 
 
 def _close_rho(sub, be: Backend, partial: Dict[int, list]) -> np.ndarray:
@@ -295,8 +299,7 @@ def _build_hmodule(name: str, obj: Dict[str, Any], prob: Problem
     if "rho" in obj:
         dim = _rank(obj.get("dim"), f"hmodule {name!r} dim", prob)
         for m in obj["rho"].values():
-            _check_matrix(m)
-            if (len(m), len(m[0])) != (dim, dim):
+            if _check_matrix(m) != (dim, dim):
                 raise ProblemFileError(f"hmodule {name!r}: matrix is "
                                        f"{len(m)} x {len(m[0])}, not "
                                        f"{dim} x {dim}")
@@ -357,12 +360,12 @@ def _build_operator(name: str, obj: Dict[str, Any], prob: Problem
         where = f"operator {name!r} term"
         _check_object(item, {"word", "matrix"}, where)
         g = _word(prob, item.get("word"), where)
-        mat = _parse_kmatrix(item.get("matrix"), prob.space.size, prob.backend,
-                             where)
-        rows, cols = mat.shape[1:]
+        rows, cols = _check_matrix(item.get("matrix"))
         if (rows, cols) != (src.rank, dst.rank):
             raise ProblemFileError(f"{where}: matrix is {rows} x {cols}, "
                                    f"not {src.rank} x {dst.rank}")
+        mat = _parse_kmatrix(item["matrix"], prob.space.size, prob.backend,
+                             where)
         terms[g] = terms[g] + mat if g in terms else mat
     return diffops.RawOperator(src, dst, terms)
 
@@ -572,10 +575,23 @@ def run_problem(prob: Problem, seed: int = 0) -> Dict[str, Any]:
     return report
 
 
+def _json_values(obj: Any, be: Backend) -> Any:
+    """A report as plain JSON values, in one walk: each array of scalars
+    (and each scalar of the backend) is formatted by one
+    ``Backend.serialize`` call, which refuses anything else."""
+    if isinstance(obj, dict):
+        return {k: _json_values(v, be) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_values(v, be) for v in obj]
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
+    return be.serialize(obj)
+
+
 def format_report(report: Dict[str, Any], fmt: str) -> str:
     if fmt == "structured":
-        return json.dumps(report, sort_keys=True, indent=2,
-                          default=Backend(report["backend"]).serialize) + "\n"
+        return json.dumps(_json_values(report, Backend(report["backend"])),
+                          sort_keys=True, indent=2) + "\n"
     lines = [f"backend={report['backend']} seed={report['seed']}"]
     for entry in report["tasks"]:
         status = "ok" if entry["ok"] else "FAIL"

@@ -1,12 +1,12 @@
-"""Scalar backends and functions on the finite space.
+"""Scalar backends.
 
 Two backends are supported: exact rationals (``fractions.Fraction``) and
 complex floats compared with a tolerance.  All higher layers are generic
 over the backend; values are plain Python scalars, the backend object only
-supplies comparison, parsing and serialization (of an array in one call).
-Batched checks hold the same values in numpy arrays of ``Backend.dtype``;
-exact arithmetic on such arrays runs on Python integers over one common
-denominator (``Backend.integral``).
+supplies comparison, the tolerances, parsing and serialization (of an array
+in one call).  Batched checks hold the same values in numpy arrays of
+``Backend.dtype``; exact arithmetic on such arrays runs on Python integers
+over one common denominator (``Backend.integral``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -29,15 +29,16 @@ COMPLEX = "complex"
 class Backend:
     """Scalar field tag plus the comparison tolerance for the float case.
 
-    Equality: rationals compare exactly; complex scalars a, b are equal when
-    |a - b| <= eps * (1 + max(|a|, |b|)).  ``eq`` applies that formula to
-    two scalars and ``eq_array`` elementwise to two arrays, so batched and
-    pointwise checks agree.  Thresholds that are still separate from it:
-    ``linalg._rank_tol`` (max(eps, 1e-8 * largest singular value), the one
-    rank threshold of ``rank``, ``nullspace``, ``inv`` and
-    ``any_singular``), the ``RowSpace`` and ``solve`` residual tests
-    (1e3 * eps * scale), and ``solver._eigenvalue_split``
-    (max(1e3 * eps, 1e-7) * scale).
+    Tolerances: each decision the complex backend makes within eps is one
+    method here (over the rationals eps is 0, comparisons are exact and
+    the kernels read no threshold): ``eq_array``, |a - b| <= eps * (1 +
+    max(|a|, |b|)), and ``is_zero``, |a| <= eps, elementwise;
+    ``rank_tol``, max(eps, 1e-8 * largest singular value), for
+    ``linalg``'s rank, nullspace, inv and any_singular; ``residual_tol``,
+    eps * scale * 1e3 with scale 1 plus the largest entry of the data, for
+    ``linalg.solve`` and ``RowSpace``; ``eigenvalue_tol``, max(eps * 1e3,
+    1e-7) * scale with scale 1 plus the largest modulus, which separates
+    the roots of ``solver``'s splitting.
 
     Arrays: ``dtype`` is complex, or object over the rationals.  An exact
     array is kept as Python ints over one common denominator d, so that
@@ -137,13 +138,10 @@ class Backend:
         a complex array (d = 1)."""
         return self.scalar_array(arr, d).tolist()
 
-    def eq(self, a, b) -> bool:
-        if self.exact:
-            return a == b
-        return abs(a - b) <= self.eps * (1 + max(abs(a), abs(b)))
-
     def eq_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``eq`` elementwise on two arrays of ``dtype``, as a bool array."""
+        """Whether a and b, two arrays of ``dtype``, are equal elementwise,
+        as a bool array: exactly over the rationals, else within
+        eps * (1 + max(|a|, |b|))."""
         if self.exact:
             return a == b
         return np.abs(a - b) <= self.eps * (1 + np.maximum(np.abs(a), np.abs(b)))
@@ -154,6 +152,18 @@ class Backend:
         if self.exact:
             return a == 0
         return abs(a) <= self.eps
+
+    def rank_tol(self, s: np.ndarray) -> np.ndarray:
+        """Rank threshold of singular values s, along their last axis."""
+        return np.maximum(self.eps, 1e-8 * s.max(axis=-1, initial=0.0))
+
+    def residual_tol(self, scale: float) -> float:
+        """Largest residual that counts as zero, for data of that scale."""
+        return self.eps * scale * 1e3
+
+    def eigenvalue_tol(self, scale: float) -> float:
+        """Distance within which two eigenvalues of that scale are one."""
+        return max(self.eps * 1e3, 1e-7) * scale
 
     def parse(self, obj):
         """Parse a scalar from problem-file JSON ("p/q" string or [re, im])."""
@@ -192,66 +202,3 @@ class Backend:
     def check_same(self, other: "Backend") -> None:
         if self.name != other.name:
             raise BackendMismatch(f"{self.name} vs {other.name}")
-
-
-@dataclass(frozen=True)
-class Fn:
-    """An element of k = F(S): one scalar per point of the space."""
-
-    values: tuple
-    backend: Backend
-
-    @staticmethod
-    def constant(c, size: int, backend: Backend) -> "Fn":
-        c = backend.coerce(c)
-        return Fn((c,) * size, backend)
-
-    @staticmethod
-    def zero(size: int, backend: Backend) -> "Fn":
-        return Fn.constant(0, size, backend)
-
-    @staticmethod
-    def one(size: int, backend: Backend) -> "Fn":
-        return Fn.constant(1, size, backend)
-
-    @staticmethod
-    def delta(x: int, size: int, backend: Backend) -> "Fn":
-        vals = [backend.zero()] * size
-        vals[x] = backend.one()
-        return Fn(tuple(vals), backend)
-
-    @staticmethod
-    def from_values(values: Sequence[Any], backend: Backend) -> "Fn":
-        return Fn(tuple(backend.coerce(v) for v in values), backend)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __add__(self, other: "Fn") -> "Fn":
-        self.backend.check_same(other.backend)
-        return Fn(tuple(a + b for a, b in zip(self.values, other.values)), self.backend)
-
-    def __sub__(self, other: "Fn") -> "Fn":
-        self.backend.check_same(other.backend)
-        return Fn(tuple(a - b for a, b in zip(self.values, other.values)), self.backend)
-
-    def __mul__(self, other: "Fn") -> "Fn":
-        self.backend.check_same(other.backend)
-        return Fn(tuple(a * b for a, b in zip(self.values, other.values)), self.backend)
-
-    def __neg__(self) -> "Fn":
-        return Fn(tuple(-a for a in self.values), self.backend)
-
-    def scale(self, c) -> "Fn":
-        c = self.backend.coerce(c)
-        return Fn(tuple(c * a for a in self.values), self.backend)
-
-    def translate(self, ginv_image: Sequence[int]) -> "Fn":
-        """(g.f)(x) = f(g^{-1}x); caller supplies the image array of g^{-1}."""
-        return Fn(tuple(self.values[ginv_image[x]] for x in range(len(self.values))), self.backend)
-
-    def is_zero(self) -> bool:
-        return all(self.backend.is_zero(v) for v in self.values)
-
-    def eq(self, other: "Fn") -> bool:
-        return all(self.backend.eq(a, b) for a, b in zip(self.values, other.values))

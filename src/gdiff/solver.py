@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .equations import Equation, first_mismatch, matmul, mul
+from .equations import Equation, first_mismatch, matmul, mul, read_only
 from .equivalence import HModule, fiber, induce, intertwiner_space
 from .errors import (CompositionMismatch, NotASolution, NotHStable,
                      SplittingInconclusive)
@@ -47,9 +47,7 @@ class Morphism:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = self.matrix.view()
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", read_only(self.matrix))
 
     def validate(self) -> None:
         """Intertwining on the generators; by induction on word length it
@@ -330,7 +328,7 @@ def _eigenvalue_split(m: np.ndarray, be: Backend) -> Optional[List[List[linalg.V
     else:
         vals = np.linalg.eigvals(m)
         scale = 1 + max((abs(v) for v in vals), default=0.0)
-        tol = max(be.eps * 1e3, 1e-7) * scale
+        tol = be.eigenvalue_tol(scale)
         roots = []
         for v in vals:
             if all(abs(v - r) > tol for r in roots):

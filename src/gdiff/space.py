@@ -15,7 +15,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import GroupTooLarge, NotTransitive
-from .scalars import Fn
 
 BASE_POINT = 0
 # Entries (|G| x |S| point indices) the element array of a group may hold:
@@ -137,11 +136,6 @@ class Group:
     def generator_ids(self) -> Tuple[int, ...]:
         """The distinct element ids of the generators, ascending."""
         return tuple(sorted(set(self.generators.values())))
-
-    def image(self, g: int) -> List[int]:
-        """The image array of g as a list: ``image(inv[g])`` is what
-        ``Fn.translate`` needs to apply g."""
-        return self.elements[g].tolist()
 
     def lookup(self, images: np.ndarray) -> np.ndarray:
         """Ids of the elements whose images of ``base`` are the rows of
@@ -343,8 +337,3 @@ def alternate_transversal(group: Group, base: int = BASE_POINT) -> Transversal:
     sigma = last.tolist()
     sigma[base] = 0
     return Transversal(group, base, tuple(sigma))
-
-
-def act_on_function(group: Group, g: int, f: Fn) -> Fn:
-    """(g.f)(x) = f(g^{-1} x)."""
-    return f.translate(group.image(group.inv[g]))

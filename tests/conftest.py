@@ -5,11 +5,19 @@ routes to the package's results, and the multiplication table, per-cell
 constructions, pointwise operator calculus and nested-list module code
 that the package's array code must reproduce exactly, the global
 kernel of mu (``ker_mu_basis``), which no task needs, and the per-scalar
-report formatter that ``Backend.serialize`` must reproduce."""
+report formatter that ``Backend.serialize`` must reproduce.
+
+The pointwise vocabulary all of that speaks lives here too: ``Fn``, a
+function on the space as a tuple of scalars, ``KMatrix``, a matrix over k
+as a tuple of them, ``conn_of(eq)``, an equation's connection as one
+KMatrix per element, and ``PointwiseSkewOp``, the skew group algebra on
+``Fn`` coefficients."""
 
 import os
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -17,14 +25,15 @@ import sympy
 
 from gdiff import equivalence, linalg
 from gdiff.diffops import RawOperator
-from gdiff.equations import (Equation, KMatrix, act, direct_sum, sym2_basis,
+from gdiff.equations import (Equation, act, direct_sum, sym2_basis,
                              trivial_equation, wedge2_basis)
 from gdiff.errors import (ElementNotInH, InconsistentConnection,
                           SingularGeneratorMatrix)
 from gdiff.projection import _chi_scalar
-from gdiff.scalars import Backend, Fn
+from gdiff.scalars import Backend
 from gdiff.solver import Morphism
-from gdiff.space import (BASE_POINT, dihedral_on_cycle, stabilizer,
+from gdiff.skewalg import SkewOp
+from gdiff.space import (BASE_POINT, Group, dihedral_on_cycle, stabilizer,
                          transversal)
 
 
@@ -71,10 +80,18 @@ def mat_vec(a, v, backend):
     return [sum((x * y for x, y in zip(row, v)), z) for row in a]
 
 
+def scalar_eq(backend, a, b):
+    """Two scalars compared as ``Backend.eq_array`` compares arrays:
+    exactly over the rationals, else |a - b| <= eps * (1 + max(|a|, |b|))."""
+    if backend.exact:
+        return a == b
+    return abs(a - b) <= backend.eps * (1 + max(abs(a), abs(b)))
+
+
 def mat_eq(a, b, backend):
     if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
         return False
-    return all(backend.eq(x, y) for ra, rb in zip(a, b)
+    return all(scalar_eq(backend, x, y) for ra, rb in zip(a, b)
                for x, y in zip(ra, rb))
 
 
@@ -95,6 +112,240 @@ def perfbench_module(name):
     namespace = {"__name__": f"perfbench_{name}", "__file__": path}
     exec(code, namespace)
     return namespace
+
+
+# -- functions and matrices over k as tuples of scalars, the way the package
+# held them before it worked on arrays ------------------------------------------
+
+def image(group, g):
+    """The image array of g as a list: ``image(group, inv[g])`` is what
+    ``Fn.translate`` needs to apply g."""
+    return group.elements[g].tolist()
+
+
+@dataclass(frozen=True)
+class Fn:
+    """An element of k = F(S): one scalar per point of the space."""
+
+    values: tuple
+    backend: Backend
+
+    @staticmethod
+    def constant(c, size: int, backend: Backend) -> "Fn":
+        c = backend.coerce(c)
+        return Fn((c,) * size, backend)
+
+    @staticmethod
+    def zero(size: int, backend: Backend) -> "Fn":
+        return Fn.constant(0, size, backend)
+
+    @staticmethod
+    def one(size: int, backend: Backend) -> "Fn":
+        return Fn.constant(1, size, backend)
+
+    @staticmethod
+    def delta(x: int, size: int, backend: Backend) -> "Fn":
+        vals = [backend.zero()] * size
+        vals[x] = backend.one()
+        return Fn(tuple(vals), backend)
+
+    @staticmethod
+    def from_values(values: Sequence[Any], backend: Backend) -> "Fn":
+        return Fn(tuple(backend.coerce(v) for v in values), backend)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __add__(self, other: "Fn") -> "Fn":
+        self.backend.check_same(other.backend)
+        return Fn(tuple(a + b for a, b in zip(self.values, other.values)), self.backend)
+
+    def __sub__(self, other: "Fn") -> "Fn":
+        self.backend.check_same(other.backend)
+        return Fn(tuple(a - b for a, b in zip(self.values, other.values)), self.backend)
+
+    def __mul__(self, other: "Fn") -> "Fn":
+        self.backend.check_same(other.backend)
+        return Fn(tuple(a * b for a, b in zip(self.values, other.values)), self.backend)
+
+    def __neg__(self) -> "Fn":
+        return Fn(tuple(-a for a in self.values), self.backend)
+
+    def scale(self, c) -> "Fn":
+        c = self.backend.coerce(c)
+        return Fn(tuple(c * a for a in self.values), self.backend)
+
+    def translate(self, ginv_image: Sequence[int]) -> "Fn":
+        """(g.f)(x) = f(g^{-1}x); caller supplies the image array of g^{-1}."""
+        return Fn(tuple(self.values[ginv_image[x]] for x in range(len(self.values))), self.backend)
+
+    def is_zero(self) -> bool:
+        return all(self.backend.is_zero(v) for v in self.values)
+
+    def eq(self, other: "Fn") -> bool:
+        return all(scalar_eq(self.backend, a, b) for a, b in zip(self.values, other.values))
+
+
+@dataclass(frozen=True)
+class KMatrix:
+    """A matrix over k = F(S): entries are functions on the space."""
+
+    entries: Tuple[Tuple[Fn, ...], ...]
+    backend: Backend
+
+    @property
+    def nrows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def ncols(self) -> int:
+        return len(self.entries[0]) if self.entries else 0
+
+    @property
+    def npoints(self) -> int:
+        return len(self.entries[0][0]) if self.entries and self.entries[0] else 0
+
+    @staticmethod
+    def from_rows(rows: Sequence[Sequence[Fn]], backend: Backend) -> "KMatrix":
+        return KMatrix(tuple(tuple(r) for r in rows), backend)
+
+    @staticmethod
+    def identity(n: int, size: int, backend: Backend) -> "KMatrix":
+        one, zero = Fn.one(size, backend), Fn.zero(size, backend)
+        return KMatrix(tuple(tuple(one if i == j else zero for j in range(n))
+                             for i in range(n)), backend)
+
+    @staticmethod
+    def from_array(points: np.ndarray, backend: Backend, denom: int = 1) -> "KMatrix":
+        """An (|S|, r, c) array, entry [y] the scalar matrix at y, as a
+        matrix over k: ``points / denom`` by ``Backend.to_scalars``."""
+        rows = backend.to_scalars(points.transpose(1, 2, 0), denom)
+        return KMatrix(tuple(tuple(Fn(tuple(v), backend) for v in row)
+                             for row in rows), backend)
+
+    def at_point(self, y: int) -> linalg.Matrix:
+        return [[f.values[y] for f in row] for row in self.entries]
+
+    def mul(self, other: "KMatrix") -> "KMatrix":
+        z = Fn.zero(self.npoints, self.backend)
+        rows = []
+        for i in range(self.nrows):
+            row = []
+            for j in range(other.ncols):
+                acc = z
+                for t in range(self.ncols):
+                    acc = acc + self.entries[i][t] * other.entries[t][j]
+                row.append(acc)
+            rows.append(tuple(row))
+        return KMatrix(tuple(rows), self.backend)
+
+    def add(self, other: "KMatrix") -> "KMatrix":
+        return KMatrix(tuple(tuple(a + b for a, b in zip(ra, rb))
+                             for ra, rb in zip(self.entries, other.entries)), self.backend)
+
+    def sub(self, other: "KMatrix") -> "KMatrix":
+        return KMatrix(tuple(tuple(a - b for a, b in zip(ra, rb))
+                             for ra, rb in zip(self.entries, other.entries)), self.backend)
+
+    def scale(self, c) -> "KMatrix":
+        return KMatrix(tuple(tuple(a.scale(c) for a in row) for row in self.entries),
+                       self.backend)
+
+    def transpose(self) -> "KMatrix":
+        return KMatrix(tuple(zip(*self.entries)), self.backend)
+
+    def g_act(self, group: Group, g: int) -> "KMatrix":
+        """Apply g to every entry: (g.f)(x) = f(g^{-1}x)."""
+        ginv = image(group, group.inv[g])
+        return KMatrix(tuple(tuple(f.translate(ginv) for f in row)
+                             for row in self.entries), self.backend)
+
+    def inverse(self) -> Optional["KMatrix"]:
+        mats = []
+        for y in range(self.npoints):
+            m = linalg.inv(self.at_point(y), self.backend)
+            if m is None:
+                return None
+            mats.append(m)
+        return KMatrix.from_array(np.array(mats, dtype=self.backend.dtype),
+                                  self.backend)
+
+    def eq(self, other: "KMatrix") -> bool:
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            return False
+        return all(a.eq(b) for ra, rb in zip(self.entries, other.entries)
+                   for a, b in zip(ra, rb))
+
+    def is_zero(self) -> bool:
+        return all(f.is_zero() for row in self.entries for f in row)
+
+
+def conn_of(eq):
+    """The connection of an equation as one KMatrix per group element, its
+    scalars read through ``Equation.integral``."""
+    return tuple(KMatrix.from_array(arr, eq.backend, d)
+                 for arr, d in map(eq.integral, range(eq.group.order)))
+
+
+def act_on_function(group: Group, g: int, f: Fn) -> Fn:
+    """(g.f)(x) = f(g^{-1} x)."""
+    return f.translate(image(group, group.inv[g]))
+
+
+@dataclass(frozen=True)
+class PointwiseSkewOp:
+    """Finite formal sum sum_g a_g . g with a_g in k; zero terms pruned."""
+
+    group: Group
+    backend: Backend
+    terms: Tuple[Tuple[int, Fn], ...]  # sorted by element id
+
+    @staticmethod
+    def from_terms(group: Group, backend: Backend, terms: Dict[int, Fn]) -> "PointwiseSkewOp":
+        pruned = {g: f for g, f in terms.items() if not f.is_zero()}
+        return PointwiseSkewOp(group, backend, tuple(sorted(pruned.items())))
+
+    def __add__(self, other: "PointwiseSkewOp") -> "PointwiseSkewOp":
+        self.backend.check_same(other.backend)
+        out = {g: f for g, f in self.terms}
+        for g, f in other.terms:
+            out[g] = out[g] + f if g in out else f
+        return PointwiseSkewOp.from_terms(self.group, self.backend, out)
+
+    def __neg__(self) -> "PointwiseSkewOp":
+        return PointwiseSkewOp(self.group, self.backend, tuple((g, -f) for g, f in self.terms))
+
+    def __sub__(self, other: "PointwiseSkewOp") -> "PointwiseSkewOp":
+        return self + (-other)
+
+
+def pointwise_skew_mul(a: PointwiseSkewOp, b: PointwiseSkewOp) -> PointwiseSkewOp:
+    """(f g)(h g') = (f . g(h)) gg', extended bilinearly."""
+    a.backend.check_same(b.backend)
+    group = a.group
+    out: Dict[int, Fn] = {}
+    for g, f in a.terms:
+        for gp, h in b.terms:
+            gh = f * act_on_function(group, g, h)
+            key = group.mul(g, gp)
+            out[key] = out[key] + gh if key in out else gh
+    return PointwiseSkewOp.from_terms(group, a.backend, out)
+
+
+def pointwise_apply(a: PointwiseSkewOp, f: Fn) -> Fn:
+    """(sum_g a_g g) f = sum_g a_g . g(f)."""
+    a.backend.check_same(f.backend)
+    out = Fn.zero(a.group.space.size, a.backend)
+    for g, coeff in a.terms:
+        out = out + coeff * act_on_function(a.group, g, f)
+    return out
+
+
+def pointwise_skew_op(a: SkewOp) -> PointwiseSkewOp:
+    """The package's SkewOp with the same coefficients, as Fn terms."""
+    return PointwiseSkewOp(a.group, a.backend, tuple(
+        (g, Fn(tuple(row), a.backend))
+        for g, row in zip(a.elements, a.coeffs.tolist())))
 
 
 @pytest.fixture(scope="session")
@@ -248,7 +499,7 @@ def bits(v):
 
 def scalar_bits(eq):
     """``bits`` of every connection scalar."""
-    return kmatrix_bits(eq.conn)
+    return kmatrix_bits(conn_of(eq))
 
 
 def kmatrix_bits(mats):
@@ -322,9 +573,10 @@ def pointwise_det(m, size):
                     for y in range(size)), m.backend)
 
 
-def pointwise_dual_matrix(eq, g):
-    """((E^g)^t)^-1 = (g(E^{g^-1}))^t by the cocycle law, on KMatrix."""
-    return eq.conn[eq.group.inv[g]].g_act(eq.group, g).transpose()
+def pointwise_dual_matrix(conn, group, g):
+    """((E^g)^t)^-1 = (g(E^{g^-1}))^t by the cocycle law, on KMatrix: conn
+    the connection (``conn_of``)."""
+    return conn[group.inv[g]].g_act(group, g).transpose()
 
 
 def _pair_matrix(m, basis, entry):
@@ -348,23 +600,24 @@ def pointwise_construction(name, e, f=None):
     """The connection of a construction on e (and f), one KMatrix per
     element: direct_sum, tensor, dual, hom, sym2, wedge2 or wedge_top."""
     group = e.group
+    ce, cf = conn_of(e), f is not None and conn_of(f)
     if name == "direct_sum":
-        conn = [block_diag(e.conn[g], f.conn[g]) for g in range(group.order)]
+        conn = [block_diag(ce[g], cf[g]) for g in range(group.order)]
     elif name == "tensor":
-        conn = [kron(e.conn[g], f.conn[g]) for g in range(group.order)]
+        conn = [kron(ce[g], cf[g]) for g in range(group.order)]
     elif name == "dual":
-        conn = [pointwise_dual_matrix(e, g) for g in range(group.order)]
+        conn = [pointwise_dual_matrix(ce, group, g) for g in range(group.order)]
     elif name == "hom":
-        conn = [kron(f.conn[g], pointwise_dual_matrix(e, g))
+        conn = [kron(cf[g], pointwise_dual_matrix(ce, group, g))
                 for g in range(group.order)]
     elif name in ("sym2", "wedge2"):
         basis, entry = ((sym2_basis(e.rank), _sym2_entry) if name == "sym2"
                         else (wedge2_basis(e.rank), _wedge2_entry))
-        conn = [_pair_matrix(e.conn[g], basis, entry)
+        conn = [_pair_matrix(ce[g], basis, entry)
                 for g in range(group.order)]
     else:
         conn = [KMatrix(((pointwise_det(m, group.space.size),),), e.backend)
-                for m in e.conn]
+                for m in ce]
     return conn
 
 
@@ -383,6 +636,7 @@ def full_hom_system(src, dst):
     package solves generators only); rows of exact rationals."""
     group = src.group
     n, m, size = src.rank, dst.rank, group.space.size
+    src_conn, dst_conn = conn_of(src), conn_of(dst)
 
     def idx(i, j, y):
         return (i * m + j) * size + y
@@ -395,9 +649,9 @@ def full_hom_system(src, dst):
                 for y in range(size):
                     row = [Fraction(0)] * (n * m * size)
                     for j in range(n):
-                        row[idx(j, k, y)] += src.conn[g].entries[i][j].values[y]
+                        row[idx(j, k, y)] += src_conn[g].entries[i][j].values[y]
                     for j in range(m):
-                        row[idx(i, j, ginv_img[y])] -= dst.conn[g].entries[j][k].values[y]
+                        row[idx(i, j, ginv_img[y])] -= dst_conn[g].entries[j][k].values[y]
                     rows.append(row)
     return rows
 
@@ -423,8 +677,8 @@ def cocycle_everywhere(eq):
     """E^{gg'} = g(E^{g'}) . E^g for every pair of group elements."""
     group = eq.group
     mult = mult_table(group)
-    return all(eq.conn[mult[g][gp]].eq(
-                   eq.conn[gp].g_act(group, g).mul(eq.conn[g]))
+    conn = conn_of(eq)
+    return all(conn[mult[g][gp]].eq(conn[gp].g_act(group, g).mul(conn[g]))
                for g in range(group.order) for gp in range(group.order))
 
 
@@ -432,8 +686,8 @@ def intertwines_everywhere(phi):
     """E^g . phi = g(phi) . F^g for every group element."""
     group = phi.source.group
     mat = kmatrix_of(phi)
-    return all(phi.source.conn[g].mul(mat).eq(
-                   mat.g_act(group, g).mul(phi.target.conn[g]))
+    src, dst = conn_of(phi.source), conn_of(phi.target)
+    return all(src[g].mul(mat).eq(mat.g_act(group, g).mul(dst[g]))
                for g in range(group.order))
 
 
@@ -443,14 +697,15 @@ def pointwise_validate(eq):
     elements in generator order, g' ascending.  The message of the first
     failure, or None."""
     group = eq.group
-    if not eq.conn[0].eq(KMatrix.identity(eq.rank, group.space.size,
-                                          eq.backend)):
+    conn = conn_of(eq)
+    if not conn[0].eq(KMatrix.identity(eq.rank, group.space.size,
+                                       eq.backend)):
         return "E^e is not the identity"
     mult = mult_table(group)
     for g in group.generator_ids:
         for gp in range(group.order):
-            lhs = eq.conn[mult[g][gp]]
-            rhs = eq.conn[gp].g_act(group, g).mul(eq.conn[g])
+            lhs = conn[mult[g][gp]]
+            rhs = conn[gp].g_act(group, g).mul(conn[g])
             if not lhs.eq(rhs):
                 return f"cocycle violated at elements ({g}, {gp})"
     return None
@@ -461,9 +716,10 @@ def pointwise_intertwines(phi):
     before the batched check.  The message of the first failure, or None."""
     group = phi.source.group
     mat = kmatrix_of(phi)
+    src, dst = conn_of(phi.source), conn_of(phi.target)
     for g in group.generator_ids:
-        lhs = phi.source.conn[g].mul(mat)
-        rhs = mat.g_act(group, g).mul(phi.target.conn[g])
+        lhs = src[g].mul(mat)
+        rhs = mat.g_act(group, g).mul(dst[g])
         if not lhs.eq(rhs):
             return f"intertwining fails for group element {g}"
     return None
@@ -477,8 +733,9 @@ def pointwise_hom_space(src, dst):
     group, be = src.group, src.backend
     n, m, size = src.rank, dst.rank, group.space.size
     sigma = transversal(group).sigma
-    t_src_inv = [src.conn[group.inv[s]].at_point(BASE_POINT) for s in sigma]
-    t_dst = [dst.conn[s].at_point(y) for y, s in enumerate(sigma)]
+    src_conn, dst_conn = conn_of(src), conn_of(dst)
+    t_src_inv = [src_conn[group.inv[s]].at_point(BASE_POINT) for s in sigma]
+    t_dst = [dst_conn[s].at_point(y) for y, s in enumerate(sigma)]
     vecs = []
     for p in equivalence.intertwiner_space(equivalence.fiber(src),
                                            equivalence.fiber(dst)).tolist():
@@ -526,10 +783,6 @@ def seeded_rng(seed=0):
     return random.Random(seed)
 
 
-def random_fn(rng, size, be):
-    return Fn(tuple(be.random(rng) for _ in range(size)), be)
-
-
 def random_values(rng, shape, be):
     """An array of random scalars of the given shape, drawn in its order."""
     vals = [be.random(rng) for _ in range(int(np.prod(shape)))]
@@ -556,8 +809,8 @@ def gauged_equation(rng, eq):
         t = random_kmatrix(rng, eq.rank, eq.rank, eq.group.space.size,
                            eq.backend)
     tinv = t.inverse()
-    conn = tuple(tinv.g_act(eq.group, g).mul(eq.conn[g]).mul(t)
-                 for g in range(eq.group.order))
+    conn = tuple(tinv.g_act(eq.group, g).mul(e_g).mul(t)
+                 for g, e_g in enumerate(conn_of(eq)))
     return equation_from_kmatrices(eq.group, eq.backend, eq.rank, conn)
 
 
@@ -639,9 +892,10 @@ def kmatrix_terms(theta):
     return {g: KMatrix.from_array(mat, be) for g, mat in theta.terms.items()}
 
 
-def pointwise_inverse(eq, g):
-    """(E^g)^-1 = g(E^{g^-1}) by the cocycle law, on KMatrix."""
-    return eq.conn[eq.group.inv[g]].g_act(eq.group, g)
+def pointwise_inverse(conn, group, g):
+    """(E^g)^-1 = g(E^{g^-1}) by the cocycle law, on KMatrix: conn the
+    connection (``conn_of``)."""
+    return conn[group.inv[g]].g_act(group, g)
 
 
 def pointwise_mu(theta):
@@ -652,9 +906,10 @@ def pointwise_mu(theta):
     group, be = src.group, src.backend
     n, m, size = src.rank, dst.rank, group.space.size
     mat = zeros(m * size, n * size, be)
+    src_conn = conn_of(src)
     for g, coef in kmatrix_terms(theta).items():
-        ginv_img = group.image(group.inv[g])
-        e_g = src.conn[g]
+        ginv_img = image(group, group.inv[g])
+        e_g = src_conn[g]
         for y in range(size):
             p = ginv_img[y]
             for j in range(m):
@@ -673,10 +928,11 @@ def pointwise_compose_raw(theta2, theta1):
     coefficient gains (E1^g')^-1 . g'(C_g) . (E2^g' . D_g')."""
     e1, e2 = theta1.source, theta1.target
     group = e1.group
+    conn1, conn2 = conn_of(e1), conn_of(e2)
     out = {}
     for gp, d_mat in kmatrix_terms(theta2).items():
-        e1_inv = pointwise_inverse(e1, gp)
-        right = e2.conn[gp].mul(d_mat)
+        e1_inv = pointwise_inverse(conn1, group, gp)
+        right = conn2[gp].mul(d_mat)
         for g, c_mat in kmatrix_terms(theta1).items():
             mat = e1_inv.mul(c_mat.g_act(group, gp)).mul(right)
             key = group.mul(gp, g)
@@ -685,15 +941,17 @@ def pointwise_compose_raw(theta2, theta1):
 
 
 def pointwise_skew_action(a, theta):
-    """skew_action's coefficients, one KMatrix per element: the g g'
-    coefficient gains a_g . ((E1^g)^-1 . g(C_g') . E2^g)."""
+    """skew_action's coefficients, one KMatrix per element, for a
+    PointwiseSkewOp a: the g g' coefficient gains
+    a_g . ((E1^g)^-1 . g(C_g') . E2^g)."""
     e1, e2 = theta.source, theta.target
     group, be = e1.group, e1.backend
+    conn1, conn2 = conn_of(e1), conn_of(e2)
     out = {}
     for g, a_g in a.terms:
-        e1_inv = pointwise_inverse(e1, g)
+        e1_inv = pointwise_inverse(conn1, group, g)
         for gp, c_mat in kmatrix_terms(theta).items():
-            mat = e1_inv.mul(c_mat.g_act(group, g)).mul(e2.conn[g])
+            mat = e1_inv.mul(c_mat.g_act(group, g)).mul(conn2[g])
             mat = KMatrix(tuple(tuple(a_g * f for f in row)
                                 for row in mat.entries), be)
             key = group.mul(g, gp)
@@ -713,7 +971,7 @@ def ker_mu_basis(src, dst):
 
     rows = []
     for g in range(group.order):
-        ginv_img = group.image(group.inv[g])
+        ginv_img = image(group, group.inv[g])
         e_g = src.scalars(g).tolist()
         for y in range(size):
             p = ginv_img[y]
@@ -749,9 +1007,10 @@ def pointwise_act(eq, g, coords):
     of translated functions times E^g by ``KMatrix.mul``.  One Fn per
     coordinate."""
     be = eq.backend
-    ginv_img = eq.group.image(eq.group.inv[g])
+    ginv_img = image(eq.group, eq.group.inv[g])
     row = tuple(Fn(tuple(f), be).translate(ginv_img) for f in coords.tolist())
-    return KMatrix((row,), be).mul(eq.conn[g]).entries[0]
+    arr, d = eq.integral(g)
+    return KMatrix((row,), be).mul(KMatrix.from_array(arr, be, d)).entries[0]
 
 
 # -- the module layer as it ran on nested lists, one matrix per element id,

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import (equation_zoo, ker_mu_basis, kmatrix_of, list_rho,
-                      mat_eq, mat_mul, mult_table, random_fn,
-                      random_involution, seeded_rng)
+from conftest import (conn_of, equation_zoo, ker_mu_basis, kmatrix_of,
+                      list_rho, mat_eq, mat_mul, mult_table, random_involution,
+                      random_values, seeded_rng)
 from gdiff import diffops, equivalence, linalg, projection, solver
 from gdiff.cli import main as cli_main
 from gdiff.equations import (complete_connection, direct_sum, sym2,
@@ -51,12 +51,13 @@ def test_criterion_01_cocycle_suite(g3, rational):
     mult = mult_table(g3)
     for eq in fixtures:
         eq.validate()
+        conn = conn_of(eq)
         for g in range(g3.order):
             for gp in range(g3.order):
-                lhs = eq.conn[mult[g][gp]]
-                rhs = eq.conn[gp].g_act(g3, g).mul(eq.conn[g])
+                lhs = conn[mult[g][gp]]
+                rhs = conn[gp].g_act(g3, g).mul(conn[g])
                 assert lhs.eq(rhs)
-            assert eq.conn[g].inverse().eq(eq.conn[g3.inv[g]].g_act(g3, g))
+            assert conn[g].inverse().eq(conn[g3.inv[g]].g_act(g3, g))
     with pytest.raises(InconsistentConnection):
         complete_connection(g3, rational,
                             scalar_conn(g3, rational, {"s": 1, "t": 2}))
@@ -222,8 +223,8 @@ def test_criterion_08_operator_calculus(g3, rational):
     for _ in range(10):
         theta = random_raw(rng, e1, e2)
         a = SkewOp.from_terms(g3, rational, {
-            rng.randrange(6): random_fn(rng, 3, rational),
-            rng.randrange(6): random_fn(rng, 3, rational)})
+            rng.randrange(6): random_values(rng, (3,), rational),
+            rng.randrange(6): random_values(rng, (3,), rational)})
         lhs = diffops.canonicalize(diffops.skew_action(a, theta))
         rhs = diffops.compose(diffops.canonicalize(diffops.delta_op(a, e2)),
                               diffops.canonicalize(theta))

@@ -327,6 +327,93 @@ def test_huge_rank_is_refused_before_anything_is_built(tmp_path, capsys,
     assert "connection scalars" in err
 
 
+def tensor_tower(extra):
+    """Generator data a of rank 2 on D64 and its tensor powers up to
+    d = a^(x6) of rank 64, whose connection needs 8192 x 64^2 scalars, twice
+    the bound; ``extra`` adds equations built from them."""
+    return {
+        "space": {"cycle": 64}, "group": {"dihedral_cycle": 64},
+        "equations": {
+            "a": {"generators": {"s": [[1, 0], [0, 1]], "t": [[1, 0], [0, -1]]}},
+            "b": {"tensor": ["a", "a"]}, "c": {"tensor": ["b", "a"]},
+            "d": {"tensor": ["c", "c"]}, **extra},
+        "tasks": [{"task": "validate", "equation": "d"}]}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("extra", [{}, {"e": {"tensor": ["d", "d"]}}],
+                         ids=["d", "e"])
+def test_tensor_tower_is_refused_before_it_is_built(tmp_path, capsys,
+                                                    command, extra):
+    target = tmp_path / "tower.json"
+    target.write_text(json.dumps(tensor_tower(extra)))
+    code = main([command, str(target)])
+    err = capsys.readouterr().err
+    _assert_one_line_error(code, err)
+    assert err == ("error: equation 'd': rank 64 needs 8192 x 64^2 "
+                   "connection scalars, more than 16777216\n")
+
+
+# One oversized result per constructor on D3 (18 cells): the equations,
+# a bound that admits every operand, and what the refusal names; a is
+# generator data of rank 2, which needs 18 x 2^2 = 72 scalars.  dual and
+# wedge_top never have a larger rank than their operand.
+GENERATORS = {"generators": {"s": [[1, 0], [0, 1]], "t": [[1, 0], [0, -1]]}}
+OVERSIZED = {
+    "generators": ({"a": GENERATORS}, 71, "equation 'a' generator 's'", 2),
+    "direct_sum": ({"a": GENERATORS, "x": {"direct_sum": ["a", "a"]}}, 72,
+                   "equation 'x'", 4),
+    "tensor": ({"a": GENERATORS, "x": {"tensor": ["a", "a"]}}, 72,
+               "equation 'x'", 4),
+    "hom": ({"a": GENERATORS, "x": {"hom": ["a", "a"]}}, 72,
+            "equation 'x'", 4),
+    "sym2": ({"a": GENERATORS, "x": {"sym2": "a"}}, 72, "equation 'x'", 3),
+    "wedge2": ({"a": GENERATORS, "b": {"direct_sum": ["a", "a"]},
+                "x": {"wedge2": "b"}}, 288, "equation 'x'", 6),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_construction_is_refused_before_it_is_built(
+        tmp_path, capsys, monkeypatch, case, command):
+    eqs, bound, where, rank = OVERSIZED[case]
+    monkeypatch.setattr(problem, "MAX_CONNECTION_SCALARS", bound)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{case} built past the bound")
+
+    if case == "generators":
+        monkeypatch.setattr(problem, "_parse_kmatrix", refuse)
+    else:
+        monkeypatch.setattr(problem.eqmod, case, refuse)
+    target = tmp_path / "oversized.json"
+    target.write_text(json.dumps({
+        "space": {"cycle": 3}, "group": {"dihedral_cycle": 3},
+        "equations": eqs, "tasks": []}))
+    code = main([command, str(target)])
+    err = capsys.readouterr().err
+    _assert_one_line_error(code, err)
+    assert err.startswith(f"error: {where}: rank {rank} needs 18 x {rank}^2 "
+                          "connection scalars")
+
+
+def test_operator_term_shape_is_checked_before_it_is_parsed(
+        tmp_path, capsys, monkeypatch):
+    parse = problem._parse_kmatrix
+
+    def guarded(obj, *args):
+        if len(obj) == 3:
+            raise AssertionError("term parsed before its shape was checked")
+        return parse(obj, *args)
+
+    monkeypatch.setattr(problem, "_parse_kmatrix", guarded)
+    code, err = _run_mutated(tmp_path, capsys, lambda data: data[
+        "operators"]["alt"]["terms"][0].update(matrix=[[1] * 3] * 3))
+    _assert_one_line_error(code, err)
+    assert "matrix is 3 x 3, not 1 x 1" in err
+
+
 def test_rank_bound_is_exact(capsys, monkeypatch):
     # D3 on 3 points: the largest declared rank, hmodule v2's dim 2, needs
     # 6 x 3 x 2^2 = 72 connection scalars

@@ -10,7 +10,7 @@ from conftest import (array_bits, bits, difn_quotient_oracle, equation_zoo,
                       kmatrix_bits, kmatrix_of, mat_eq, mat_mul,
                       perfbench_module,
                       pointwise_act, pointwise_compose_raw,
-                      pointwise_mu, pointwise_skew_action, random_fn,
+                      pointwise_mu, pointwise_skew_action, pointwise_skew_op,
                       random_matrix, random_values, seeded_rng, sympy_nullity)
 from gdiff import diffops, linalg
 from gdiff.diffops import (ClassicalSystem, RawOperator,
@@ -21,7 +21,7 @@ from gdiff.diffops import (ClassicalSystem, RawOperator,
 from gdiff.equations import act, trivial_equation
 from gdiff.errors import GDiffError
 from gdiff.problem import load_problem
-from gdiff.scalars import Backend, Fn
+from gdiff.scalars import Backend
 from gdiff.skewalg import SkewOp
 from gdiff.space import dihedral_on_cycle
 
@@ -76,8 +76,8 @@ def test_intro_operator_action(g6, rational):
     one = trivial_equation(g6, rational)
     s = g6.generators["s"]
     a = SkewOp.from_terms(g6, rational, {
-        s: Fn.one(6, rational), 0: Fn.constant(-2, 6, rational),
-        g6.inv[s]: Fn.one(6, rational)})
+        s: function([1] * 6, rational), 0: function([-2] * 6, rational),
+        g6.inv[s]: function([1] * 6, rational)})
     op = canonicalize(delta_op(a, one))
     f = function([0, 1, 4, 9, 16, 25], rational)
     out = op.apply(f[None])[0]
@@ -102,8 +102,7 @@ def test_mu_matches_brute_application(g3, rational):
             for i in range(e.rank):
                 for k in range(e.rank):
                     want[j] = want[j] + (coef[:, i, j] * coords[k][ginv]
-                                         * function(e.conn[g].entries[k][i]
-                                                    .values, rational))
+                                         * e.scalars(g)[:, k, i])
     assert (got == want).all()
 
 
@@ -200,8 +199,10 @@ def test_skew_action_matches_delta_composition(g3, g4, rational, cplx):
                 for _ in range(5):
                     theta = random_raw(rng, e1, e2)
                     a = SkewOp.from_terms(group, be, {
-                        rng.randrange(group.order): random_fn(rng, size, be),
-                        rng.randrange(group.order): random_fn(rng, size, be)})
+                        rng.randrange(group.order):
+                            random_values(rng, (size,), be),
+                        rng.randrange(group.order):
+                            random_values(rng, (size,), be)})
                     lhs = canonicalize(skew_action(a, theta))
                     rhs = compose(canonicalize(delta_op(a, e2)),
                                   canonicalize(theta))
@@ -228,8 +229,8 @@ def laplacian_op(group, be):
     size = group.space.size
     s = group.generators["s"]
     a = SkewOp.from_terms(group, be, {
-        s: Fn.one(size, be), 0: Fn.constant(-2, size, be),
-        group.inv[s]: Fn.one(size, be)})
+        s: function([1] * size, be), 0: function([-2] * size, be),
+        group.inv[s]: function([1] * size, be)})
     return canonicalize(delta_op(a, one))
 
 
@@ -439,7 +440,7 @@ def test_quotient_module_matches_full_row_oracle(n, backend, tmp_path):
 @pytest.mark.parametrize("n", [3, 4])
 def test_array_calculus_matches_pointwise_oracle(n, backend):
     # mu, compose_raw, skew_action and act on arrays against the KMatrix
-    # and Fn formulas: equal Fractions (never ints) over the rationals, the
+    # and Fn oracles: equal Fractions (never ints) over the rationals, the
     # same bits on the complex backend, signs of zeros included, and the
     # same terms in the same order
     group = dihedral_on_cycle(n)
@@ -465,9 +466,10 @@ def test_array_calculus_matches_pointwise_oracle(n, backend):
             same_terms(compose_raw(after, theta),
                        pointwise_compose_raw(after, theta))
             a = SkewOp.from_terms(group, be, {
-                rng.randrange(group.order): random_fn(rng, size, be)
+                rng.randrange(group.order): random_values(rng, (size,), be)
                 for _ in range(2)})
-            same_terms(skew_action(a, theta), pointwise_skew_action(a, theta))
+            same_terms(skew_action(a, theta),
+                       pointwise_skew_action(pointwise_skew_op(a), theta))
         coords = random_values(rng, (e1.rank, size), be)
         for g in range(group.order):
             assert array_bits(act(e1, g, coords)) == \

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (cocycle_everywhere, equation_from_kmatrices,
+from conftest import (Fn, KMatrix, cocycle_everywhere, conn_of,
+                      equation_from_kmatrices,
                       equation_zoo, gauged_equation, kmatrix_bits, kron,
                       loop_validate, mult_table, pointwise_completion,
                       pointwise_construction, pointwise_det,
@@ -13,11 +14,11 @@ from conftest import (cocycle_everywhere, equation_from_kmatrices,
                       random_matrix, random_values, rank2_equation,
                       scalar_bits, seeded_rng, sign_equation, stack)
 from gdiff import equations, equivalence
-from gdiff.equations import (Equation, KMatrix, act, complete_connection,
+from gdiff.equations import (Equation, act, complete_connection,
                              direct_sum, dual, hom, sym2, tensor,
                              trivial_equation, wedge2, wedge_top)
 from gdiff.errors import InconsistentConnection, SingularGeneratorMatrix
-from gdiff.scalars import Backend, Fn
+from gdiff.scalars import Backend
 from gdiff.space import (FiniteSpace, enumerate_group, parse_cycles,
                          stabilizer, transversal)
 
@@ -75,7 +76,7 @@ def test_corrupting_any_element_fails_validate(g4, g6, rational, cplx):
             for eq in (sign_equation(group, be), rank2_equation(group, be)):
                 eq.validate()
                 for g in range(group.order):
-                    conn = list(eq.conn)
+                    conn = list(conn_of(eq))
                     conn[g] = conn[g].scale(2)
                     bad = equation_from_kmatrices(group, be, eq.rank, tuple(conn))
                     assert not cocycle_everywhere(bad)
@@ -112,11 +113,12 @@ def test_batched_product_matches_kmatrix_mul(g4, g6, cplx, rational):
         for be in (cplx, rational):
             eq = gauged_equation(rng, rank2_equation(group, be))
             size = group.space.size
-            conn = stack(eq.conn, 2, 2, size, be)
+            kconn = conn_of(eq)
+            conn = stack(kconn, 2, 2, size, be)
             for g in group.generator_ids:
                 ginv_image = list(group.elements[group.inv[g]])
                 old = stack(
-                    [eq.conn[gp].g_act(group, g).mul(eq.conn[g])
+                    [kconn[gp].g_act(group, g).mul(kconn[g])
                      for gp in range(group.order)], 2, 2, size, be)
                 new = conn[:, ginv_image] @ conn[g]
                 if be.exact:
@@ -137,15 +139,16 @@ def test_single_entry_corruption_reports_first_pair(g4, g6, rational, cplx,
         for be in (rational, cplx):
             eq = gauged_equation(rng, rank2_equation(group, be))
             size = group.space.size
+            kconn = conn_of(eq)
             for g in range(group.order):
                 i, j, y = rng.randrange(2), rng.randrange(2), rng.randrange(size)
-                rows = [list(r) for r in eq.conn[g].entries]
+                rows = [list(r) for r in kconn[g].entries]
                 # a bump of 1/11 changes the common denominator of the
                 # integer form that Equation.validate compares
                 bump = Fn.delta(y, size, be).scale(
                     rng.choice((1, -3, Fraction(1, 11))))
                 rows[i][j] = rows[i][j] + bump
-                conn = list(eq.conn)
+                conn = list(kconn)
                 conn[g] = KMatrix.from_rows(rows, be)
                 bad = equation_from_kmatrices(group, be, eq.rank, tuple(conn))
                 expected = pointwise_validate(bad)
@@ -159,12 +162,44 @@ def test_singular_generator_rejected(g3, rational):
                             scalar_gen(g3, rational, {"s": 0, "t": -1}))
 
 
+def test_conn_view_matches_the_oracle(g3, g4, rational, cplx):
+    # Equation.conn, the view the benchmark's oracle reads, against
+    # conftest.conn_of scalar for scalar, and its three array methods
+    # against the pointwise KMatrix: equal Fractions over the rationals,
+    # the same bits on the complex backend, signs of zeros included
+    rng = seeded_rng(16)
+    for group in (g3, g4):
+        for be in (rational, cplx):
+            zoo = equation_zoo(group, be)
+            zoo["gauged"] = gauged_equation(rng, zoo["rank2"])
+            zoo["generators"] = complete_connection(
+                group, be, generator_data(zoo["gauged"]))
+            for eq in zoo.values():
+                view, oracle = eq.conn, conn_of(eq)
+                assert {tuple(vars(m)) for m in view} == \
+                    {("points", "backend", "entries")}
+                assert not any(m.points.flags.writeable for m in view)
+                assert kmatrix_bits(view) == kmatrix_bits(oracle)
+                for g in range(group.order):
+                    h = rng.randrange(group.order)
+                    assert kmatrix_bits([view[g].mul(view[h])]) == \
+                        kmatrix_bits([oracle[g].mul(oracle[h])])
+                    assert kmatrix_bits([view[g].g_act(group, h)]) == \
+                        kmatrix_bits([oracle[g].g_act(group, h)])
+                    assert kmatrix_bits([view[g].inverse()]) == \
+                        kmatrix_bits([oracle[g].inverse()])
+    singular = np.array([[[1j]], [[0j]], [[2 + 0j]]])
+    assert equations.KMatrix(singular, cplx).inverse() is None
+    assert KMatrix.from_array(singular, cplx).inverse() is None
+
+
 def test_inverse_formula(g4, rational):
     eq = rank2_equation(g4, rational)
     group = eq.group
+    conn = conn_of(eq)
     for g in range(group.order):
-        inv = eq.conn[g].inverse()
-        assert inv.eq(eq.conn[group.inv[g]].g_act(group, g))
+        inv = conn[g].inverse()
+        assert inv.eq(conn[group.inv[g]].g_act(group, g))
 
 
 def test_dual_and_hom_match_pointwise_inversion(g3, g4, g6, rational, cplx):
@@ -177,16 +212,17 @@ def test_dual_and_hom_match_pointwise_inversion(g3, g4, g6, rational, cplx):
             zoo["gauged"] = gauged_equation(rng, zoo["rank2"])
             zoo["gauged"].validate()
             for e in zoo.values():
-                old = [e.conn[g].transpose().inverse()
+                conn = conn_of(e)
+                old = [conn[g].transpose().inverse()
                        for g in range(group.order)]
                 assert all(KMatrix.from_array(e.inverse(g), be)
-                           .eq(e.conn[g].inverse())
+                           .eq(conn[g].inverse())
                            for g in range(group.order))
-                d = dual(e)
-                assert all(d.conn[g].eq(old[g]) for g in range(group.order))
+                d = conn_of(dual(e))
+                assert all(d[g].eq(old[g]) for g in range(group.order))
                 for f in zoo.values():
-                    h = hom(e, f)
-                    assert all(h.conn[g].eq(kron(f.conn[g], old[g]))
+                    h, cf = conn_of(hom(e, f)), conn_of(f)
+                    assert all(h[g].eq(kron(cf[g], old[g]))
                                for g in range(group.order))
 
 
@@ -221,9 +257,9 @@ def test_sym2_wedge2_ranks(g3, rational):
 
 def test_wedge_top_is_determinant(g3, rational):
     e = rank2_equation(g3, rational)
-    top = wedge_top(e)
+    top, conn = conn_of(wedge_top(e)), conn_of(e)
     for g in range(g3.order):
-        assert top.conn[g].entries[0][0].eq(pointwise_det(e.conn[g], g3.space.size))
+        assert top[g].entries[0][0].eq(pointwise_det(conn[g], g3.space.size))
 
 
 def test_dual_pairing_invariance(g3, rational):
@@ -255,7 +291,8 @@ def test_hom_connection_matches_conjugation(g3, rational):
         moved = act(h, g, coords)
         # direct computation: g . phi = (E^g)^{-1} . g(phi) . F^g  pointwise
         km = KMatrix.from_array(phi, rational)
-        direct = e.conn[g].inverse().mul(km.g_act(g3, g)).mul(f.conn[g])
+        direct = conn_of(e)[g].inverse().mul(km.g_act(g3, g)).mul(
+            conn_of(f)[g])
         direct_coords = [direct.entries[j][i].values
                          for i in range(f.rank) for j in range(e.rank)]
         assert (moved == np.array(direct_coords, dtype=object)).all()

@@ -5,14 +5,17 @@ re-exports) must use each name it imports.  A name counts as used when it
 appears in the code or inside a string annotation such as ``"KMatrix"``.
 
 No module but ``equations.py`` reads the attribute ``conn``: the package
-works on connection arrays, and ``Equation.conn`` is a view for oracles.
-Nor does any other module read ``array`` or ``denom`` of an equation: they
-read connections through ``Equation.integral`` and ``Equation.scalars``,
-so an induced equation's array is only gathered where it is needed.
-Likewise every matrix over k but the connection view is one array: the
-modules that solve, project, induce, compute with operators and
-invariants, and parse problem files neither import nor read ``KMatrix``
-or ``Fn``, and no module builds a matrix from one scalar matrix per point.
+works on connection arrays, and ``Equation.conn`` is a view kept for the
+benchmark's oracle.  Under ``tests/`` one test alone reads it, to check it
+against ``conftest.conn_of``; the oracles read connections through
+``conn_of``.  Nor does any other module read ``array`` or ``denom`` of an
+equation: they read connections through ``Equation.integral`` and
+``Equation.scalars``, so an induced equation's array is only gathered where
+it is needed.  Likewise every matrix over k but the connection view is one
+array: no module but ``equations.py`` defines, imports or reads ``KMatrix``
+or ``Fn``, the view defines nothing but what the benchmark wraps, neither
+name is exported, and no module builds a matrix from one scalar matrix per
+point.
 
 Outside ``linalg.py`` no module reads from ``linalg`` anything but the
 elimination kernels: every other matrix is an array.
@@ -29,7 +32,9 @@ import os
 
 import pytest
 
+import gdiff
 from conftest import PERFBENCH, perfbench_module
+from gdiff.equations import KMatrix
 
 PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src", "gdiff")
@@ -137,17 +142,60 @@ def test_only_equations_reads_the_stored_connection(module):
         f"{module} reads .array or .denom at lines {connection_reads(tree)}"
 
 
-@pytest.mark.parametrize("module", ["solver.py", "projection.py",
-                                    "equivalence.py", "diffops.py",
-                                    "invariants.py", "problem.py"])
+@pytest.mark.parametrize("module", [m for m in MODULES + ["__init__.py"]
+                                    if m != "equations.py"])
 def test_morphism_modules_use_no_pointwise_matrices(module):
-    # morphisms, operator coefficients, coordinates and parsed matrices are
-    # arrays of scalars: these modules build no matrix over k or function
-    # on the space
+    # morphisms, operator coefficients, skew group algebra elements,
+    # coordinates and parsed matrices are arrays of scalars: no module but
+    # the one that defines the connection view builds a matrix over k or a
+    # function on the space as a tuple
     tree = parse(module)
     for name in ("KMatrix", "Fn"):
         assert name not in imported_names(tree), f"{module} imports {name}"
         assert not attribute_reads(tree, name), f"{module} reads .{name}"
+        assert name not in used_names(tree), f"{module} reads {name}"
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                    and node.name == name], f"{module} defines {name}"
+
+
+def test_kmatrix_is_a_view_with_the_wrapped_names():
+    # besides the view it builds on construction, KMatrix defines the three
+    # methods the benchmark's traced mode wraps, and nothing else
+    wrapped = {row[0].rsplit(".", 1)[1]
+               for row in perfbench_module("layers")["TARGETS"]
+               if row[0].startswith("gdiff.equations.KMatrix.")}
+    assert wrapped == {"mul", "g_act", "inverse"}
+    assert {k for k in vars(KMatrix) if not k.startswith("__")} == wrapped
+
+
+def test_pointwise_names_are_not_exported():
+    assert not {"KMatrix", "Fn"} & set(gdiff.__all__)
+
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
+def conn_readers():
+    """(file, top-level function) of every read of the attribute ``conn``
+    under tests/, with (file, None) for a read outside any function."""
+    found = set()
+    for name in sorted(os.listdir(TESTS)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(TESTS, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in tree.body:
+            if attribute_reads(node, "conn"):
+                found.add((name, getattr(node, "name", None)))
+    return found
+
+
+def test_one_test_reads_the_connection_view():
+    # the oracles read connections through conftest.conn_of; only the test
+    # of the view itself reads Equation.conn
+    assert conn_readers() == {("test_equations.py",
+                               "test_conn_view_matches_the_oracle")}
 
 
 @pytest.mark.parametrize("module", MODULES + ["__init__.py"])

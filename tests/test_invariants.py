@@ -3,17 +3,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (equation_zoo, fixed_everywhere, gauged_equation,
+from conftest import (Fn, KMatrix, equation_zoo, fixed_everywhere,
+                      gauged_equation,
                       intertwines_everywhere, kmatrix_of, morphism_from_kmatrix,
                       rank2_equation, seeded_rng)
 from gdiff import equivalence, solver
-from gdiff.equations import (KMatrix, direct_sum, dual, sym2, trivial_equation,
-                             wedge2, wedge_top)
+from gdiff.equations import (direct_sum, dual, sym2, trivial_equation, wedge2,
+                             wedge_top)
 from gdiff.errors import NotASolution, NotInvariant, UnknownPower
 from gdiff.invariants import (composition_principle, conserved_quantity_check,
                               invariant_vectors, is_invariant, self_dual_check,
                               _form_from_wedge2)
-from gdiff.scalars import Fn
 from gdiff.solver import (Morphism, compose, constant_morphism, hom_space,
                           identity_morphism)
 from gdiff.space import stabilizer, transversal

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (equation_zoo, fiber_projection_route, kmatrix_of,
-                      mult_table, sign_equation)
+from conftest import (conn_of, equation_zoo, fiber_projection_route,
+                      kmatrix_of, mult_table, sign_equation)
 from gdiff import equivalence, solver
 from gdiff.equations import Equation, direct_sum, trivial_equation
 from gdiff.errors import CharacterBackendMismatch, CompositionMismatch
@@ -40,11 +40,12 @@ def test_transport_law(g6, rational):
     sig = transversal(g6)
     sub = chi.subgroup
     mult = mult_table(g6)
+    conn = conn_of(eq)
     for y in range(g6.space.size):
         s = sig.sigma[y]
         for h in sub.members:
             h_y = mult[s][mult[h][g6.inv[s]]]
-            mat = eq.conn[h_y].at_point(y)
+            mat = conn[h_y].at_point(y)
             trace = sum(mat[i][i] for i in range(eq.rank))
             assert chi.transported(y, h_y, sig) == trace
 

@@ -9,8 +9,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (cocycle_everywhere, gauged_equation, hom_dim_oracle,
-                      intertwines_everywhere, seeded_rng)
+from conftest import (cocycle_everywhere, conn_of, gauged_equation,
+                      hom_dim_oracle, intertwines_everywhere, seeded_rng)
 from gdiff import equivalence
 from gdiff.equations import complete_connection, direct_sum, tensor
 from gdiff.errors import GDiffError
@@ -64,9 +64,9 @@ def test_complete_connection_closes_the_cocycle(n, m, s_sign):
     eq = complete_connection(group, RATIONAL, gens)
     eq.validate()
     assert cocycle_everywhere(eq)
+    conn = conn_of(eq)
     for g in range(group.order):
-        assert eq.conn[g].inverse().eq(
-            eq.conn[group.inv[g]].g_act(group, g))
+        assert conn[g].inverse().eq(conn[group.inv[g]].g_act(group, g))
 
 
 @small

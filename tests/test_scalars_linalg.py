@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import (equation_from_kmatrices, identity, mat_eq, mat_mul,
-                      mat_vec, pointwise_validate, rank2_equation, seeded_rng,
-                      sympy_nullity)
+from conftest import (Fn, KMatrix, conn_of, equation_from_kmatrices, identity,
+                      mat_eq, mat_mul, mat_vec, pointwise_validate,
+                      rank2_equation, scalar_eq, seeded_rng, sympy_nullity)
 from gdiff import linalg
-from gdiff.equations import KMatrix
 from gdiff.errors import BackendMismatch, InconsistentConnection
-from gdiff.scalars import Backend, Fn
+from gdiff.scalars import Backend
 
 
 def test_parse_serialize_roundtrip_exact(rational):
@@ -22,7 +21,7 @@ def test_parse_serialize_roundtrip_exact(rational):
 def test_parse_serialize_roundtrip_complex(cplx):
     v = cplx.parse([1.5, -2.25])
     again = cplx.parse(cplx.serialize(v))
-    assert cplx.eq(v, again)
+    assert scalar_eq(cplx, v, again)
 
 
 def test_parse_rejections(rational, cplx):
@@ -162,14 +161,15 @@ def pairs_around_threshold(be, rel):
 
 def test_scalar_and_array_tolerance_agree_near_threshold(cplx):
     # about 1e-3 of the tolerance on either side of it, and far from it
-    # (1e-3 and 1e3 times the tolerance); Backend.eq and Backend.eq_array
-    # must give the same verdict as the formula
+    # (1e-3 and 1e3 times the tolerance); Backend.eq_array and the scalar
+    # formula of conftest must give the same verdict as expected
     for rel, expected in ((-1e-3, True), (1e-3, False),
                           (-1 + 1e-3, True), (1e3, False)):
         pairs = pairs_around_threshold(cplx, rel)
         a = np.array([p[0] for p in pairs], dtype=cplx.dtype)
         b = np.array([p[1] for p in pairs], dtype=cplx.dtype)
-        assert [cplx.eq(x, y) for x, y in pairs] == [expected] * len(pairs)
+        assert [scalar_eq(cplx, x, y) for x, y in pairs] == \
+            [expected] * len(pairs)
         assert cplx.eq_array(a, b).tolist() == [expected] * len(pairs)
 
 
@@ -179,7 +179,7 @@ def test_exact_array_comparison_matches_scalar(rational):
     a = np.array(vals, dtype=rational.dtype)
     b = np.array(other, dtype=rational.dtype)
     assert rational.eq_array(a, b).tolist() == \
-        [rational.eq(x, y) for x, y in zip(vals, other)] == \
+        [scalar_eq(rational, x, y) for x, y in zip(vals, other)] == \
         [True, True, False, False]
 
 
@@ -211,11 +211,12 @@ def test_connection_perturbation_against_tolerance(g4, cplx):
     # (validates) or by 1e3 * eps (fails, at the pair the pointwise scan
     # names); the entries are small integers, so the tolerance is a few eps
     eq = rank2_equation(g4, cplx)
+    kconn = conn_of(eq)
     for g in range(g4.order):
         for shift, passes in ((1e-3 * cplx.eps, True), (1e3 * cplx.eps, False)):
-            rows = [list(r) for r in eq.conn[g].entries]
+            rows = [list(r) for r in kconn[g].entries]
             rows[0][0] = rows[0][0] + Fn.delta(2, g4.space.size, cplx).scale(shift)
-            conn = list(eq.conn)
+            conn = list(kconn)
             conn[g] = KMatrix.from_rows(rows, cplx)
             moved = equation_from_kmatrices(g4, cplx, eq.rank, tuple(conn))
             if passes:
