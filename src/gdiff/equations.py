@@ -40,6 +40,7 @@ rounding.  ``Equation.conn`` views a connection as one ``KMatrix`` of
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
@@ -127,7 +128,9 @@ class Cells:
     at each cell: ``table[g, y]`` is the slot in ``subgroup.members`` of
     sigma(y)^-1 g sigma(g^-1 y), and ``inverse[i]`` the slot of the inverse
     of member i.  One per transversal (``cell_table``), kept by the group
-    and shared by every equation induced over it.  All of it is computed on
+    and shared by every equation induced over it; the cells keep the group
+    by a weak reference and their subgroup and transversal as ids, so that
+    a dropped problem is freed at once.  All of it is computed on
     first use: the table as one (|G|, |S|) array of products
     (``Group.mul_ids``), which raises ElementNotInH when a product leaves
     the subgroup, and for ``base_cells`` the subgroup and the transversal
@@ -138,24 +141,27 @@ class Cells:
 
     def __init__(self, group: Group, subgroup: Optional[Subgroup] = None,
                  sigma: Optional[Transversal] = None):
-        self.group = group
-        self._subgroup, self._sigma = subgroup, sigma
+        self._group = weakref.ref(group)
+        self._members = None if subgroup is None else subgroup.members
+        self._sigma = None if sigma is None else (sigma.base, sigma.sigma)
 
-    @cached_property
+    @property
     def transversal(self) -> Transversal:
-        if self._sigma is not None:
-            return self._sigma
-        return transversal(self.group)
+        if self._sigma is None:
+            found = transversal(self._group())
+            self._sigma = found.base, found.sigma
+        return Transversal(self._group(), *self._sigma)
 
-    @cached_property
+    @property
     def subgroup(self) -> Subgroup:
-        if self._subgroup is not None:
-            return self._subgroup
-        return stabilizer(self.group, self.transversal.base)
+        group = self._group()
+        if self._members is None:
+            self._members = stabilizer(group, self.transversal.base).members
+        return Subgroup(group, self._members)
 
     @cached_property
     def table(self) -> np.ndarray:
-        group, size = self.group, self.group.space.size
+        group, size = self._group(), self._group().space.size
         slot = _slots(self.subgroup, np.arange(group.order))
         sig = np.array(self.transversal.sigma)
         inv = np.array(group.inv)

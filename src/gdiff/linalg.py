@@ -1,8 +1,12 @@
 """Dense linear algebra over the two scalar backends.
 
-Exact rational matrices are reduced with hand-rolled Gaussian elimination
-over ``Fraction``; the complex backend delegates rank-sensitive decisions
-to numpy SVD with a relative singular-value threshold.
+Exact matrices are reduced by hand-rolled elimination.  ``nullspace_form``
+and the rational ``any_singular`` run on ``_rref_int``, fraction-free on
+Python ints (Bareiss, Math. Comp. 22, 1968), and ``charpoly`` on ints too;
+``nullspace``, ``solve``, ``rank``, ``inv``, ``det`` and ``RowSpace``, the
+operator calculus's kernels, still run over ``Fraction`` (``_rref_exact``)
+until the benchmark can time that workload's shorter passes.  The complex
+backend decides ranks by numpy SVD with a relative singular-value threshold.
 
 The kernels take and return nested lists: a matrix is a list of rows of
 backend scalars, a vector a list.  Every other matrix of the package is a
@@ -12,6 +16,7 @@ alone takes an array, to test a whole stack of matrices at once.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -49,17 +54,48 @@ def _rref_exact(m: Matrix):
     return pivots
 
 
+def _rref_int(m: List[List[int]]):
+    """In-place Gauss-Jordan on rows of Python ints: each step takes every
+    other row to (p row - f top) // prev, f its entry in the pivot column,
+    p and prev this pivot and the last; every entry is a minor, so the
+    division is exact.  Returns the pivot columns and the last pivot p (1
+    if none): the reduced row echelon form is m[:rank] / p."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    pivots, prev, r = [], 1, 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        p, top = m[r][c], m[r]
+        for i in range(rows):
+            if i != r:
+                f = m[i][c]
+                m[i] = ([(p * x - f * y) // prev for x, y in zip(m[i], top)]
+                        if f else [p * x // prev for x in m[i]])
+        pivots.append(c)
+        prev, r = p, r + 1
+        if r == rows:
+            break
+    return pivots, prev
+
+
 def nullspace_form(vectors: Sequence[Vector]) -> List[Vector]:
     """The basis ``nullspace`` gives for any exact system whose solutions
-    are spanned by the given independent vectors.
+    are spanned by the given independent vectors, of ints or ``Fraction``s.
 
     That basis is 1 at one free column and 0 at the others, and the free
     columns are the positions where a solution can have its last nonzero
-    entry; so it is the reduced row echelon form with the columns reversed.
+    entry; so it is the reduced row echelon form with the columns reversed,
+    which a common factor does not change: ``_rref_int``'s, over its pivot.
     """
-    m = [list(reversed(v)) for v in vectors]
-    pivots = _rref_exact(m)
-    return [list(reversed(row)) for row in reversed(m[:len(pivots)])]
+    d = math.lcm(*(x.denominator for v in vectors for x in v))
+    m = [[x.numerator * (d // x.denominator) for x in reversed(v)]
+         for v in vectors]
+    pivots, p = _rref_int(m)
+    zero = Fraction(0)  # one object for all zeros, most of the entries
+    return [[Fraction(x, p) if x else zero for x in reversed(row)]
+            for row in reversed(m[:len(pivots)])]
 
 
 def _to_np(a: Matrix) -> np.ndarray:
@@ -148,12 +184,13 @@ def inv(a: Matrix, backend: Backend) -> Optional[Matrix]:
 
 def any_singular(mats: np.ndarray, backend: Backend) -> bool:
     """Whether ``inv`` would return None for some matrix of an array of
-    shape (..., n, n) and dtype ``backend.dtype``.  On the complex backend
-    this is one batched SVD with the tolerance of ``Backend.rank_tol``."""
+    shape (..., n, n) and dtype ``backend.dtype``: a rank by ``_rref_int``
+    per matrix of the stack's integral form over the rationals, one batched
+    SVD with the tolerance of ``Backend.rank_tol`` on the complex backend."""
     if backend.exact:
-        count = int(np.prod(mats.shape[:-2]))
-        flat = mats.reshape((count,) + mats.shape[-2:]).tolist()
-        return any(inv(m, backend) is None for m in flat)
+        count, n = int(np.prod(mats.shape[:-2])), mats.shape[-1]
+        ints = backend.integral(mats)[0].reshape(count, n, n).tolist()
+        return any(len(_rref_int(m)[0]) < n for m in ints)
     s = np.linalg.svd(mats, compute_uv=False)
     return bool((s.min(axis=-1, initial=np.inf) <= backend.rank_tol(s)).any())
 
@@ -249,20 +286,19 @@ def row_space_basis(rows: Sequence[Vector], ncols: int, backend: Backend) -> Lis
 # -- characteristic polynomial and rational roots (exact backend) -----------
 
 def charpoly(a: Matrix) -> List[Fraction]:
-    """Coefficients [c_0..c_n] of det(xI - A), ascending, exact input."""
+    """Coefficients [c_0..c_n] of det(xI - A), ascending, exact input:
+    Faddeev-LeVerrier on B = d A (``Backend.integral``), whose coefficients
+    C_k are integers, so each // k is exact; c_{n-k} = C_{n-k} / d^k."""
     n = len(a)
-    a = np.array(a, dtype=object).reshape(n, n)
+    b, d = Backend.rational().integral(np.array(a, dtype=object).reshape(n, n))
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    m = np.full((n, n), Fraction(0), dtype=object)
-    diag = np.arange(n)
-    c = Fraction(1)
+    m, diag, c = np.zeros((n, n), dtype=object), np.arange(n), 1
     for k in range(1, n + 1):
-        # Faddeev-LeVerrier iteration
-        m = a @ m
+        m = b @ m
         m[diag, diag] += c
-        c = -np.trace(a @ m) / k
-        coeffs[n - k] = c
+        c = -np.trace(b @ m) // k
+        coeffs[n - k] = Fraction(c, d ** k)
     return coeffs
 
 

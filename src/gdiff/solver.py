@@ -120,8 +120,9 @@ def hom_space(src: Equation, dst: Equation) -> List[Morphism]:
     basis.  Complex entries are used as the product gives them.  Over the
     rationals the product runs on Python ints, and the basis is the one
     elimination of the intertwining system gives for the unknowns
-    phi_ij(y) in the order (i, j, y): ``nullspace_form`` of the products,
-    each entry a ``Fraction`` over d1 d2 d3.
+    phi_ij(y) in the order (i, j, y): ``nullspace_form`` of the integer
+    products, as a common denominator does not change a row echelon form;
+    it reduces them fraction-free and makes each entry a ``Fraction`` once.
     """
     src.backend.check_same(dst.backend)
     group = src.group
@@ -130,16 +131,15 @@ def hom_space(src: Equation, dst: Equation) -> List[Morphism]:
     if not len(basis):
         return []
     sigma = np.array(transversal(group).sigma)
-    t_src_inv, d1 = src.integral((np.array(group.inv)[sigma], BASE_POINT))
-    p, d2 = be.integral(basis)
-    t_dst, d3 = dst.integral((sigma, np.arange(len(sigma))))
+    t_src_inv, _ = src.integral((np.array(group.inv)[sigma], BASE_POINT))
+    p, _ = be.integral(basis)
+    t_dst, _ = dst.integral((sigma, np.arange(len(sigma))))
     moved = t_src_inv @ (p[:, None] @ t_dst)
     if be.exact:
         k, size, n, m = moved.shape
-        vecs = be.scalar_array(moved.transpose(0, 2, 3, 1), d1 * d2 * d3)
-        vecs = linalg.nullspace_form(vecs.reshape(k, -1).tolist())
-        moved = np.array(vecs, dtype=object).reshape(k, n, m, size)
-        moved = moved.transpose(0, 3, 1, 2)
+        vecs = moved.transpose(0, 2, 3, 1).reshape(k, -1).tolist()
+        moved = np.array(linalg.nullspace_form(vecs), dtype=object)
+        moved = moved.reshape(k, n, m, size).transpose(0, 3, 1, 2)
     return [Morphism(src, dst, mat) for mat in moved]
 
 
@@ -362,25 +362,23 @@ def _find_stable_splitting(fib: HModule, comm: np.ndarray,
 
 
 def decompose(eq: Equation, seed: int = 0) -> List[Tuple[Equation, Morphism]]:
-    """Split into indecomposable summands with embeddings, by recursive
-    random-endomorphism eigenspace splitting at the fiber level."""
+    """Split into indecomposable summands with embeddings, by random-
+    endomorphism eigenspace splitting of the fiber, depth first (a stack)."""
     fib = fiber(eq)
     be = eq.backend
     leaves: List[Tuple[HModule, np.ndarray]] = []
-
-    def recurse(basis_rows: np.ndarray, depth: int) -> None:
+    stack = [(be.eye(eq.rank), 0)]
+    while stack:
+        basis_rows, depth = stack.pop()
         sub = _subfiber_module(fib, basis_rows)
         comm = intertwiner_space(sub, sub)
         if len(comm) <= 1:
             leaves.append((sub, basis_rows))
-            return
+            continue
         split = _find_stable_splitting(sub, comm, seed + depth)
         if split is None:
             raise SplittingInconclusive(
                 "no separating endomorphism found within the retry budget")
-        for coeff_basis in split:
-            coeffs = np.array(coeff_basis, dtype=be.dtype)
-            recurse(matmul(coeffs, basis_rows, be), depth + 1)
-
-    recurse(be.eye(eq.rank), 0)
+        stack.extend((matmul(np.array(coeffs, dtype=be.dtype), basis_rows, be),
+                      depth + 1) for coeffs in reversed(split))
     return [_subobject(eq, sub, rows) for sub, rows in leaves]

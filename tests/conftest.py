@@ -671,6 +671,19 @@ def sympy_nullspace(rows, ncols):
             for vec in m.nullspace()]
 
 
+def sympy_nullspace_form(vectors):
+    """``linalg.nullspace_form`` by sympy's elimination: the reduced row
+    echelon form of the column-reversed vectors, its nonzero rows reversed
+    back and in reverse order, as lists of Fractions."""
+    if not vectors:
+        return []
+    m = sympy.Matrix([[sympy.Rational(x) for x in reversed(v)]
+                      for v in vectors])
+    rref, pivots = m.rref()
+    return [[Fraction(int(x.p), int(x.q)) for x in list(rref.row(r))[::-1]]
+            for r in reversed(range(len(pivots)))]
+
+
 # -- full-group checks --------------------------------------------------------
 
 def cocycle_everywhere(eq):
@@ -729,7 +742,8 @@ def pointwise_hom_space(src, dst):
     """hom_space as it ran before the batched transport: each fiber
     intertwiner P moved to every point y by two scalar matrix products,
     T_src(y)^-1 . (P . T_dst(y)).  The basis vectors, unknowns in the order
-    (i, j, y), put in ``nullspace_form`` over the rationals."""
+    (i, j, y), put in ``nullspace_form`` over the rationals, by sympy
+    (``sympy_nullspace_form``), not by the kernel under test."""
     group, be = src.group, src.backend
     n, m, size = src.rank, dst.rank, group.space.size
     sigma = transversal(group).sigma
@@ -743,7 +757,7 @@ def pointwise_hom_space(src, dst):
                 for y in range(size)]
         vecs.append([mats[y][i][j] for i in range(n) for j in range(m)
                      for y in range(size)])
-    return linalg.nullspace_form(vecs) if be.exact else vecs
+    return sympy_nullspace_form(vecs) if be.exact else vecs
 
 
 def fiber_projection_route(eq, chi):

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,6 +27,22 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def path(name):
     return os.path.join(DATA, name)
+
+
+def test_dropped_problem_is_freed_without_the_cyclic_collector():
+    # a loaded and run problem holds no reference cycle: its group (which
+    # keeps the shared cell tables) is freed as soon as the problem is
+    # dropped, so peak memory does not wait for a collection
+    gc.disable()
+    try:
+        prob = problem.load_problem(path("c3_basic.json"))
+        assert problem.run_problem(prob)["pass"]
+        group = weakref.ref(prob.group)
+        assert group()._cell_tables
+        del prob
+        assert group() is None
+    finally:
+        gc.enable()
 
 
 def test_run_basic_corpus_exits_zero(capsys):

@@ -3,10 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (Fn, KMatrix, conn_of, equation_from_kmatrices, identity,
                       mat_eq, mat_mul, mat_vec, pointwise_validate,
-                      rank2_equation, scalar_eq, seeded_rng, sympy_nullity)
+                      rank2_equation, scalar_eq, seeded_rng, sympy_nullity,
+                      sympy_nullspace_form)
 from gdiff import linalg
 from gdiff.errors import BackendMismatch, InconsistentConnection
 from gdiff.scalars import Backend
@@ -124,6 +127,85 @@ def test_charpoly_matches_sympy(rational):
         poly = (lam * sympy.eye(3) - m).det().expand()
         want = [sympy.Rational(poly.coeff(lam, k)) for k in range(4)]
         assert [Fraction(str(w)) for w in want] == got
+
+
+# -- the integer kernel's consumers against sympy ----------------------------
+
+kernel_cases = settings(max_examples=80, deadline=None, derandomize=True)
+BIG = 10 ** 30
+INTS = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+RATIONALS = st.one_of(INTS.map(Fraction),
+                      st.fractions(-BIG, BIG, max_denominator=BIG),
+                      st.fractions(-4, 4, max_denominator=6))
+
+
+@st.composite
+def exact_rows(draw, entries, rows=st.integers(1, 5), cols=st.integers(1, 7),
+               square=False):
+    """Rows of exact entries: often a zero column, and a last row that is
+    a combination of the first two (zero when both coefficients are)."""
+    r = draw(rows)
+    c = r if square else draw(cols)
+    m = draw(st.lists(st.lists(entries, min_size=c, max_size=c),
+                      min_size=r, max_size=r))
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, c - 1))
+        for row in m:
+            row[zero] = 0 * row[zero]
+    if r > 1 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1 % (r - 1)])]
+    return m
+
+
+@kernel_cases
+@given(st.one_of(exact_rows(INTS), exact_rows(RATIONALS)))
+def test_nullspace_form_matches_sympy(rows):
+    # dependent, zero and single rows, zero columns, negative pivots and
+    # 30-digit entries, of ints (as hom_space passes) and of Fractions
+    got = linalg.nullspace_form(rows)
+    assert got == sympy_nullspace_form(rows)
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+def sympy_charpoly(a):
+    m = sympy.Matrix([[sympy.Rational(x) for x in row] for row in a])
+    coeffs = m.charpoly(sympy.Symbol("lam")).all_coeffs()[::-1]
+    return [Fraction(int(x.p), int(x.q)) for x in coeffs]
+
+
+@kernel_cases
+@given(exact_rows(RATIONALS, rows=st.integers(1, 4), square=True))
+def test_charpoly_matches_sympy_on_any_exact_matrix(a):
+    # denominators, singular matrices (a dependent last row, a zero
+    # column), n = 1 and 30-digit entries
+    a = [[Fraction(x) for x in row] for row in a]
+    got = linalg.charpoly(a)
+    assert got == sympy_charpoly(a)
+    assert all(type(x) is Fraction for x in got)
+
+
+@kernel_cases
+@given(st.lists(exact_rows(RATIONALS, rows=st.just(3), square=True),
+                min_size=3, max_size=3),
+       st.sampled_from(["first", "middle", "last", "absent"]),
+       st.integers(1, 3))
+def test_any_singular_matches_inv_per_matrix(mats, where, n):
+    # a stack with one singular member (the first, one in the middle, the
+    # last) or none made so, as (count, n, n) and as (1, count, n, n)
+    rational = Backend.rational()
+    mats = [[[Fraction(x) for x in row[:n]] for row in m[:n]] for m in mats]
+    made = {"first": 0, "middle": 1, "last": 2}.get(where)
+    if made is not None:
+        m = mats[made]
+        m[-1] = [2 * x for x in m[0]] if n > 1 else [Fraction(0)]
+    stack = np.array(mats, dtype=object).reshape(3, n, n)
+    singular = [linalg.inv(m, rational) is None for m in mats]
+    assert made is None or singular[made]
+    assert linalg.any_singular(stack, rational) == any(singular)
+    assert linalg.any_singular(stack[None], rational) == any(singular)
+    assert [linalg.any_singular(stack[i:i + 1], rational)
+            for i in range(3)] == singular
 
 
 def test_rational_roots():
