@@ -441,26 +441,33 @@ def complete_connection(group: Group, backend: Backend,
     checks.
 
     Each level is one batched product over its elements and all the
-    generators.  The generator matrices are checked for singularity in one
-    batch per generator (``linalg.any_singular``).  The products are
-    those of ``matmul``, bit for bit: on the complex backend by
-    ``mul_in_order``; over the rationals on Python ints, E^g being
-    A[g] / d^depth(g) with d the common denominator of the generator
-    matrices (``Backend.integral``), so that a product of depth L + 1 is
-    A[g'] . (d E^s) over d^(L+1); at the end every A[g] is brought to the
-    deepest level's denominator.
+    generators.  The generator matrices are tested in order, shape then
+    singularity (``linalg.any_singular``): first on the complex backend,
+    over the rationals only before a failure is raised, as an exact
+    completion has E^{s^m} = I.  The products are those of ``matmul``, bit
+    for bit: on the complex backend by ``mul_in_order``; over the
+    rationals on Python ints, E^g being A[g] / d^depth(g) with d the
+    common denominator of the generator matrices (``Backend.integral``),
+    so that a product of depth L + 1 is A[g'] . (d E^s) over d^(L+1); at
+    the end every A[g] is brought to the deepest level's denominator.
     """
     if set(generator_matrices) != set(group.generators):
         raise InconsistentConnection(
             f"need one matrix per generator {sorted(group.generators)}")
     size = group.space.size
     rank = next(iter(generator_matrices.values())).shape[1]
-    for name, mat in generator_matrices.items():
-        if mat.shape != (size, rank, rank):
-            raise InconsistentConnection(f"generator {name!r} has wrong shape")
-        if linalg.any_singular(mat, backend):
-            raise SingularGeneratorMatrix(f"generator {name!r} singular at some point")
 
+    def check(error=None):
+        for name, mat in generator_matrices.items():
+            if mat.shape != (size, rank, rank):
+                raise InconsistentConnection(f"generator {name!r} has wrong shape")
+            if linalg.any_singular(mat, backend):
+                raise SingularGeneratorMatrix(f"generator {name!r} singular at some point")
+        if error is not None:
+            raise error
+    if not backend.exact or any(mat.shape != (size, rank, rank)
+                                for mat in generator_matrices.values()):
+        check()
     mats, d = backend.integral(np.stack([generator_matrices[name]
                                          for name in group.generators]))
     gens = np.array(list(group.generators.values()))
@@ -487,7 +494,7 @@ def complete_connection(group: Group, backend: Backend,
         frontier = np.array(list(first), dtype=np.intp)
         conn[frontier] = cands[list(first.values())]
         depth[frontier] = level
-        if backend.exact:
+        if backend.exact and d != 1:
             scale = np.array([d ** (level - int(k)) for k in depth[targets]],
                              dtype=object)
             stored = conn[targets] * scale[:, None, None, None]
@@ -495,10 +502,10 @@ def complete_connection(group: Group, backend: Backend,
             stored = conn[targets]
         bad = first_mismatch(stored, cands, backend)
         if bad is not None:
-            raise InconsistentConnection(
-                f"element {targets[bad]} reached with conflicting matrices")
+            check(InconsistentConnection(
+                f"element {targets[bad]} reached with conflicting matrices"))
     if (depth < 0).any():
-        raise InconsistentConnection("generators do not generate the group")
+        check(InconsistentConnection("generators do not generate the group"))
     top = int(depth.max())
     if d != 1:
         scale = np.array([d ** (top - int(k)) for k in depth], dtype=object)

@@ -6,12 +6,13 @@ anti-homomorphism: rho(h1 h2) = rho(h2) . rho(h1).  The transversal always
 satisfies sigma(base) = e so that fiber(induce(V)) returns literally equal
 matrices.
 
-A module holds its matrices as one array, like every matrix of the package
-(see ``equations``).  Its direct sum, tensor product and dual run the
-entry-major helpers of the equation constructions on its matrices, so
-there is one code for each construction, with the values of the
-per-element matrix formulas bit for bit: complex products go through
-``equations.cmul``.
+A module holds its matrices as one array, like every matrix of the
+package (see ``equations``), and over the rationals it validates on
+Python ints, over generators of H x elements (``HModule.validate``).
+Its direct sum, tensor product and dual run the entry-major helpers of
+the equation constructions on its matrices, so there is one code for
+each construction, with the values of the per-element matrix formulas
+bit for bit: complex products go through ``equations.cmul``.
 
 An induced equation is stored as its module and the cell table of its
 transversal (``equations.cell_table``, built once per transversal):
@@ -55,18 +56,25 @@ class HModule:
         object.__setattr__(self, "rho", read_only(self.rho))
 
     def validate(self) -> None:
-        """rho(e) = I, and for all pairs (a, b) rho(ab) = rho(b) . rho(a)
-        with every rho(a) invertible: one batched product and comparison
-        per slice of consecutive a holding about
-        ``equations._BATCH_SCALARS`` scalars of pairs, so the temporaries
-        stay small whatever |H| is, and one batched singularity test.  A
-        failure is the first of a scan over a in the order of the members
-        that tests rho(a) for singularity, then the pairs (a, b), b in
-        order."""
+        """rho(e) = I, and rho(ab) = rho(b) . rho(a) with rho(a) invertible
+        for all (a, b).  Over the rationals d A[sb] == A[b] . A[s] on ints
+        (rho = A / d) for the ``Subgroup.generators`` s and all b suffice,
+        by induction on word length, and rho(a^-1) . rho(a) = I.  Else
+        (tolerance equality is not transitive), or on a failure, a scan in
+        slices of about ``equations._BATCH_SCALARS`` scalars of pairs and
+        one batched singularity test names the first failure of a scan
+        over a in member order that tests rho(a) for singularity, then the
+        pairs (a, b), b in order."""
         be, sub, rho = self.backend, self.subgroup, self.rho
         members = np.array(sub.members)
         if not be.eq_array(rho[_slots(sub, 0)], be.eye(self.dim)).all():
             raise InvalidHModule("rho(e) is not the identity")
+        if be.exact:
+            ints, d = be.integral(rho)
+            if all((d * ints[_slots(sub, sub.group.mul_ids(s, members))]
+                    == ints @ ints[_slots(sub, s)]).all()
+                   for s in sub.generators):
+                return
         step = max(1, _BATCH_SCALARS // max(1, sub.order * self.dim ** 2))
         last, b = sub.order - 1, None
         for start in range(0, sub.order, step):

@@ -249,70 +249,69 @@ def _build_equation(name: str, obj: Dict[str, Any], prob: Problem) -> Equation:
     raise ProblemFileError(f"{where} has no recognized constructor")
 
 
-def _close_rho(sub, be: Backend, partial: Dict[int, list]) -> np.ndarray:
+def _close_rho(sub, be: Backend, partial: Dict, where: str) -> np.ndarray:
     """Close generator matrices of a subgroup module, nested lists of
-    backend scalars, under the (anti-)multiplication rule
-    rho(ab) = rho(b) rho(a); the (|H|, dim, dim) array of the module."""
+    backend scalars keyed by ids in H, under rho(ab) = rho(b) rho(a): each
+    a found against all found so far (one ``Group.mul_ids`` row), until
+    every member has a matrix; the (|H|, dim, dim) array of the module."""
+    if any(h not in sub for h in partial):
+        raise ProblemFileError(f"{where}: element outside the stabilizer")
     dim = len(next(iter(partial.values())))
     rho = {0: be.eye(dim)}
     rho.update((h, np.array(m, dtype=be.dtype).reshape(dim, dim))
                for h, m in partial.items())
     changed = True
-    while changed:
+    while changed and len(rho) < sub.order:
         changed = False
         for a in list(rho):
-            for b in list(rho):
-                ab = sub.mult(a, b)
+            bs = list(rho)
+            for b, ab in zip(bs, sub.group.mul_ids(a, bs).tolist()):
                 if ab not in rho:
                     rho[ab] = eqmod.matmul(rho[b], rho[a], be)
                     changed = True
+            if len(rho) == sub.order:
+                break
     if set(rho) != set(sub.members):
-        raise ProblemFileError("hmodule matrices do not generate the stabilizer")
+        raise ProblemFileError(f"{where}: matrices do not generate the "
+                               "stabilizer")
     return np.stack([rho[h] for h in sub.members])
 
 
 def _build_hmodule(name: str, obj: Dict[str, Any], prob: Problem
                    ) -> equivalence.HModule:
-    _check_object(obj, {"builtin", "character", "dim", "rho"},
-                  f"hmodule {name!r}")
+    where = f"hmodule {name!r}"
+    _check_object(obj, {"builtin", "character", "dim", "rho"}, where)
     sub = stabilizer(prob.group, BASE_POINT)
     be = prob.backend
     if "builtin" in obj:
         try:
             family = equivalence.builtin_irreducibles(sub, be)
         except InvalidHModule as exc:  # a tolerance too coarse for the backend
-            raise ProblemFileError(f"hmodule {name!r}: {exc}") from exc
+            raise ProblemFileError(f"{where}: {exc}") from exc
         if not isinstance(obj["builtin"], str) or obj["builtin"] not in family:
             raise ProblemFileError(f"no builtin hmodule {obj['builtin']!r}; "
                                    f"have {sorted(family)}")
         return family[obj["builtin"]]
     for key in ("character", "rho"):
         if key in obj and (not isinstance(obj[key], dict) or not obj[key]):
-            raise ProblemFileError(f"hmodule {name!r}: {key!r} must map "
-                                   "words to values")
-    where = f"hmodule {name!r}"
+            raise ProblemFileError(f"{where}: {key!r} must map words to "
+                                   "values")
     if "character" in obj:
-        partial = {_word(prob, w, where): [[_scalar(v, be, where)]]
-                   for w, v in obj["character"].items()}
-        rho = _close_rho(sub, be, partial)
-        return _validated(name, equivalence.HModule(sub, be, 1, rho))
-    if "rho" in obj:
-        dim = _rank(obj.get("dim"), f"hmodule {name!r} dim", prob)
+        dim, partial = 1, {_word(prob, w, where): [[_scalar(v, be, where)]]
+                           for w, v in obj["character"].items()}
+    elif "rho" in obj:
+        dim = _rank(obj.get("dim"), f"{where} dim", prob)
         for m in obj["rho"].values():
             if _check_matrix(m) != (dim, dim):
-                raise ProblemFileError(f"hmodule {name!r}: matrix is "
-                                       f"{len(m)} x {len(m[0])}, not "
-                                       f"{dim} x {dim}")
+                raise ProblemFileError(f"{where}: matrix is {len(m)} x "
+                                       f"{len(m[0])}, not {dim} x {dim}")
         partial = {_word(prob, w, where):
                    [[_scalar(v, be, where) for v in row] for row in m]
                    for w, m in obj["rho"].items()}
-        for h in partial:
-            if h not in sub:
-                raise ProblemFileError(f"hmodule {name!r}: element outside "
-                                       "the stabilizer")
-        rho = _close_rho(sub, be, partial)
-        return _validated(name, equivalence.HModule(sub, be, dim, rho))
-    raise ProblemFileError(f"hmodule {name!r} has no recognized constructor")
+    else:
+        raise ProblemFileError(f"{where} has no recognized constructor")
+    rho = _close_rho(sub, be, partial, where)
+    return _validated(name, equivalence.HModule(sub, be, dim, rho))
 
 
 def _validated(name: str, mod: equivalence.HModule) -> equivalence.HModule:

@@ -10,6 +10,7 @@ is always the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -295,6 +296,21 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def generators(self) -> Tuple[int, ...]:
+        """Members generating the subgroup, greedy: each one outside the
+        closure of those before it; O(k |H|) products for k of them."""
+        inside, gens = {0}, []
+        for h in self.members:
+            if h not in inside:
+                gens.append(h)
+                new = list(inside)
+                while new:
+                    found = self.group.mul_ids(np.array(new)[:, None], gens)
+                    new = list(set(found.ravel().tolist()) - inside)
+                    inside.update(new)
+        return tuple(gens)
 
     def mult(self, a: int, b: int) -> int:
         return self.group.mul(a, b)

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import gauged_equation, rank2_equation, seeded_rng
-from gdiff import diffops, equivalence, problem
+from conftest import (gauged_equation, perfbench_module, rank2_equation,
+                      seeded_rng)
+from gdiff import diffops, equivalence, linalg, problem
 from gdiff.cli import main
 from gdiff.scalars import Backend
 from gdiff.space import dihedral_on_cycle
@@ -293,6 +294,94 @@ def test_invalid_hmodule_is_a_file_error(tmp_path, capsys, rho, message):
                                            rho))
     assert main(["run", target]) == 2
     assert capsys.readouterr().err == f"error: hmodule 'v2': {message}\n"
+
+
+def test_character_outside_the_stabilizer_is_refused(tmp_path, capsys):
+    # s moves the base point: a character given on it is refused before
+    # its closure, as a rho given on it is
+    target = _write_mutated(tmp_path, _set(["hmodules", "vsign", "character"],
+                                           {"s": "-1"}))
+    assert main(["run", target]) == 2
+    assert capsys.readouterr().err == \
+        "error: hmodule 'vsign': element outside the stabilizer\n"
+
+
+def symmetric_problem(n, hmodules, equations=None, tasks=()):
+    """A rational problem on S_n acting on n points, from the n-cycle a,
+    b = (2 3) and c = (2 3 ... n); b and c generate the stabilizer of the
+    first point, S_{n-1}."""
+    cycles = {"a": range(1, n + 1), "b": (2, 3), "c": range(2, n + 1)}
+    return {"space": {"points": [str(i) for i in range(1, n + 1)]},
+            "group": {"generators": {
+                name: "(" + " ".join(map(str, points)) + ")"
+                for name, points in cycles.items()}},
+            "hmodules": hmodules, "equations": equations or {},
+            "tasks": list(tasks)}
+
+
+@pytest.mark.parametrize("module", [
+    {"character": {"c": "1"}},
+    {"dim": 2, "rho": {"c": [[0, -1], [1, -1]]}}])
+def test_matrices_that_do_not_generate_the_stabilizer_name_the_module(
+        tmp_path, capsys, module):
+    # on S4 the stabilizer is S3, and c = (2 3 4) alone generates only A3
+    target = tmp_path / "s4.json"
+    target.write_text(json.dumps(symmetric_problem(4, {"v": module})))
+    assert main(["run", str(target)]) == 2
+    assert capsys.readouterr().err == \
+        "error: hmodule 'v': matrices do not generate the stabilizer\n"
+
+
+def is_odd(image):
+    """Whether a permutation, as its image array, has an odd number of
+    inversions."""
+    image = list(image)
+    return sum(x > y for i, x in enumerate(image) for y in image[i + 1:]) % 2
+
+
+def test_module_on_a_large_stabilizer_given_on_two_words(tmp_path, capsys):
+    # S6 on 6 points: H = S5 has 120 elements.  The module is closed from
+    # the involution m at b and the identity at c (a 5-cycle, even): the
+    # trivial module plus the sign in another basis, m at the odd elements
+    m = [[3, -4], [2, -3]]
+    target = tmp_path / "s6.json"
+    target.write_text(json.dumps(symmetric_problem(
+        6, {"v2": {"dim": 2, "rho": {"b": m, "c": [[1, 0], [0, 1]]}}},
+        {"r2": {"induce": "v2"}},
+        [{"task": "validate", "equation": "r2"},
+         {"task": "fiber", "equation": "r2"},
+         {"task": "decompose", "equation": "r2"}])))
+    prob = problem.load_problem(str(target))
+    mod = prob.hmodules["v2"]
+    assert mod.subgroup.order == 120
+    assert [rho.tolist() for rho in mod.rho] == [
+        m if is_odd(prob.group.elements[h]) else [[1, 0], [0, 1]]
+        for h in mod.subgroup.members]
+    assert main(["run", str(target)]) == 0
+    assert capsys.readouterr().out == (
+        "backend=rational seed=0\n"
+        "task 0 validate: ok rank=2\n"
+        "task 1 fiber: ok dim=2\n"
+        "task 2 decompose: ok summand_ranks=[1, 1]\n"
+        "pass\n")
+
+
+def test_exact_loads_make_no_singularity_test(tmp_path, monkeypatch):
+    # an exact module check or generator completion that passes proves its
+    # matrices invertible, so loading the exact-solve benchmark files tests
+    # none for singularity; the complex backend keeps its tests
+    workloads = perfbench_module("workloads")
+    paths = workloads["write_files"](workloads["build"]("exact-solve", 1),
+                                     str(tmp_path))
+    calls = []
+    real = linalg.any_singular
+    monkeypatch.setattr(linalg, "any_singular",
+                        lambda *args: calls.append(args) or real(*args))
+    for target in paths:
+        problem.load_problem(target)
+    assert calls == []
+    problem.load_problem(path("c6_complex.json"))
+    assert calls
 
 
 def test_unstable_subspace_fails_the_task(tmp_path, capsys):

@@ -317,26 +317,52 @@ def test_completion_is_bitwise_the_kmatrix_pass(g4, g6, rational, cplx):
                 assert scalar_bits(got) == scalar_bits(want)
 
 
+def singular_at(mat, point, be):
+    """A copy of mat whose last row is zero at that point (every point for
+    None)."""
+    out = mat.copy()
+    out[slice(None) if point is None else point, -1] = be.zero()
+    return out
+
+
+def conflicting_generator_data(rng, group, be, rank):
+    """Random generator matrices, and copies with the last generator
+    singular at every point and at one point only (still inconsistent) and
+    with the first singular and the last of the wrong shape."""
+    size = group.space.size
+    mats = {name: random_matrix(rng, rank, rank, size, be)
+            for name in group.generators}
+    first, last = list(mats)[0], list(mats)[-1]
+    yield mats
+    for point in (None, size - 1):
+        yield {**mats, last: singular_at(mats[last], point, be)}
+    yield {**mats, first: singular_at(mats[first], None, be),
+           last: random_matrix(rng, rank + 1, rank + 1, size, be)}
+
+
 def test_completion_conflicts_match_the_kmatrix_pass(g3, g4, g6, rational,
                                                     cplx):
     # random generator matrices almost never satisfy the relations: the
-    # first conflicting element must be the one a pointwise pass meets
+    # first conflicting element must be the one a pointwise pass meets, and
+    # a singular generator, which an exact completion tests only once it
+    # fails, is named as the pointwise pass names it, also when it is
+    # singular at one point only or precedes a matrix of the wrong shape
     rng = seeded_rng(29)
     seen = set()
     for group in (g3, g4, g6):
         for be in (rational, cplx):
             for rank in (1, 2):
-                mats = {name: random_matrix(rng, rank, rank,
-                                            group.space.size, be)
-                        for name in group.generators}
-                with pytest.raises((InconsistentConnection,
-                                    SingularGeneratorMatrix)) as want:
-                    pointwise_completion(group, be, mats)
-                with pytest.raises(want.type) as got:
-                    complete_connection(group, be, mats)
-                assert str(got.value) == str(want.value)
-                seen.add(str(want.value))
+                for mats in conflicting_generator_data(rng, group, be, rank):
+                    with pytest.raises((InconsistentConnection,
+                                        SingularGeneratorMatrix)) as want:
+                        pointwise_completion(group, be, mats)
+                    with pytest.raises(want.type) as got:
+                        complete_connection(group, be, mats)
+                    assert str(got.value) == str(want.value)
+                    seen.add(str(want.value))
     assert len(seen) > 2
+    assert {"generator 's' singular at some point",
+            "generator 't' singular at some point"} <= seen
 
 
 UNARY = {"dual": dual, "sym2": sym2, "wedge2": wedge2, "wedge_top": wedge_top}
@@ -477,11 +503,11 @@ def timed_peak(check):
 
 
 def test_validation_with_a_large_stabilizer_stays_small(rational, cplx):
-    # S7 on 7 points: H = S6 has 720 elements, so the module check has
-    # 518,400 pairs against the 2 x 5040 x 7 cells of the global scan.  The
-    # trivial equation takes the scan (the module check of a rank-2 module
-    # takes 13 s over Q), and the module check itself runs in slices of a
-    # (in one batch its temporaries exceed 100 MB)
+    # S7 on 7 points: H = S6 has 720 elements, so the module's full scan
+    # has 518,400 pairs against the 2 x 5040 x 7 cells of the global scan.
+    # The trivial equation takes the scan (the full module scan of a rank-2
+    # module takes 13 s over Q), and the full module scan itself runs in
+    # slices of a (in one batch its temporaries exceed 100 MB)
     group = symmetric_group(7)
     for be in (rational, cplx):
         seconds, peak = timed_peak(trivial_equation(group, be, 2).validate)

@@ -204,22 +204,44 @@ def test_dual_module_is_the_fiber_of_the_dual(g3, g4, g6, backend):
                     == array_bits(fiber(dual(e)).rho))
 
 
-def s4_on_four_points():
-    """S4 on four points: the stabilizer of the first is S3, with a 2-dim
-    irreducible over the complex numbers."""
-    space = FiniteSpace(("1", "2", "3", "4"))
-    return enumerate_group(space, {name: parse_cycles(text, 4) for name, text
-                                   in (("a", "(1 2 3 4)"), ("b", "(2 3)"),
-                                       ("c", "(2 3 4)"))})
+def symmetric_on_points(n):
+    """S_n on n points from the n-cycle a, b = (2 3) and c = (2 3 ... n):
+    b and c generate the stabilizer of the first point, S_{n-1} (at n = 4
+    S3, with a 2-dim irreducible over the complex numbers)."""
+    space = FiniteSpace(tuple(str(i + 1) for i in range(n)))
+    cycles = {"a": range(1, n + 1), "b": (2, 3), "c": range(2, n + 1)}
+    return enumerate_group(space, {
+        name: parse_cycles("(" + " ".join(map(str, points)) + ")", n)
+        for name, points in cycles.items()})
 
 
 def permutation_module(sub, backend):
     """The stabilizer permuting the other points: rho(h)_ij = 1 when h takes
     point i + 1 to point j + 1, an anti-homomorphism."""
     images = sub.group.elements
+    k = images.shape[1] - 1
     return hmodule_from_matrices(sub, backend, {
-        h: [[int(images[h][i + 1] == j + 1) for j in range(3)]
-            for i in range(3)] for h in sub.members})
+        h: [[int(images[h][i + 1] == j + 1) for j in range(k)]
+            for i in range(k)] for h in sub.members})
+
+
+def two_word_modules(sub, backend, rng):
+    """Modules closed (``_close_rho``) from their matrices at b and c, the
+    generators of the stabilizer in ``symmetric_on_points``: the sign, and
+    a random involution M in place of -1 (an odd c gets M, an even c the
+    identity), which is the sign plus the trivial module in another
+    basis."""
+    group = sub.group
+    b, c = group.generators["b"], group.generators["c"]
+    odd = group.space.size % 2 == 1  # c is a cycle of length n - 1
+    involution = [[backend.coerce(x) for x in row]
+                  for row in random_involution(rng)]
+    eye = [[backend.one(), backend.zero()], [backend.zero(), backend.one()]]
+    words = [{b: [[-backend.one()]], c: [[(-1) ** odd * backend.one()]]},
+             {b: involution, c: involution if odd else eye}]
+    return [HModule(sub, backend, len(rho[b]),
+                   _close_rho(sub, backend, rho, "hmodule"))
+            for rho in words]
 
 
 def rho_bits(rho, members):
@@ -237,7 +259,9 @@ def validate_message(mod):
 
 def corrupted(mod):
     """Copies of mod that fail validation: rho(e) off the identity, and for
-    each element a shifted entry and a zero matrix."""
+    each element a shifted entry and a zero matrix, and, unless it
+    generates H, every matrix off its cyclic subgroup K doubled, which
+    keeps the law at every (k, b) with k in K."""
     be, sub, d = mod.backend, mod.subgroup, mod.dim
     for a in range(sub.order):
         for change in ("shift", "zero"):
@@ -247,20 +271,38 @@ def corrupted(mod):
             else:
                 rho[a] = be.zero()
             yield HModule(sub, be, d, rho)
+        cyclic, power = {0}, sub.members[a]
+        while power not in cyclic:
+            cyclic.add(power)
+            power = sub.mult(power, sub.members[a])
+        off = [i for i, h in enumerate(sub.members) if h not in cyclic]
+        if off:
+            rho = mod.rho.copy()
+            rho[off] = rho[off] * 2
+            yield HModule(sub, be, d, rho)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("n", [3, 4, 6, "s4"])
+@pytest.mark.parametrize("n", [3, 4, 6, "s4", "s5"])
 def test_module_layer_matches_the_nested_list_loops(n, backend):
     # the array code against the loops it replaced: the same bits on the
     # complex backend, signs of zeros included, equal Fractions (never
-    # ints) over the rationals, and the same first validation failure
+    # ints) over the rationals, and the same first validation failure (an
+    # exact module that passes its generators is not scanned further: each
+    # break of one element must still fail, with the scan's message)
     rng = seeded_rng(44)
     if n == "s4":
-        group = s4_on_four_points()
+        group = symmetric_on_points(4)
         sub = stabilizer(group, 0)
         mods = list(builtin_irreducibles(sub, backend).values())
         mods.append(permutation_module(sub, backend))
+        mods += two_word_modules(sub, backend, rng)
+    elif n == "s5":  # |H| = 24
+        group = symmetric_on_points(5)
+        sub = stabilizer(group, 0)
+        mods = [trivial_hmodule(sub, backend),
+                permutation_module(sub, backend)]
+        mods += two_word_modules(sub, backend, rng)
     else:
         group = dihedral_on_cycle(n)
         sub = stabilizer(group, 0)
@@ -276,7 +318,7 @@ def test_module_layer_matches_the_nested_list_loops(n, backend):
         rho = list_rho(u)
         gens = {h: rho[h] for h in members if h in group.generator_ids}
         gens = gens or {h: rho[h] for h in members[1:]}
-        assert (array_bits(_close_rho(sub, backend, gens))
+        assert (array_bits(_close_rho(sub, backend, gens, "hmodule"))
                 == rho_bits(loop_close_rho(sub, backend, gens), members))
         for v in mods:
             assert (array_bits(intertwiner_rows(u, v))

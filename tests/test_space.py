@@ -109,6 +109,36 @@ PRODUCT_GROUPS = {f"D{n}": (lambda n=n: dihedral_on_cycle(n))
 PRODUCT_GROUPS.update(S4=symmetric_group_s4, cube=cube_rotations)
 
 
+def symmetric_group_s5():
+    return enumerate_group(FiniteSpace(("a", "b", "c", "d", "e")),
+                           {"c": parse_cycles("(1 2 3 4 5)", 5),
+                            "t": parse_cycles("(1 2)", 5)})
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_GROUPS) + ["S5"])
+def test_subgroup_generators_are_greedy_and_generate_it(name):
+    # closures by the eager table: each generator lies outside the closure
+    # of those before it, which holds every member before it, and all of
+    # them generate the stabilizer; the set is computed once per record
+    group = (PRODUCT_GROUPS.get(name) or symmetric_group_s5)()
+    table = mult_table(group)
+
+    def closure(gens):
+        found, frontier = {0}, {0}
+        while frontier:
+            frontier = {table[a][g] for a in frontier for g in gens} - found
+            found |= frontier
+        return found
+
+    sub = stabilizer(group, 0)
+    gens = sub.generators
+    assert closure(gens) == set(sub.members) and sub.generators is gens
+    for i, g in enumerate(gens):
+        before = closure(gens[:i])
+        assert g in sub.members and g not in before
+        assert all(h in before for h in sub.members if h < g)
+
+
 @pytest.mark.parametrize("name", sorted(PRODUCT_GROUPS))
 def test_products_on_demand_equal_the_table(name):
     group = PRODUCT_GROUPS[name]()
