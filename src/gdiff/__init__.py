@@ -10,8 +10,7 @@ tolerance-compared complex numbers.
 from .equations import (Equation, act, complete_connection, direct_sum, dual,
                         hom, sym2, tensor, trivial_equation, wedge2, wedge_top)
 from .equivalence import (HModule, builtin_irreducibles, character_hmodule,
-                          fiber, grothendieck_check, induce, roundtrip_iso,
-                          transversal_independence, trivial_hmodule)
+                          fiber, induce, roundtrip_iso, trivial_hmodule)
 from .errors import (BackendMismatch, CharacterBackendMismatch,
                      CompositionMismatch, ElementNotInH, GDiffError,
                      GroupTooLarge, InconsistentConnection, InvalidHModule,
@@ -27,6 +26,22 @@ from .space import (FiniteSpace, Group, Subgroup, Transversal,
                     dihedral_on_cycle, enumerate_group, stabilizer,
                     transversal)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The exported names, the same set as README "Public API" lists.
+__all__ = [
+    "Backend", "BackendMismatch", "CharacterBackendMismatch",
+    "CompositionMismatch", "ElementNotInH", "Equation", "FiniteSpace",
+    "GDiffError", "Group", "GroupTooLarge", "HModule",
+    "InconsistentConnection", "InvalidHModule", "Morphism", "NoIsoFound",
+    "NotASolution", "NotHStable", "NotInvariant", "NotTransitive",
+    "ProblemFileError", "SingularGeneratorMatrix", "SkewOp",
+    "SplittingInconclusive", "Subgroup", "Transversal", "UnknownPower", "act",
+    "builtin_irreducibles", "character_hmodule", "complete_connection",
+    "decompose", "dihedral_on_cycle", "direct_sum", "dual", "enumerate_group",
+    "fiber", "find_isomorphism", "hom", "hom_space", "image", "induce",
+    "is_injective", "is_isomorphism", "is_simple", "is_surjective", "kernel",
+    "roundtrip_iso", "skew_mul", "stabilizer", "sym2", "symmetries", "tensor",
+    "transversal", "trivial_equation", "trivial_hmodule", "wedge2",
+    "wedge_top",
+]
 
 __version__ = "0.1.0"

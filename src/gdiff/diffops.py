@@ -60,23 +60,10 @@ class RawOperator:
         return RawOperator(self.source, self.target, out)
 
 
-def _identity(eq: Equation) -> np.ndarray:
-    """The identity matrix over k as an (|S|, n, n) array of scalars."""
-    n = eq.rank
-    return np.broadcast_to(eq.backend.eye(n), (eq.group.space.size, n, n))
-
-
-def identity_raw(eq: Equation) -> RawOperator:
-    return RawOperator(eq, eq, {0: _identity(eq)})
-
-
-def zero_raw(src: Equation, dst: Equation) -> RawOperator:
-    return RawOperator(src, dst, {})
-
-
 def delta_op(a: SkewOp, eq: Equation) -> RawOperator:
     """The operator Delta_a : e -> a.e on eq itself: theta^g = a_g . I."""
-    ident = _identity(eq)
+    n = eq.rank
+    ident = np.broadcast_to(eq.backend.eye(n), (eq.group.space.size, n, n))
     return RawOperator(eq, eq, {
         g: mul(f[:, None, None], ident, eq.backend)
         for g, f in zip(a.elements, a.coeffs)})
@@ -129,10 +116,6 @@ class DiffOperator:
 
 def canonicalize(theta: RawOperator) -> DiffOperator:
     return DiffOperator(theta.source, theta.target, mu(theta), theta)
-
-
-def identity_op(eq: Equation) -> DiffOperator:
-    return canonicalize(identity_raw(eq))
 
 
 def check_composable(theta1: RawOperator, theta2: RawOperator) -> None:

@@ -369,11 +369,13 @@ class Equation:
         reads g(E^{g^-1}) . E^g = I: every E^g is invertible, with the
         inverse that law predicts.
 
-        An induced equation checks its fiber module (``HModule.validate``)
-        when its |H|^2 pairs are no more than the generators x |G| x |S|
-        cells of the scan below: induction of a module satisfies both laws,
-        because the cell table is a cocycle, h(gg', y) = h(g, y) h(g', g^-1 y),
-        with h(e, y) = e.  When that check fails, the scan names the failure.
+        An induced equation checks its fiber module (``HModule.validate``):
+        induction of a module satisfies both laws, because the cell table is
+        a cocycle, h(gg', y) = h(g, y) h(g', g^-1 y), with h(e, y) = e.
+        Over the rationals that check costs k |H| products (k generators of
+        H) and always runs; the complex one scans all |H|^2 pairs, and runs
+        when they are no more than the generators x |G| x |S| cells of the
+        scan below.  When the module check fails, the scan names the failure.
 
         With C = array and d = denom, E^e = I reads C[e] == d I, and for a
         generator g the law, scaled by d^2, is one batched ``matmul`` and
@@ -389,7 +391,8 @@ class Equation:
         """
         group, be = self.group, self.backend
         scan = len(group.generator_ids) * group.order * group.space.size
-        if self.cells is not None and self.cells.subgroup.order ** 2 <= scan:
+        if self.cells is not None and (
+                be.exact or self.cells.subgroup.order ** 2 <= scan):
             try:
                 self.module.validate()
                 return

@@ -9,31 +9,27 @@ matrices.
 A module holds its matrices as one array, like every matrix of the
 package (see ``equations``), and over the rationals it validates on
 Python ints, over generators of H x elements (``HModule.validate``).
-Its direct sum, tensor product and dual run the entry-major helpers of
-the equation constructions on its matrices, so there is one code for
-each construction, with the values of the per-element matrix formulas
-bit for bit: complex products go through ``equations.cmul``.
 
 An induced equation is stored as its module and the cell table of its
 transversal (``equations.cell_table``, built once per transversal):
-``fiber`` of it is that module, it validates as the module unless H is so
-large that the global scan costs less, and the constructions of equations
-induced over one transversal are computed on the modules.  Only an
-equation given by generator data holds its whole connection.
+``fiber`` of it is that module, it validates as the module (on the
+complex backend unless H is so large that the global scan costs less),
+and the constructions of equations induced over one transversal are
+computed on the modules.  Only an equation given by generator data holds
+its whole connection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
 from . import linalg
-from .equations import (_BATCH_SCALARS, Equation, _block_sum, _cell_major,
-                        _dual_entries, _entry_major, _inverse_slots, _kron,
-                        _slots, cell_table, matmul, read_only)
-from .errors import ElementNotInH, InvalidHModule, NoIsoFound
+from .equations import (_BATCH_SCALARS, Equation, _slots, cell_table, matmul,
+                        read_only)
+from .errors import InvalidHModule, NoIsoFound
 from .scalars import Backend
 from .space import BASE_POINT, Subgroup, Transversal, stabilizer
 
@@ -123,42 +119,6 @@ def hmodule_from_matrices(sub: Subgroup, backend: Backend,
     return mod
 
 
-def _module_entries(u: HModule) -> Tuple[np.ndarray, int]:
-    """The module's matrices entry-major, as ints over their common
-    denominator over the rationals (``Backend.integral``): the stored form
-    of an induced equation's fiber, which the constructions of
-    ``equations`` take."""
-    rho, d = u.backend.integral(u.rho)
-    return _entry_major(rho), d
-
-
-def _module(u: HModule, dim: int, entries: np.ndarray, d: int) -> HModule:
-    """The module over u's subgroup with the entry-major matrices
-    entries / d."""
-    return HModule(u.subgroup, u.backend, dim,
-                   u.backend.scalar_array(_cell_major(entries), d))
-
-
-def hmodule_direct_sum(u: HModule, v: HModule) -> HModule:
-    """The block assignment of ``equations.direct_sum``."""
-    (a, da), (b, db) = _module_entries(u), _module_entries(v)
-    return _module(u, u.dim + v.dim, *_block_sum(a, da, b, db, u.backend))
-
-
-def hmodule_tensor(u: HModule, v: HModule) -> HModule:
-    """rho(h) = rho_U(h) (x) rho_V(h): ``equations._kron``."""
-    (a, da), (b, db) = _module_entries(u), _module_entries(v)
-    return _module(u, u.dim * v.dim, _kron(a, b, u.backend), da * db)
-
-
-def hmodule_dual(u: HModule) -> HModule:
-    """rho*(h) = (rho(h)^t)^-1 = rho(h^-1)^t: the gather and transpose of
-    ``equations.dual``."""
-    a, d = _module_entries(u)
-    return _module(u, u.dim,
-                   _dual_entries(a, (_inverse_slots(u.subgroup),)), d)
-
-
 def intertwiner_rows(u: HModule, v: HModule) -> np.ndarray:
     """The system of ``intertwiner_space``: one row per (h, i, k), h != e,
     over the unknowns P_jl at column j m + l (m = v.dim), holding
@@ -183,10 +143,6 @@ def intertwiner_space(u: HModule, v: HModule) -> np.ndarray:
     n, m = u.dim, v.dim
     basis = linalg.nullspace(intertwiner_rows(u, v).tolist(), n * m, u.backend)
     return np.array(basis, dtype=u.backend.dtype).reshape(len(basis), n, m)
-
-
-def intertwiner_dim(u: HModule, v: HModule) -> int:
-    return len(intertwiner_space(u, v))
 
 
 def fiber(eq: Equation) -> HModule:
@@ -216,23 +172,6 @@ def induce(mod: HModule, sigma: Transversal) -> Equation:
                     mod)
 
 
-def transversal_independence(mod: HModule, sig1: Transversal, sig2: Transversal):
-    """Explicit isomorphism induce(mod, sig1) -> induce(mod, sig2) from the
-    gauge gamma(y) = sig2(y)^{-1} sig1(y) in H: its matrix at y is
-    rho(gamma(y)), one gather from the rho matrices."""
-    from .solver import Morphism
-
-    group = mod.subgroup.group
-    gamma = _slots(mod.subgroup, group.mul_ids(
-        np.array(group.inv)[list(sig2.sigma)], np.array(sig1.sigma)))
-    outside = np.flatnonzero(gamma < 0)
-    if outside.size:
-        raise ElementNotInH(f"gauge element not in H at point {outside[0]}")
-    phi = Morphism(induce(mod, sig1), induce(mod, sig2), mod.rho[gamma])
-    phi.validate()
-    return phi
-
-
 def roundtrip_iso(eq: Equation, seed: int = 0):
     """Explicit isomorphism E -> induce(fiber(E), sigma)."""
     from .solver import find_isomorphism
@@ -245,36 +184,13 @@ def roundtrip_iso(eq: Equation, seed: int = 0):
     return iso
 
 
-def grothendieck_check(u: HModule, v: HModule, seed: int = 0) -> Dict[str, bool]:
-    """Verify induction respects direct sum, tensor product and dual,
-    each isomorphism exhibited explicitly."""
-    from . import equations as eqs
-    from .solver import find_isomorphism
-    from .space import transversal
-
-    sig = transversal(u.subgroup.group)
-
-    def ind(m):
-        return induce(m, sig)
-
-    report = {}
-    pairs = {
-        "direct_sum": (ind(hmodule_direct_sum(u, v)), eqs.direct_sum(ind(u), ind(v))),
-        "tensor": (ind(hmodule_tensor(u, v)), eqs.tensor(ind(u), ind(v))),
-        "dual": (ind(hmodule_dual(u)), eqs.dual(ind(u))),
-    }
-    for name, (a, b) in pairs.items():
-        report[name] = find_isomorphism(a, b, seed=seed) is not None
-    return report
-
-
 def builtin_irreducibles(sub: Subgroup, backend: Backend) -> IrredFamily:
-    """The irreducible modules of a cyclic or dihedral stabilizer.
+    """The irreducible modules of a cyclic or dihedral stabilizer; of any
+    other stabilizer, the trivial module alone.
 
     Rational backend: only the modules with rational matrices are returned
     (always including trivial, and sign when H has even order structure).
     """
-    group = sub.group
     out: IrredFamily = {"trivial": trivial_hmodule(sub, backend)}
     if sub.order == 1:
         return out
@@ -290,18 +206,13 @@ def builtin_irreducibles(sub: Subgroup, backend: Backend) -> IrredFamily:
         orders[h] = k
     r = max(members, key=lambda h: orders[h])
     n = orders[r]
-    cyc = set()
-    cur = 0
-    for _ in range(n):
-        cyc.add(cur)
-        cur = sub.mult(cur, r)
-    power = {}
+    power = {}  # r^k -> k: the rotation subgroup
     cur = 0
     for k in range(n):
         power[cur] = k
         cur = sub.mult(cur, r)
 
-    if len(cyc) == sub.order:
+    if n == sub.order:
         # cyclic: characters r^k -> zeta^{jk}
         if n % 2 == 0:
             out["sign"] = character_hmodule(sub, backend,
@@ -315,47 +226,34 @@ def builtin_irreducibles(sub: Subgroup, backend: Backend) -> IrredFamily:
                 out[f"chi{j}"] = character_hmodule(sub, backend, vals)
         return out
 
-    # dihedral: pick a reflection t outside the rotation subgroup
-    t = next(h for h in members if h not in cyc)
+    # dihedral: a reflection t outside the rotation subgroup with
+    # t^2 = e and t r t^-1 = r^-1, and |H| = 2 ord(r); then every other
+    # element is r^k t
+    t = next(h for h in members if h not in power)
+    if (sub.mult(t, t) != 0 or sub.group.mul(t, r, sub.inv(t)) != sub.inv(r)
+            or sub.order != 2 * n):
+        return out
+    # k with h = r^k, or with h = r^k t off the rotations
+    rot = {h: power[h] if h in power else power[sub.mult(h, sub.inv(t))]
+           for h in members}
     out["sign"] = character_hmodule(
-        sub, backend, {h: 1 if h in cyc else -1 for h in members})
+        sub, backend, {h: 1 if h in power else -1 for h in members})
     if n % 2 == 0:
         for name, rs, ts in (("chi_rot", -1, 1), ("chi_mix", -1, -1)):
-            vals = {}
-            ok = True
-            for h in members:
-                if h in cyc:
-                    vals[h] = rs ** power[h]
-                else:
-                    hr = sub.mult(h, sub.inv(t))  # h = hr * t with hr a rotation
-                    if hr not in cyc:
-                        ok = False
-                        break
-                    vals[h] = (rs ** power[hr]) * ts
-            if ok:
-                out[name] = character_hmodule(sub, backend, vals)
+            out[name] = character_hmodule(sub, backend, {
+                h: rs ** rot[h] if h in power else (rs ** rot[h]) * ts
+                for h in members})
     if not backend.exact and n > 2:
         import cmath
         for j in range(1, (n - 1) // 2 + (1 if n % 2 else 0) + 1):
             if 2 * j == n or j >= n:
                 continue
             z = cmath.exp(2j * cmath.pi * j / n)
-            rho = {}
-            ok = True
-            for h in members:
-                if h in cyc:
-                    k = power[h]
-                    rho[h] = [[z ** k, 0j], [0j, z ** (-k)]]
-                else:
-                    hr = sub.mult(h, sub.inv(t))
-                    if hr not in cyc:
-                        ok = False
-                        break
-                    k = power[hr]
-                    rho[h] = [[0j, z ** (-k)], [z ** k, 0j]]
-            if ok:
-                try:
-                    out[f"rot{j}"] = hmodule_from_matrices(sub, backend, rho)
-                except InvalidHModule:
-                    pass
+            rho = {h: [[z ** rot[h], 0j], [0j, z ** (-rot[h])]] if h in power
+                   else [[0j, z ** (-rot[h])], [z ** rot[h], 0j]]
+                   for h in members}
+            try:
+                out[f"rot{j}"] = hmodule_from_matrices(sub, backend, rho)
+            except InvalidHModule:
+                pass
     return out

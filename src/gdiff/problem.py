@@ -486,8 +486,8 @@ def run_task(prob: Problem, task: Dict[str, Any], seed: int) -> Dict[str, Any]:
         eq.validate()
         result["rank"] = eq.rank
     elif kind in ("solve", "symmetries"):
-        src = refs.get("source", refs.get("equation"))
-        basis = solver.hom_space(src, refs.get("target", src))
+        basis = (solver.symmetries(refs["equation"]) if kind == "symmetries"
+                 else solver.hom_space(refs["source"], refs["target"]))
         result["dimension"] = len(basis)
         result["basis"] = [b.matrix.transpose(1, 2, 0) for b in basis]
     elif kind == "decompose":

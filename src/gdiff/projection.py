@@ -14,17 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from .equations import Equation, matmul, mul
+from . import linalg
+from .equations import Equation, mul
 from .equivalence import HModule, fiber
-from .errors import CharacterBackendMismatch, CompositionMismatch
+from .errors import CharacterBackendMismatch, CompositionMismatch, NotASolution
 from .scalars import Backend
-from .solver import (Morphism, compose, factor_through_image,
-                     identity_morphism, image)
-from .space import Subgroup, Transversal, transversal
+from .solver import Morphism, compose, image
+from .space import Subgroup, transversal
 
 
 @dataclass(frozen=True)
@@ -37,17 +37,6 @@ class Character:
     @property
     def dim(self):
         return self.values[0]
-
-    def transported(self, y: int, h_y: int, sig: Transversal):
-        """chi_y(h_y) = chi(sigma(y)^{-1} h_y sigma(y))."""
-        group = self.subgroup.group
-        s = sig.sigma[y]
-        h = group.mul(group.inv[s], h_y, s)
-        return self.values[h]
-
-    def __add__(self, other: "Character") -> "Character":
-        return Character(self.subgroup,
-                         {h: self.values[h] + other.values[h] for h in self.values})
 
 
 def character_of_hmodule(mod: HModule) -> Character:
@@ -101,38 +90,25 @@ def frobenius_projection(eq: Equation, chi: Character) -> Morphism:
     return pi
 
 
-def schur_check(amb: Equation, summands: List[Tuple[Equation, Morphism]]
-                ) -> Dict[str, bool]:
-    """Orthogonality relations for the projections of the summand characters
-    inside the ambient equation amb = (+) summands."""
-    be = amb.backend
-    projections = [frobenius_projection(amb, character(s)).matrix
-                   for s, _ in summands]
-    report: Dict[str, bool] = {}
-    for i, pi in enumerate(projections):
-        report[f"idempotent_{i}"] = bool(
-            be.eq_array(matmul(pi, pi, be), pi).all())
-        for j, pj in enumerate(projections):
-            if i != j:
-                report[f"orthogonal_{i}_{j}"] = bool(
-                    be.is_zero(matmul(pi, pj, be)).all())
-    # emb_j . pi_i == delta_ij emb_j
-    for i, pi in enumerate(projections):
-        for j, (_, emb) in enumerate(summands):
-            want = np.array(be.one() if i == j else be.zero(), dtype=be.dtype)
-            report[f"restriction_{i}_{j}"] = bool(be.eq_array(
-                matmul(emb.matrix, pi, be), mul(want, emb.matrix, be)).all())
-    report["complete"] = bool(be.eq_array(
-        sum(projections[1:], projections[0]), identity_morphism(amb).matrix).all())
-    return report
-
-
 def factor_solution(eq: Equation, simple: Equation, psi: Morphism) -> Morphism:
     """Given psi on the isotypic image of Pi_S, return psi . Pi_S in
     Hom_A(eq, simple)."""
+    be = eq.backend
+    size = eq.group.space.size
     pi = frobenius_projection(eq, character(simple))
     img, emb = image(pi)
-    cores = factor_through_image(pi, img, emb)
+    # the corestriction of pi to its image, solved pointwise
+    rows = []
+    for y in range(size):
+        emb_t = emb.matrix[y].T.tolist()
+        for target in pi.at_point(y):
+            x = linalg.solve(emb_t, target, be)
+            if x is None:
+                raise NotASolution("morphism does not factor through the image")
+            rows.append(x)
+    cores = Morphism(eq, img, np.array(rows, dtype=be.dtype)
+                     .reshape(size, eq.rank, img.rank))
+    cores.validate()
     # psi may come from hom_space on an equal-connection copy of the image
     if psi.source is not img and psi.source != img:
         raise CompositionMismatch("psi is not defined on the isotypic image")

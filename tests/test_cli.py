@@ -366,6 +366,35 @@ def test_module_on_a_large_stabilizer_given_on_two_words(tmp_path, capsys):
         "pass\n")
 
 
+@pytest.mark.parametrize("backend", ["rational", "complex"])
+def test_builtin_trivial_on_a_stabilizer_neither_cyclic_nor_dihedral(
+        tmp_path, capsys, backend):
+    # S5 on 5 points: H = S4, whose element of largest order is a 4-cycle;
+    # the builtins are then the trivial module alone, and induce and solve
+    target = tmp_path / "s5.json"
+    target.write_text(json.dumps(symmetric_problem(
+        5, {"one": {"builtin": "trivial"}}, {"e": {"induce": "one"}},
+        [{"task": "validate", "equation": "e"},
+         {"task": "solve", "source": "e", "target": "e"}])))
+    assert main(["run", str(target), "--backend", backend]) == 0
+    assert capsys.readouterr().out == (
+        f"backend={backend} seed=0\n"
+        "task 0 validate: ok rank=1\n"
+        "task 1 solve: ok dimension=1\n"
+        "pass\n")
+
+
+@pytest.mark.parametrize("backend", ["rational", "complex"])
+def test_builtin_sign_on_a_stabilizer_neither_cyclic_nor_dihedral(
+        tmp_path, capsys, backend):
+    target = tmp_path / "s5.json"
+    target.write_text(json.dumps(symmetric_problem(
+        5, {"sign": {"builtin": "sign"}})))
+    assert main(["validate", str(target), "--backend", backend]) == 2
+    assert capsys.readouterr().err == \
+        "error: no builtin hmodule 'sign'; have ['trivial']\n"
+
+
 def test_exact_loads_make_no_singularity_test(tmp_path, monkeypatch):
     # an exact module check or generator completion that passes proves its
     # matrices invertible, so loading the exact-solve benchmark files tests

@@ -6,18 +6,19 @@ import pytest
 import sympy
 
 from conftest import (array_bits, bits, difn_quotient_oracle, equation_zoo,
-                      flatten, gauged_equation, identity, ker_mu_basis,
+                      flatten, gauged_equation, identity, identity_op,
+                      ker_mu_basis,
                       kmatrix_bits, kmatrix_of, mat_eq, mat_mul,
                       perfbench_module,
                       pointwise_act, pointwise_compose_raw,
                       pointwise_mu, pointwise_skew_action, pointwise_skew_op,
-                      random_matrix, random_values, seeded_rng, sympy_nullity)
+                      of_element, random_matrix, random_values, seeded_rng,
+                      sympy_nullity, zero_raw)
 from gdiff import diffops, linalg
 from gdiff.diffops import (ClassicalSystem, RawOperator,
                            canonicalize, classical_solutions, compose,
                            compose_raw, delta_op, embed_solutions, equation_of,
-                           identity_op, ingest_classical, mu,
-                           skew_action, zero_raw)
+                           ingest_classical, mu, skew_action)
 from gdiff.equations import act, trivial_equation
 from gdiff.errors import GDiffError
 from gdiff.problem import load_problem
@@ -217,7 +218,7 @@ def test_mu_is_a_module_morphism(g3, rational):
     theta = random_raw(rng, e1, e2)
     coords = random_values(rng, (e1.rank, 3), rational)
     for g in range(g3.order):
-        a = SkewOp.of_element(g3, rational, g)
+        a = of_element(g3, rational, g)
         lhs = diffops.apply_action(mu(skew_action(a, theta)), coords, e2)
         inner = diffops.apply_action(mu(theta), coords, e2)
         rhs = act(e2, g, inner)

@@ -505,12 +505,51 @@ def timed_peak(check):
 def test_validation_with_a_large_stabilizer_stays_small(rational, cplx):
     # S7 on 7 points: H = S6 has 720 elements, so the module's full scan
     # has 518,400 pairs against the 2 x 5040 x 7 cells of the global scan.
-    # The trivial equation takes the scan (the full module scan of a rank-2
-    # module takes 13 s over Q), and the full module scan itself runs in
-    # slices of a (in one batch its temporaries exceed 100 MB)
+    # On the complex backend the trivial equation takes the scan, over the
+    # rationals its module's check on generators of H (the full module
+    # scan of a rank-2 module takes 13 s over Q), and the full module scan
+    # itself runs in slices of a (in one batch its temporaries exceed
+    # 100 MB)
     group = symmetric_group(7)
     for be in (rational, cplx):
         seconds, peak = timed_peak(trivial_equation(group, be, 2).validate)
         assert seconds < 3 and peak < 4 << 20
     mod = equivalence.trivial_hmodule(stabilizer(group, 0), cplx, 2)
     assert timed_peak(mod.validate)[1] < 4 << 20
+
+
+def test_exact_induced_equation_validates_through_its_module(rational,
+                                                             monkeypatch):
+    # over the rationals the module's check costs k |H| products, so an
+    # induced equation validates as its module whatever |H| is: S7 on 7
+    # points (|H| = 720) reads no cell of the connection
+    eq = trivial_equation(symmetric_group(7), rational, 2)
+    calls = []
+    real = Equation.integral
+    monkeypatch.setattr(Equation, "integral",
+                        lambda self, index: calls.append(index)
+                        or real(self, index))
+    eq.validate()
+    assert calls == []
+
+
+def test_exact_module_failure_names_the_scan_pair(rational):
+    # a module that fails its check falls back to the global scan, which
+    # names the pair the scan of the same connection as generator data does
+    group = symmetric_group(7)
+    sub = stabilizer(group, 0)
+    rho = equivalence.trivial_hmodule(sub, rational, 2).rho.copy()
+    rho[sub.order - 1] = -rho[sub.order - 1]
+    bad = equivalence.induce(equivalence.HModule(sub, rational, 2, rho),
+                             transversal(group))
+    expected = validate_message(global_copy(bad))
+    assert expected is not None
+    assert validate_message(bad) == expected
+
+
+def test_exact_trivial_equation_validates_without_its_cell_table(rational):
+    # S8 on 8 points: validating the trivial equation builds no
+    # (|G|, |S|) cell table
+    eq = trivial_equation(symmetric_group(8), rational, 2)
+    eq.validate()
+    assert "table" not in vars(eq.cells)

@@ -1,26 +1,25 @@
 import numpy as np
 import pytest
 
-from conftest import (array_bits, bits, equation_zoo, kmatrix_of, list_rho,
+from conftest import (alternate_transversal, array_bits, bits, equation_zoo,
+                      grothendieck_check, hmodule_direct_sum, hmodule_dual,
+                      hmodule_tensor, intertwiner_dim, kmatrix_of, list_rho,
                       loop_character, loop_close_rho, loop_direct_sum,
                       loop_intertwiner_rows, loop_tensor, loop_validate,
                       pointwise_induce, rank2_equation, scalar_bits,
-                      seeded_rng, random_involution)
+                      seeded_rng, random_involution, transversal_independence)
 from gdiff import scalars
 from gdiff import equivalence, solver
 from gdiff.equations import direct_sum, dual, tensor, trivial_equation
 from gdiff.equivalence import (HModule, builtin_irreducibles, fiber,
-                               grothendieck_check, hmodule_direct_sum,
-                               hmodule_dual, hmodule_from_matrices,
-                               hmodule_tensor, induce, intertwiner_rows,
-                               roundtrip_iso, transversal_independence,
-                               trivial_hmodule)
+                               hmodule_from_matrices, induce, intertwiner_rows,
+                               roundtrip_iso, trivial_hmodule)
 from gdiff.errors import ElementNotInH, InvalidHModule
 from gdiff.problem import _close_rho
 from gdiff.projection import character_of_hmodule
-from gdiff.space import (FiniteSpace, Transversal, alternate_transversal,
-                         dihedral_on_cycle, enumerate_group, parse_cycles,
-                         stabilizer, transversal)
+from gdiff.space import (FiniteSpace, Transversal, dihedral_on_cycle,
+                         enumerate_group, parse_cycles, stabilizer,
+                         transversal)
 
 BACKENDS = [scalars.Backend.rational(), scalars.Backend.complex()]
 
@@ -125,7 +124,7 @@ def test_hom_dim_equals_fiber_intertwiner_dim_after_induction(g4, rational):
     sig = transversal(g4)
     for u in fam.values():
         for v in fam.values():
-            want = equivalence.intertwiner_dim(u, v)
+            want = intertwiner_dim(u, v)
             got = len(solver.hom_space(induce(u, sig), induce(v, sig)))
             assert got == want
 

@@ -24,16 +24,28 @@ Every function and method that the benchmark's traced mode wraps by dotted
 path (``perfbench/layers.py``) must exist in the package, and the benchmark's
 correctness oracle (``perfbench/oracle.py``), which reads groups and
 connections directly, must still agree with the expected dimensions.
+
+Every function of the package runs in some ``gdiff run`` or ``gdiff
+validate`` of the corpus and the benchmark's files, or is on the library
+list or the harness list below; README "Public API" lists the same names,
+and the names ``gdiff`` exports.
 """
 
 import ast
+import contextlib
+import glob
 import importlib
+import io
+import json
 import os
+import re
+import sys
 
 import pytest
 
 import gdiff
 from conftest import PERFBENCH, perfbench_module
+from gdiff.cli import main
 from gdiff.equations import KMatrix
 
 PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -258,3 +270,159 @@ def test_benchmark_oracle_agrees(tmp_path, monkeypatch):
     oracle = perfbench_module("oracle")
     workloads = perfbench_module("workloads")
     assert oracle["check"](workloads["involution"](1), str(tmp_path)) == {}
+
+
+# -- one public surface --------------------------------------------------------
+
+# Functions of the package that no task of the probe's files reaches, as
+# module.qualified_name (a class stands for its methods, a function for the
+# functions defined in it).  Library API: the paper's notions that no task
+# kind runs yet, and what only a file outside the probe's reaches.
+LIBRARY_API = {
+    # the skew group algebra k[S] x G and the operators it defines
+    "skewalg.SkewOp", "skewalg.skew_mul", "skewalg.apply", "skewalg._moved",
+    "diffops.delta_op", "diffops.skew_action",
+    # conserved structures are invariants in the tensor algebra
+    "invariants.conserved_quantity_check", "invariants.composition_principle",
+    "invariants.is_invariant", "invariants._check_solution", "equations.act",
+    # subobjects
+    "solver.kernel", "solver.image", "solver.sub_equation",
+    "solver.is_surjective", "solver.compose", "projection.factor_solution",
+    "projection.isotypic_image", "linalg.row_space_basis",
+    # morphisms, operators and their comparisons
+    "solver.zero_morphism", "solver.identity_morphism",
+    "solver.Morphism.is_valid", "equations.Equation.__eq__",
+    "equations.Equation.__hash__", "space.Group.__eq__", "space.Group.__hash__",
+    "diffops.RawOperator.add", "diffops.DiffOperator.eq",
+    "diffops.DiffOperator.apply", "diffops.apply_action",
+    # reached by tasks only on files outside the probe's: a module from all
+    # its matrices (complex rot modules of a dihedral stabilizer of order 6
+    # or more), an antisymmetric self-duality, a trivial stabilizer
+    "equivalence.hmodule_from_matrices", "invariants._form_from_wedge2",
+    "scalars.Backend.one",
+    # the row-space kernel's membership test, which the tests use
+    "linalg.RowSpace.contains",
+}
+# Kept only because the benchmark wraps or reads them (perfbench/).
+HARNESS_ONLY = {"equations.KMatrix", "equations.Equation.conn", "linalg.inv"}
+
+# Declares a hom and a wedge_top equation, which the corpus does not.
+HOM_WEDGE_FILE = {
+    "space": {"cycle": 4}, "group": {"dihedral_cycle": 4},
+    "equations": {"one": {"trivial": 1}, "two": {"trivial": 2},
+                  "h": {"hom": ["two", "one"]}, "top": {"wedge_top": "two"}},
+    "tasks": [{"task": "validate", "equation": "h"},
+              {"task": "validate", "equation": "top"}]}
+
+
+def package_functions():
+    """{(file, first line): module.qualified_name} of every function and
+    method defined under the package; the first line of a decorated
+    function is its first decorator's, as in its code object."""
+    found = {}
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno
+                                              for d in child.decorator_list])
+                found[os.path.join(PACKAGE, module), first] = \
+                    f"{module[:-3]}.{prefix}{child.name}"
+                visit(child, module, f"{prefix}{child.name}.")
+            else:
+                visit(child, module, prefix)
+
+    for module in MODULES + ["__init__.py"]:
+        visit(parse(module), module, "")
+    return found
+
+
+def test_package_functions_start_at_the_first_decorator():
+    first = {name: line for (_, line), name in package_functions().items()}
+    assert "equations.complete_connection.check" in first
+    assert first["equations.Equation.array"] == \
+        gdiff.Equation.array.func.__code__.co_firstlineno
+
+
+def listed(name):
+    return [entry for entry in LIBRARY_API | HARNESS_ONLY
+            if name == entry or name.startswith(entry + ".")]
+
+
+def probe_files(directory):
+    """The corpus, the workloads' files at seeds 1 and 3 and
+    ``HOM_WEDGE_FILE``, written under ``directory``."""
+    workloads = perfbench_module("workloads")
+    files = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "data",
+                                          "*.json")))
+    for name in workloads["WORKLOADS"]:
+        for seed in (1, 3):
+            files += workloads["write_files"](
+                workloads["build"](name, seed),
+                os.path.join(directory, f"{name}-{seed}"))
+    extra = os.path.join(directory, "hom_wedge.json")
+    with open(extra, "w", encoding="utf-8") as fh:
+        json.dump(HOM_WEDGE_FILE, fh)
+    return files + [extra]
+
+
+def test_every_package_function_runs_or_is_listed(tmp_path):
+    # the CLI under sys.setprofile: run (text and structured, the file's
+    # backend and both overrides) and validate on every probe file
+    ran = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    previous = sys.getprofile()
+    for target in probe_files(str(tmp_path)):
+        for argv in (["run", target], ["run", target, "--format", "structured"],
+                     ["run", target, "--backend", "rational"],
+                     ["run", target, "--backend", "complex"],
+                     ["validate", target]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                sys.setprofile(record)
+                try:
+                    main(argv)
+                finally:
+                    sys.setprofile(previous)
+    ran = {(os.path.realpath(f), line) for f, line in ran}
+    functions = {(os.path.realpath(f), line): name
+                 for (f, line), name in package_functions().items()}
+    never = {name for key, name in functions.items() if key not in ran}
+    unlisted = sorted(name for name in never if not listed(name))
+    assert not unlisted, f"reached by no task and on no list: {unlisted}"
+    running = sorted(name for key, name in functions.items()
+                     if key in ran and listed(name))
+    assert not running, f"listed, but a task runs them: {running}"
+    stale = (LIBRARY_API | HARNESS_ONLY) - {
+        entry for name in functions.values() for entry in listed(name)}
+    assert not stale, f"listed, but not defined: {sorted(stale)}"
+
+
+README = os.path.join(os.path.dirname(PACKAGE), os.pardir, "README.md")
+
+
+def readme_api():
+    """{subsection title: backticked names} of README "Public API"."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    parts = re.split(r"^### (.*)$", section, flags=re.M)
+    return {title: re.findall(r"`([\w.]+)`", body)
+            for title, body in zip(parts[1::2], parts[2::2])}
+
+
+def test_readme_lists_the_exports_and_the_unreached_functions():
+    api = readme_api()
+    assert set(api["Exported names"]) == set(gdiff.__all__)
+    assert len(api["Exported names"]) == len(gdiff.__all__)
+    dotted = {name: {x for x in names if "." in x and x.split(".")[0]
+                     in {m[:-3] for m in MODULES}}
+              for name, names in api.items()}
+    assert dotted["Library API"] == LIBRARY_API
+    assert dotted["Harness-only names"] == HARNESS_ONLY

@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (conn_of, equation_zoo, fiber_projection_route,
-                      kmatrix_of, mult_table, sign_equation)
+from conftest import (add_characters, conn_of, equation_zoo,
+                      fiber_projection_route, hmodule_direct_sum, kmatrix_of,
+                      mult_table, schur_check, sign_equation, transported)
 from gdiff import equivalence, solver
 from gdiff.equations import Equation, direct_sum, trivial_equation
 from gdiff.errors import CharacterBackendMismatch, CompositionMismatch
 from gdiff.projection import (Character, character, character_of_hmodule,
                               factor_solution, frobenius_projection,
-                              isotypic_image, schur_check)
+                              isotypic_image)
 from gdiff.space import stabilizer, transversal
 
 
@@ -28,7 +29,7 @@ def test_character_values(g3, rational):
 def test_character_additivity(g4, rational):
     zoo = equation_zoo(g4, rational)
     lhs = character(direct_sum(zoo["one"], zoo["rank2"]))
-    rhs = character(zoo["one"]) + character(zoo["rank2"])
+    rhs = add_characters(character(zoo["one"]), character(zoo["rank2"]))
     assert lhs.values == rhs.values
 
 
@@ -47,7 +48,7 @@ def test_transport_law(g6, rational):
             h_y = mult[s][mult[h][g6.inv[s]]]
             mat = conn[h_y].at_point(y)
             trace = sum(mat[i][i] for i in range(eq.rank))
-            assert chi.transported(y, h_y, sig) == trace
+            assert transported(chi, y, h_y, sig) == trace
 
 
 def test_projection_on_trivial_is_identity(g3, rational):
@@ -84,7 +85,7 @@ def test_schur_check_dihedral_family(g3, g4, g6, cplx):
         sub = stabilizer(group, 0)
         fam = equivalence.builtin_irreducibles(sub, cplx)
         amb = equivalence.induce(
-            equivalence.hmodule_direct_sum(fam["trivial"], fam["sign"]),
+            hmodule_direct_sum(fam["trivial"], fam["sign"]),
             transversal(group))
         parts = solver.decompose(amb)
         report = schur_check(amb, parts)

@@ -1,7 +1,8 @@
 """Property tests on small random rational involutions: cocycle closure of
 complete_connection, fiber(induce(V)) == V, and hom dimensions against the
 sympy oracle over the whole group.  And on relabellings of the points:
-every answer stays the same."""
+every answer stays the same.  And Frobenius reciprocity, checked without
+sympy: dim Hom(induce(U), E) = dim Hom_H(U, fiber(E))."""
 
 from fractions import Fraction
 
@@ -9,8 +10,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (cocycle_everywhere, conn_of, gauged_equation,
-                      hom_dim_oracle, intertwines_everywhere, seeded_rng)
+from conftest import (alternate_transversal, cocycle_everywhere, conn_of,
+                      gauged_equation, hom_dim_oracle, intertwines_everywhere,
+                      seeded_rng)
 from gdiff import equivalence
 from gdiff.equations import complete_connection, direct_sum, tensor
 from gdiff.errors import GDiffError
@@ -188,3 +190,44 @@ def test_answers_do_not_depend_on_point_labels(name, backend, data):
         for g, image in gens.items()})
     moved_mats = [{g: m[pinv] for g, m in eq.items()} for eq in mats]
     assert _answers(moved, be, moved_mats) == _UNRELABELLED[name, backend]
+
+
+# -- Frobenius reciprocity -----------------------------------------------------
+
+def _reciprocity_cases(group, be):
+    """The stabilizer modules U (trivial, sign and ``_rank2_module``) and
+    the equations E: each U induced along ``transversal`` and along
+    ``alternate_transversal``, the ``_generator_data`` equations (a gauged
+    one among them), and direct sums of these."""
+    fam = equivalence.builtin_irreducibles(stabilizer(group, 0), be)
+    mods = {"trivial": fam["trivial"], "sign": fam["sign"],
+            "rank2": _rank2_module(group, be)}
+    eqs = {}
+    for along, sigma in (("transversal", transversal(group)),
+                         ("alternate", alternate_transversal(group))):
+        for name, mod in mods.items():
+            eqs[name, along] = equivalence.induce(mod, sigma)
+    for name, mats in zip(("one", "sign", "rank2", "gauged"),
+                          _generator_data(group, be)):
+        eqs[name, "generators"] = complete_connection(group, be, mats)
+    for a, b in ((("rank2", "transversal"), ("sign", "alternate")),
+                 (("gauged", "generators"), ("rank2", "alternate")),
+                 (("sign", "generators"), ("rank2", "generators"))):
+        eqs[a, b] = direct_sum(eqs[a], eqs[b])
+    return mods, eqs
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(RELABEL_SPACES)),
+       backend=st.sampled_from(sorted(BACKENDS)))
+def test_frobenius_reciprocity(name, backend):
+    space, gens = RELABEL_SPACES[name]
+    be = BACKENDS[backend]
+    group = enumerate_group(space, gens)
+    mods, eqs = _reciprocity_cases(group, be)
+    sigma = transversal(group)
+    for u in mods.values():
+        for key, e in eqs.items():
+            want = len(equivalence.intertwiner_space(u, equivalence.fiber(e)))
+            got = len(hom_space(equivalence.induce(u, sigma), e))
+            assert got == want, (name, backend, key)

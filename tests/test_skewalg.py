@@ -3,9 +3,9 @@ the pointwise ``PointwiseSkewOp`` in ``conftest`` bit for bit."""
 
 import pytest
 
-from conftest import (Fn, array_bits, bits, mult_table, pointwise_apply,
-                      pointwise_skew_mul, pointwise_skew_op, random_values,
-                      seeded_rng)
+from conftest import (Fn, array_bits, bits, mult_table, of_element,
+                      pointwise_apply, pointwise_skew_mul, pointwise_skew_op,
+                      random_values, seeded_rng)
 from gdiff.scalars import Backend
 from gdiff.skewalg import SkewOp, apply, skew_mul
 from gdiff.space import dihedral_on_cycle
@@ -40,7 +40,7 @@ def test_associativity_random(g3, rational):
 
 def test_identity_element(g4, rational):
     rng = seeded_rng(3)
-    e = SkewOp.of_element(g4, rational, 0)
+    e = of_element(g4, rational, 0)
     a = random_op(rng, g4, rational)
     assert skew_mul(e, a).eq(a)
     assert skew_mul(a, e).eq(a)

@@ -7,8 +7,7 @@ from conftest import (Fn, KMatrix, conn_of, equation_zoo, full_hom_system,
                       hom_dim_oracle, intertwines_everywhere, kmatrix_of,
                       morphism_from_kmatrix, pointwise_hom_space,
                       pointwise_intertwines, random_kmatrix, scalar_eq,
-                      seeded_rng,
-                      sympy_nullspace)
+                      intertwiner_dim, seeded_rng, sympy_nullspace)
 from gdiff import equivalence, solver
 from gdiff.equations import act, direct_sum, trivial_equation
 from gdiff.errors import CompositionMismatch, NotASolution
@@ -91,7 +90,7 @@ def test_hom_dims_match_fiber_intertwiners(g4, rational):
     zoo = equation_zoo(g4, rational)
     for a in zoo.values():
         for b in zoo.values():
-            want = equivalence.intertwiner_dim(equivalence.fiber(a),
+            want = intertwiner_dim(equivalence.fiber(a),
                                                equivalence.fiber(b))
             assert len(hom_space(a, b)) == want
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import mult_table, perm_compose, perm_inverse
+from conftest import (alternate_transversal, mult_table, perm_compose,
+                      perm_inverse)
 from gdiff.errors import GroupTooLarge, NotTransitive
-from gdiff.space import (FiniteSpace, alternate_transversal, dihedral_on_cycle,
-                         enumerate_group, parse_cycles, stabilizer,
-                         transversal)
+from gdiff.space import (FiniteSpace, dihedral_on_cycle, enumerate_group,
+                         parse_cycles, stabilizer, transversal)
 
 
 def test_dihedral_orders():
